@@ -1,10 +1,11 @@
 """Hot numeric kernels, in two interchangeable flavours.
 
-The loops that dominate runtime live here: per-pipe monomial loss
-coefficients (evaluated once per solver iteration, thousands of times during
-scenario generation and Monte Carlo resampling) and the per-cell hyperbox
-scans of the fuzzy classifier (evaluated once per training example and per
-classification).
+The elementwise loops live here: per-pipe monomial loss coefficients
+(evaluated once per solver iteration, thousands of times during scenario
+generation and Monte Carlo resampling) and the per-cell hyperbox scans of
+the fuzzy classifier (evaluated once per training example and per
+classification). The dense linear algebra of the solver stages, not these
+loops, dominates runtime.
 
 Each kernel has a pure-numpy implementation and, when numba is importable,
 an @njit translation of the same arithmetic. The active flavour is chosen

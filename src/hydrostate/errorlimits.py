@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient
+from .errors import NonConvergence
 from .estimator import (
     MeasurementSet,
     build_augmented,
     estimate_state,
-    linearized_system,
 )
-from .hydraulics import StateVector
+from .hydraulics import StateVector, jacobian_coefficients
+from .linearization import NormalEquations, cho_solve, factor_gram
 from .network import Network
 
 
@@ -66,18 +66,19 @@ def uncertainty_vector(net: Network, meas: MeasurementSet) -> np.ndarray:
 
 
 def bound_from_matrix(
-    matrix: np.ndarray, weights: np.ndarray, delta_y: np.ndarray
+    system: NormalEquations, jac: np.ndarray, delta_y: np.ndarray
 ) -> np.ndarray:
-    """Core bound e = |(A^T W A)^-1 A^T W| |delta_y| for one linearization."""
-    delta_y = np.asarray(delta_y, dtype=float)
-    weighted_rows = matrix * weights[:, None]
-    gram = matrix.T @ weighted_rows
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("normal equations are not positive definite") from exc
-    sensitivity = np.linalg.solve(gram, weighted_rows.T)
-    return np.abs(sensitivity) @ np.abs(delta_y)
+    """Core bound e = |(A^T W A)^-1 A^T W| |delta_y| for one linearization.
+
+    `system` supplies A^T W A and the columns of A^T W at derivative
+    diagonal `jac` (see `NormalEquations`). Only the columns of rows with
+    delta_y > 0 contribute, so only those are assembled and solved for.
+    """
+    delta_y = np.abs(np.asarray(delta_y, dtype=float))
+    rows = np.flatnonzero(delta_y)
+    lower = factor_gram(system, jac)
+    sensitivity = cho_solve(lower, system.columns(jac, rows))
+    return np.abs(sensitivity) @ delta_y[rows]
 
 
 def sensitivity_bound(
@@ -88,7 +89,7 @@ def sensitivity_bound(
 ) -> IntervalState:
     """Interval state centered at the converged estimate x_star.
 
-    The linearized augmented matrix is evaluated at x_star itself, i.e. at
+    The linearized augmented system is evaluated at x_star itself, i.e. at
     the final iterate of the estimation.
     """
     aug = build_augmented(net, meas)
@@ -98,8 +99,8 @@ def sensitivity_bound(
         raise ValueError(f"delta_y must have length {expected}, got {delta_y.shape}")
     if (delta_y < 0).any():
         raise ValueError("delta_y entries must be >= 0")
-    matrix, weights, _ = linearized_system(net, aug, x_star)
-    halfwidth = bound_from_matrix(matrix, weights, delta_y)
+    system = NormalEquations(net, aug)
+    halfwidth = bound_from_matrix(system, jacobian_coefficients(net, x_star.q), delta_y)
     return IntervalState(x_star.copy(), halfwidth)
 
 

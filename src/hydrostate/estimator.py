@@ -3,7 +3,7 @@
 Telemetry rows extend the steady-state system with unit selector rows
 picking the measured flow or head, turning it into an overdetermined
 system. Estimation iterates the linearization at the current
-iterate: the correction solves
+iterate (assembled by `linearization`): the correction solves
 
     min || W^(1/2) (A_k dx - rhs_k) ||_2,    x <- x + omega * dx,
 
@@ -24,7 +24,8 @@ from .hydraulics import (
     jacobian_coefficients,
     residual,
 )
-from .network import Network, incidence_matrices
+from .linearization import NormalEquations, cho_solve, factor_gram
+from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
 KIND_NODE_HEAD = "node-head"
@@ -88,17 +89,20 @@ class AugmentedSystem:
 
     Row layout everywhere is (energy | continuity | telemetry); `weights`
     holds the diagonal of W in that order and `values` the telemetry
-    right-hand sides M_t.
+    right-hand sides M_t. `telemetry_columns` holds the index in x = (q, H)
+    of the unknown each telemetry row selects.
     """
 
     flow_selector: np.ndarray
     head_selector: np.ndarray
     values: np.ndarray
     weights: np.ndarray
+    telemetry_columns: np.ndarray
 
     @property
     def n_telemetry(self) -> int:
         return self.flow_selector.shape[0]
+
 
 
 @dataclass
@@ -123,15 +127,18 @@ def build_augmented(
     head_selector = np.zeros((m, net.n_demand))
     values = np.zeros(m)
     sigmas = np.zeros(m)
+    columns = np.zeros(m, dtype=np.intp)
     for k, measurement in enumerate(meas.measurements):
         if measurement.kind == KIND_PIPE_FLOW:
             if not net.has_pipe(measurement.target):
                 raise UnknownTarget(measurement.target)
-            flow_selector[k, net.pipe_index(measurement.target)] = 1.0
+            columns[k] = net.pipe_index(measurement.target)
+            flow_selector[k, columns[k]] = 1.0
         else:
             if not net.has_demand_node(measurement.target):
                 raise UnknownTarget(measurement.target)
             head_selector[k, net.demand_index(measurement.target)] = 1.0
+            columns[k] = net.n_pipes + net.demand_index(measurement.target)
         values[k] = measurement.value
         sigmas[k] = measurement.sigma
 
@@ -146,48 +153,27 @@ def build_augmented(
         weights = 1.0 / row_sigmas**2
     if not np.isfinite(weights).all():
         raise ValueError("a sigma is too small: its weight 1/sigma^2 overflows")
-    return AugmentedSystem(flow_selector, head_selector, values, weights)
+    return AugmentedSystem(flow_selector, head_selector, values, weights, columns)
 
 
 def augmented_residual(net: Network, aug: AugmentedSystem, x: StateVector) -> np.ndarray:
     """(energy | continuity | telemetry) residual at x; telemetry rows are
     selected state minus measured value."""
-    telemetry = aug.flow_selector @ x.q + aug.head_selector @ x.H - aug.values
+    telemetry = x.vector[aug.telemetry_columns] - aug.values
     return np.concatenate([residual(net, x), telemetry])
 
 
-def linearized_system(
-    net: Network, aug: AugmentedSystem, x: StateVector
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix, weight diagonal and right-hand side of the linearized
-    augmented system at x. The rhs is the negated augmented residual."""
-    a12, _ = incidence_matrices(net)
-    n_p = net.n_demand
-    matrix = np.vstack(
-        [
-            np.hstack([np.diag(jacobian_coefficients(net, x.q)), a12]),
-            np.hstack([a12.T, np.zeros((n_p, n_p))]),
-            np.hstack([aug.flow_selector, aug.head_selector]),
-        ]
-    )
-    return matrix, aug.weights, -augmented_residual(net, aug, x)
-
-
-def weighted_step(matrix: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def weighted_step(
+    system: NormalEquations, jac: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
     """Solve the weighted normal equations (A^T W A) dx = A^T W rhs.
 
-    Uses a Cholesky factorization as the positive-definiteness gate; a
-    failed factorization signals an unobservable configuration.
+    `system` supplies A^T W A and A^T W for the linearization with
+    derivative diagonal `jac` (see `NormalEquations`); its `shape` is that
+    of A. Uses a Cholesky factorization as the positive-definiteness gate;
+    a failed factorization signals an unobservable configuration.
     """
-    weighted_rows = matrix * weights[:, None]
-    gram = matrix.T @ weighted_rows
-    b = weighted_rows.T @ rhs
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("normal equations are not positive definite") from exc
-    z = np.linalg.solve(lower, b)
-    dx = np.linalg.solve(lower.T, z)
+    dx = cho_solve(factor_gram(system, jac), system.rhs(jac, rhs))
     if not np.isfinite(dx).all():
         raise RankDeficient("weighted step produced non-finite entries")
     return dx
@@ -210,12 +196,13 @@ def estimate_state(
     if not 0 < omega <= 1.5:
         raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     aug = build_augmented(net, meas, energy_sigma=energy_sigma)
+    system = NormalEquations(net, aug)
     x = initial_state(net)
     step_norms: list[float] = []
 
     for iteration in range(1, max_iter + 1):
-        matrix, weights, rhs = linearized_system(net, aug, x)
-        dx = weighted_step(matrix, weights, rhs)
+        jac = jacobian_coefficients(net, x.q)
+        dx = weighted_step(system, jac, -augmented_residual(net, aug, x))
         x = StateVector(
             x.q + omega * dx[: net.n_pipes], x.H + omega * dx[net.n_pipes :]
         )

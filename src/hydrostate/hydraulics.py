@@ -8,7 +8,8 @@ demand node,
     [ A12^T q - Q             ]
 
 and the Newton matrix replaces D(q) with the derivative diagonal
-d(D(q)q)/dq = diag(n_j r_j max(|q_j|, eps)^(n_j-1)).
+d(D(q)q)/dq = diag(n_j r_j max(|q_j|, eps)^(n_j-1)); `linearization`
+solves each Newton step without forming that matrix.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NonConvergence, SingularSystem
-from .network import FLOW_FLOOR, Network, headloss_coefficients, incidence_matrices
+from .errors import NonConvergence
+from .linearization import newton_step
+from .network import FLOW_FLOOR, Network, headloss_coefficients
 
 DEFAULT_TOL_R = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -70,24 +72,9 @@ def initial_state(net: Network) -> StateVector:
     the energy rows for Newton to drive down, which is what makes the
     damped iteration dependable on loopy networks.
     """
-    adjacency: dict[str, list[tuple[int, str, float]]] = {n.id: [] for n in net.nodes}
-    for j, pipe in enumerate(net.pipes):
-        adjacency[pipe.from_node].append((j, pipe.to_node, +1.0))
-        adjacency[pipe.to_node].append((j, pipe.from_node, -1.0))
-
-    root = net.fixed_nodes[0].id
-    parent: dict[str, tuple[str, int, float] | None] = {root: None}
-    order = [root]
-    for node in order:
-        for j, other, sign in adjacency[node]:
-            if other not in parent:
-                parent[other] = (node, j, sign)
-                order.append(other)
-
-    subtree = {n.id: (n.demand if n.demand is not None else 0.0) for n in net.nodes}
+    subtree = [n.demand if n.demand is not None else 0.0 for n in net.nodes]
     q = np.zeros(net.n_pipes)
-    for node in reversed(order[1:]):
-        up, j, sign = parent[node]
+    for node, up, j, sign in reversed(net.spanning_tree):
         q[j] += sign * subtree[node]
         subtree[up] += subtree[node]
 
@@ -105,29 +92,11 @@ def jacobian_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
 def residual(net: Network, x: StateVector) -> np.ndarray:
     """Stacked (energy rows, continuity rows) residual; zero iff x solves
     the steady-state system."""
-    a12, a10 = incidence_matrices(net)
-    energy = headloss_coefficients(net, x.q) * x.q + a12 @ x.H + a10 @ net.fixed_heads
-    continuity = a12.T @ x.q - net.demand
+    energy = (
+        headloss_coefficients(net, x.q) * x.q + net.a12.dot(x.H) + net.fixed_head_term
+    )
+    continuity = net.a12.tdot(x.q) - net.demand
     return np.concatenate([energy, continuity])
-
-
-def newton_matrix(net: Network, q: np.ndarray) -> np.ndarray:
-    """Square linearization block matrix at flows q."""
-    a12, _ = incidence_matrices(net)
-    n_p = net.n_demand
-    top = np.hstack([np.diag(jacobian_coefficients(net, q)), a12])
-    bottom = np.hstack([a12.T, np.zeros((n_p, n_p))])
-    return np.vstack([top, bottom])
-
-
-def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        step = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.isfinite(step).all():
-        raise SingularSystem("linear solve produced non-finite entries")
-    return step
 
 
 def solve_steady_state(
@@ -155,7 +124,7 @@ def solve_steady_state(
         if norm <= tol_r:
             return SolveReport(x, iteration - 1, norm, True, history)
 
-        step = _solve_linear(newton_matrix(net, x.q), -r)
+        step = newton_step(net, jacobian_coefficients(net, x.q), r)
 
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):

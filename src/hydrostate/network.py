@@ -11,7 +11,9 @@ Pipe orientation fixes the flow sign: q_j > 0 means flow from `from` to
 leaves, which makes the continuity rows read A12^T q = Q directly.
 """
 
+import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +52,9 @@ class Network:
 
     Node and pipe ordering is the construction order; it defines the
     canonical ordering of the unknowns (q in pipe order, H in demand-node
-    order).
+    order). `a12` and `a10` hold the signed incidence on the demand and on
+    the fixed-head nodes in sparse form, and `fixed_head_term` is
+    A10 @ fixed_heads; they are built once per topology.
     """
 
     def __init__(self, nodes: list[Node], pipes: list[Pipe]):
@@ -69,12 +73,14 @@ class Network:
         self.resistance = np.array([p.resistance for p in self.pipes], dtype=float)
         self.exponent = np.array([p.exponent for p in self.pipes], dtype=float)
 
-        self._a12, self._a10 = _build_incidence(
-            self.pipes, self._demand_index, self._fixed_index
-        )
-        self._a12.setflags(write=False)
-        self._a10.setflags(write=False)
-        for arr in (self.demand, self.fixed_heads, self.resistance, self.exponent):
+        self.a12 = Incidence(self.pipes, self._demand_index)
+        self.a10 = Incidence(self.pipes, self._fixed_index)
+        # A10 @ fixed_heads: the fixed-head term of every energy row.
+        self.fixed_head_term = self.a10.dot(self.fixed_heads)
+        for arr in (
+            self.demand, self.fixed_heads, self.resistance, self.exponent,
+            self.fixed_head_term,
+        ):
             arr.setflags(write=False)
 
     @property
@@ -101,22 +107,54 @@ class Network:
     def has_demand_node(self, node_id: str) -> bool:
         return node_id in self._demand_index
 
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, int, int, float], ...]:
+        """Breadth-first spanning tree rooted at the first fixed-head node.
+
+        One (node, parent, pipe, sign) tuple per tree pipe in visiting
+        order, nodes as positions in `nodes`; sign is +1 when the pipe is
+        oriented from the parent to the node.
+        """
+        position = {n.id: i for i, n in enumerate(self.nodes)}
+        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in self.nodes]
+        for j, pipe in enumerate(self.pipes):
+            a, b = position[pipe.from_node], position[pipe.to_node]
+            adjacency[a].append((j, b, +1.0))
+            adjacency[b].append((j, a, -1.0))
+        root = position[self.fixed_nodes[0].id]
+        order, seen, edges = [root], {root}, []
+        for node in order:
+            for j, other, sign in adjacency[node]:
+                if other not in seen:
+                    seen.add(other)
+                    order.append(other)
+                    edges.append((other, node, j, sign))
+        return tuple(edges)
+
     def with_demands(self, demands: np.ndarray) -> "Network":
-        """Copy of the network with the demand vector replaced."""
+        """Copy of the network with the demand vector replaced.
+
+        The copy shares this network's pipes, incidence and spanning tree:
+        only demands change, so only they are validated again.
+        """
         demands = np.asarray(demands, dtype=float)
         if demands.shape != (self.n_demand,):
             raise ValueError(
                 f"expected {self.n_demand} demands, got shape {demands.shape}"
             )
-        new_nodes = []
+        new_nodes = list(self.nodes)
         k = 0
-        for node in self.nodes:
+        for i, node in enumerate(self.nodes):
             if node.kind == KIND_DEMAND:
-                new_nodes.append(Node(node.id, node.kind, demand=float(demands[k])))
+                new_nodes[i] = Node(node.id, node.kind, demand=float(demands[k]))
+                _validate_demand(i, new_nodes[i])
                 k += 1
-            else:
-                new_nodes.append(node)
-        return Network(new_nodes, list(self.pipes))
+        new = copy.copy(self)
+        new.nodes = tuple(new_nodes)
+        new.demand_nodes = tuple(n for n in new.nodes if n.kind == KIND_DEMAND)
+        new.demand = np.array(demands)
+        new.demand.setflags(write=False)
+        return new
 
 
 def parse_network(text: str) -> Network:
@@ -131,9 +169,10 @@ def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
     Entry (j, i) is +1 when pipe j enters node i under the orientation
     convention and -1 when it leaves; each pipe row has exactly two
-    nonzeros across (A12 | A10).
+    nonzeros across (A12 | A10). Built densely on each call from the
+    network's sparse incidence; the solver stages never form them.
     """
-    return net._a12, net._a10
+    return net.a12.dense(), net.a10.dense()
 
 
 def headloss_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
@@ -150,16 +189,126 @@ def headloss_diagonal(net: Network, q: np.ndarray) -> np.ndarray:
     return np.diag(headloss_coefficients(net, q))
 
 
-def _build_incidence(pipes, demand_index, fixed_index):
-    a12 = np.zeros((len(pipes), len(demand_index)))
-    a10 = np.zeros((len(pipes), len(fixed_index)))
-    for j, p in enumerate(pipes):
-        for node_id, sign in ((p.from_node, -1.0), (p.to_node, +1.0)):
-            if node_id in demand_index:
-                a12[j, demand_index[node_id]] = sign
-            else:
-                a10[j, fixed_index[node_id]] = sign
-    return a12, a10
+class Incidence:
+    """Signed incidence of the pipes on one node set, stored sparsely.
+
+    One entry per pipe end that lies in the node set: the pipe, the node's
+    index in the set, and the sign (-1 at the `from` end, +1 at the `to`
+    end), in pipe order. As a matrix it is n_pipes x n_nodes with at most
+    two nonzeros per row. Products and Gram matrices are assembled from the
+    entries with `np.bincount`, which sums in entry order, so results are
+    deterministic.
+    """
+
+    def __init__(self, pipes, index: dict[str, int]):
+        entries = [
+            (j, index[node_id], sign)
+            for j, p in enumerate(pipes)
+            for node_id, sign in ((p.from_node, -1.0), (p.to_node, +1.0))
+            if node_id in index
+        ]
+        self.shape = (len(pipes), len(index))
+        self.pipe = np.array([e[0] for e in entries], dtype=np.intp)
+        self.node = np.array([e[1] for e in entries], dtype=np.intp)
+        self.sign = np.array([e[2] for e in entries], dtype=float)
+        for arr in (self.pipe, self.node, self.sign):
+            arr.setflags(write=False)
+
+    def dense(self) -> np.ndarray:
+        """The incidence as a read-only dense n_pipes x n_nodes array."""
+        out = np.zeros(self.shape)
+        out[self.pipe, self.node] = self.sign
+        out.setflags(write=False)
+        return out
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """A @ v: per pipe, the signed sum of v over its ends in the set."""
+        return np.bincount(
+            self.pipe, weights=self.sign * v[self.node], minlength=self.shape[0]
+        )
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        """A^T @ u: per node, the signed sum of u over its incident pipes."""
+        return np.bincount(
+            self.node, weights=self.sign * u[self.pipe], minlength=self.shape[1]
+        )
+
+    def node_gram(self, w: np.ndarray) -> np.ndarray:
+        """A^T diag(w) A, dense n_nodes x n_nodes: a weighted graph
+        Laplacian of the set, grounded at the nodes outside it."""
+        index, sign, pipe = self._node_pairs
+        n = self.shape[1]
+        return np.bincount(index, weights=sign * w[pipe], minlength=n * n).reshape(n, n)
+
+    @cached_property
+    def saddle_entries(self) -> tuple[np.ndarray, ...]:
+        """Row, column, pipe and sign of each entry of A, then of each entry
+        of A^T, in the block matrix [[., A], [A^T, .]] of order
+        n_pipes + n_nodes."""
+        shifted = self.node + self.shape[0]
+        return (
+            np.concatenate([self.pipe, shifted]),
+            np.concatenate([shifted, self.pipe]),
+            np.concatenate([self.pipe, self.pipe]),
+            np.concatenate([self.sign, self.sign]),
+        )
+
+    @cached_property
+    def saddle_gram_terms(self) -> tuple[np.ndarray, ...]:
+        """Flat position, sign product and row of each product of two
+        entries in one row of [[., A], [A^T, .]] (order n_pipes + n_nodes).
+
+        Summed with row weights w, the terms give the Gram matrix of that
+        block matrix, [[A diag(w_nodes) A^T, 0], [0, A^T diag(w_pipes) A]],
+        where the first n_pipes rows are those of A and the rest those of
+        A^T.
+        """
+        n_pipes, n_nodes = self.shape
+        n = n_pipes + n_nodes
+        at_node = _entry_pairs(self.node)
+        on_pipe = _entry_pairs(self.pipe)
+        position = np.concatenate(
+            [
+                self.pipe[at_node[0]] * n + self.pipe[at_node[1]],
+                (n_pipes + self.node[on_pipe[0]]) * n + n_pipes + self.node[on_pipe[1]],
+            ]
+        )
+        sign = np.concatenate(
+            [
+                self.sign[at_node[0]] * self.sign[at_node[1]],
+                self.sign[on_pipe[0]] * self.sign[on_pipe[1]],
+            ]
+        )
+        row = np.concatenate([n_pipes + self.node[at_node[0]], self.pipe[on_pipe[0]]])
+        return position, sign, row
+
+    @cached_property
+    def _node_pairs(self):
+        """Flat entry of A^T A, sign product and pipe of each pair of ends
+        of one pipe."""
+        a, b = _entry_pairs(self.pipe)
+        index = self.node[a] * self.shape[1] + self.node[b]
+        return index, self.sign[a] * self.sign[b], self.pipe[a]
+
+
+def _entry_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices (a, b) of every ordered pair with groups[a] == groups[b],
+    a == b included, grouped and in entry order within each group."""
+    order = np.argsort(groups, kind="stable")
+    grouped = groups[order]
+    start = np.searchsorted(grouped, grouped)
+    size = np.searchsorted(grouped, grouped, side="right") - start
+    first = np.repeat(np.arange(grouped.size), size)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    second = np.repeat(start, size) + offset
+    return order[first], order[second]
+
+
+def _validate_demand(i, node):
+    if node.demand < 0:
+        raise ValidationError(
+            f"/nodes/{i}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
+        )
 
 
 def _validate(nodes, pipes):
@@ -176,11 +325,7 @@ def _validate(nodes, pipes):
                     f"/nodes/{i}", "demand node with demand only",
                     f"node {node.id!r} fields do not match kind",
                 )
-            if node.demand < 0:
-                raise ValidationError(
-                    f"/nodes/{i}/demand", "demand >= 0",
-                    f"{node.demand} on node {node.id!r}",
-                )
+            _validate_demand(i, node)
         elif node.kind == KIND_FIXED:
             if node.head is None or node.demand is not None:
                 raise ValidationError(

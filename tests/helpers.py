@@ -1,10 +1,12 @@
-"""Shared test utilities: seedable random connected networks and exact
-measurement synthesis."""
+"""Shared test utilities: seedable random connected networks, exact
+measurement synthesis, and dense reference builds of the linearized
+systems."""
 
 import numpy as np
 
 from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe
-from hydrostate.hydraulics import solve_steady_state
+from hydrostate.hydraulics import jacobian_coefficients, solve_steady_state
+from hydrostate.network import incidence_matrices
 
 
 def random_network(seed: int, n_nodes: int | None = None) -> Network:
@@ -76,3 +78,52 @@ def exact_measurements(
         )
     demand_sigma = float(rng.uniform(0.01, 1.0)) if random_weights else 0.1
     return MeasurementSet(tuple(measurements), demand_sigma=demand_sigma), truth
+
+
+def dense_newton_matrix(net: Network, q: np.ndarray) -> np.ndarray:
+    """Reference Newton matrix [F A12; A12^T 0] at flows q, built densely."""
+    a12, _ = incidence_matrices(net)
+    n_p = net.n_demand
+    return np.block(
+        [
+            [np.diag(jacobian_coefficients(net, q)), a12],
+            [a12.T, np.zeros((n_p, n_p))],
+        ]
+    )
+
+
+def dense_augmented_matrix(net: Network, aug, q: np.ndarray) -> np.ndarray:
+    """Reference telemetry-augmented matrix: the Newton matrix over the
+    telemetry selector rows."""
+    return np.vstack(
+        [dense_newton_matrix(net, q), np.hstack([aug.flow_selector, aug.head_selector])]
+    )
+
+
+class DenseNormalEquations:
+    """Reference A^T W A and A^T W from a dense matrix A and weights W.
+
+    Has the interface of `linearization.NormalEquations`; the matrix is
+    already linearized, so the derivative diagonal argument is ignored.
+    """
+
+    def __init__(self, matrix: np.ndarray, weights: np.ndarray):
+        self.shape = matrix.shape
+        self.matrix = matrix
+        self.weighted_rows = matrix * weights[:, None]
+
+    def gram(self, jac=None) -> np.ndarray:
+        return self.matrix.T @ self.weighted_rows
+
+    def rhs(self, jac, r: np.ndarray) -> np.ndarray:
+        return self.weighted_rows.T @ r
+
+    def columns(self, jac, rows: np.ndarray) -> np.ndarray:
+        return self.weighted_rows.T[:, rows]
+
+
+def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """max|matrix x - b| / (max|matrix| max|x| + max|b|)."""
+    backward = np.max(np.abs(matrix @ x - b))
+    scale = np.max(np.abs(matrix)) * max(np.max(np.abs(x)), 1e-30) + np.max(np.abs(b))
+    return float(backward / scale)

@@ -4,6 +4,7 @@ import pytest
 from hydrostate import (
     IntervalState,
     MeasurementSet,
+    build_augmented,
     estimate_state,
     monte_carlo_containment,
     sensitivity_bound,
@@ -11,7 +12,12 @@ from hydrostate import (
 )
 from hydrostate.errorlimits import bound_from_matrix
 
-from helpers import exact_measurements, random_network
+from helpers import (
+    DenseNormalEquations,
+    dense_augmented_matrix,
+    exact_measurements,
+    random_network,
+)
 
 
 def _triangle_setup(triangle, seed=0):
@@ -23,8 +29,42 @@ def _triangle_setup(triangle, seed=0):
 def test_diagonal_matrix_oracle():
     # Square invertible case: bound reduces to |A^-1| |dy|.
     matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
-    bound = bound_from_matrix(matrix, np.ones(2), np.array([0.2, 0.4]))
+    system = DenseNormalEquations(matrix, np.ones(2))
+    bound = bound_from_matrix(system, None, np.array([0.2, 0.4]))
     np.testing.assert_allclose(bound, [0.1, 0.1], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "seed, n_nodes, tolerance", [(None, None, 1e-9), (5, 150, 2.5e-2), (7, 200, 2.5e-2)]
+)
+def test_bound_matches_least_squares_reference(triangle, seed, n_nodes, tolerance):
+    """The normal-equations bound against |S| |dy| with S from a
+    least-squares solve on W^(1/2) A (SVD based, no normal equations).
+    cond(A^T W A) is about 7e8 on the triangle and about 1e21 on the
+    random networks, where only about two digits survive."""
+    if seed is None:
+        net, meas = triangle, exact_measurements(triangle, seed=0)[0]
+    else:
+        net = random_network(seed, n_nodes=n_nodes)
+        meas, _ = exact_measurements(net, seed=seed, n_flow=15, n_head=15)
+    x_star = estimate_state(net, meas).state
+    n_model = net.n_pipes + net.n_demand
+    delta = np.zeros(n_model + len(meas.measurements))
+    delta[net.n_pipes : n_model] = 0.02 * net.demand
+    delta[n_model:] = [0.01 * abs(m.value) for m in meas.measurements]
+    bound = sensitivity_bound(net, meas, x_star, delta).halfwidth
+
+    aug = build_augmented(net, meas)
+    root_w = np.sqrt(aug.weights)
+    rows = np.flatnonzero(delta)
+    sensitivity = np.linalg.lstsq(
+        root_w[:, None] * dense_augmented_matrix(net, aug, x_star.q),
+        np.eye(delta.size)[:, rows] * root_w[:, None],
+        rcond=None,
+    )[0]
+    reference = np.abs(sensitivity) @ delta[rows]
+    error = np.linalg.norm(bound - reference) / np.linalg.norm(reference)
+    assert error <= tolerance
 
 
 def test_zero_uncertainty_collapses_interval(triangle):

@@ -10,10 +10,17 @@ from hydrostate import (
     estimate_state,
     solve_steady_state,
 )
-from hydrostate.estimator import linearized_system, weighted_step
-from hydrostate.hydraulics import initial_state
+from hydrostate.estimator import augmented_residual, weighted_step
+from hydrostate.hydraulics import initial_state, jacobian_coefficients
+from hydrostate.linearization import NormalEquations
 
-from helpers import exact_measurements, random_network
+from helpers import (
+    DenseNormalEquations,
+    dense_augmented_matrix,
+    exact_measurements,
+    random_network,
+    scaled_backward_error,
+)
 
 
 def test_flow_measurement_selector_row(triangle):
@@ -100,29 +107,38 @@ def test_weight_scaling_invariance(triangle):
     assert diff <= 1e-10
 
 
+def _assert_steps_solve_normal_equations(net, meas, steps):
+    """Accepted steps satisfy the dense reference normal equations to a
+    tiny scaled backward error."""
+    aug = build_augmented(net, meas)
+    system = NormalEquations(net, aug)
+    x = initial_state(net)
+    for _ in range(steps):
+        rhs = -augmented_residual(net, aug, x)
+        dx = weighted_step(system, jacobian_coefficients(net, x.q), rhs)
+        matrix = dense_augmented_matrix(net, aug, x.q)
+        reference = DenseNormalEquations(matrix, aug.weights)
+        gram, b = reference.gram(), reference.rhs(None, rhs)
+        assert scaled_backward_error(gram, dx, b) <= 1e-10
+        x = type(x)(x.q + dx[: net.n_pipes], x.H + dx[net.n_pipes :])
+
+
 def test_step_solves_normal_equations(triangle):
-    """Accepted steps satisfy the weighted normal equations to a tiny
-    scaled backward error."""
     meas, _ = exact_measurements(triangle, seed=1)
-    aug = build_augmented(triangle, meas)
-    x = initial_state(triangle)
-    for _ in range(3):
-        matrix, weights, rhs = linearized_system(triangle, aug, x)
-        dx = weighted_step(matrix, weights, rhs)
-        gram = matrix.T @ (matrix * weights[:, None])
-        b = (matrix * weights[:, None]).T @ rhs
-        backward = np.max(np.abs(gram @ dx - b))
-        scale = np.max(np.abs(gram)) * max(np.max(np.abs(dx)), 1e-30) + np.max(
-            np.abs(b)
-        )
-        assert backward / scale <= 1e-10
-        x = type(x)(x.q + dx[: triangle.n_pipes], x.H + dx[triangle.n_pipes :])
+    _assert_steps_solve_normal_equations(triangle, meas, steps=3)
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
+def test_step_solves_normal_equations_on_random_networks(seed, n_nodes):
+    net = random_network(seed, n_nodes=n_nodes)
+    meas, _ = exact_measurements(net, seed=seed, n_flow=10, n_head=10)
+    _assert_steps_solve_normal_equations(net, meas, steps=4)
 
 
 def test_rank_deficient_normal_equations():
     matrix = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(RankDeficient):
-        weighted_step(matrix, np.ones(3), np.ones(3))
+        weighted_step(DenseNormalEquations(matrix, np.ones(3)), None, np.ones(3))
 
 
 def test_omega_range_checked(triangle):

@@ -10,10 +10,11 @@ from hydrostate import (
     residual,
     solve_steady_state,
 )
-from hydrostate.hydraulics import StateVector, _solve_linear
+from hydrostate.hydraulics import StateVector, initial_state, jacobian_coefficients
+from hydrostate.linearization import newton_step
 from hydrostate.network import incidence_matrices
 
-from helpers import random_network
+from helpers import dense_newton_matrix, random_network, scaled_backward_error
 
 
 def test_single_pipe_continuity_forces_flow(single_pipe):
@@ -103,9 +104,29 @@ def test_non_convergence_reports_iterations(triangle):
 
 
 def test_singular_linear_system():
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    # The reservoir link is 1e20 times stiffer than the pipe behind it, so
+    # the Schur complement [[1 + 1e-20, -1], [-1, 1]] rounds to singular.
+    net = Network(
+        [
+            Node("r", "fixed-head", head=100.0),
+            Node("a", "demand", demand=1.0),
+            Node("b", "demand", demand=1.0),
+        ],
+        [Pipe("ra", "r", "a", 1.0), Pipe("ab", "a", "b", 1.0)],
+    )
     with pytest.raises(SingularSystem):
-        _solve_linear(singular, np.ones(2))
+        newton_step(net, np.array([1e20, 1.0]), np.ones(4))
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
+def test_newton_step_solves_dense_system(seed, n_nodes):
+    net = random_network(seed, n_nodes=n_nodes)
+    x = initial_state(net)
+    for _ in range(4):
+        r = residual(net, x)
+        step = newton_step(net, jacobian_coefficients(net, x.q), r)
+        assert scaled_backward_error(dense_newton_matrix(net, x.q), step, -r) <= 1e-10
+        x = StateVector(x.q + step[: net.n_pipes], x.H + step[net.n_pipes :])
 
 
 def test_state_vector_rejects_non_finite():

@@ -1,0 +1,85 @@
+"""The shared linearization: sparse incidence products against the dense
+incidence, the blocked Cholesky solve, and the numpy-only dependency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hydrostate.linearization import cho_solve
+from hydrostate.network import incidence_matrices
+
+from helpers import random_network
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_incidence_products_match_dense(seed):
+    net = random_network(seed, n_nodes=40)
+    a12, a10 = incidence_matrices(net)
+    rng = np.random.default_rng((303, seed))
+    heads = rng.standard_normal(net.n_demand)
+    flows = rng.standard_normal(net.n_pipes)
+    pipe_weights = rng.uniform(0.1, 2.0, net.n_pipes)
+    node_weights = rng.uniform(0.1, 2.0, net.n_demand)
+    tol = {"rtol": 1e-13, "atol": 1e-13}
+    np.testing.assert_allclose(net.a12.dot(heads), a12 @ heads, **tol)
+    np.testing.assert_allclose(net.a12.tdot(flows), a12.T @ flows, **tol)
+    np.testing.assert_allclose(
+        net.a12.node_gram(pipe_weights), a12.T @ (pipe_weights[:, None] * a12), **tol
+    )
+    saddle = np.block(
+        [
+            [np.zeros((net.n_pipes, net.n_pipes)), a12],
+            [a12.T, np.zeros((net.n_demand, net.n_demand))],
+        ]
+    )
+    weights = np.concatenate([pipe_weights, node_weights])
+    position, sign, row = net.a12.saddle_gram_terms
+    gram = np.bincount(position, weights=sign * weights[row], minlength=saddle.size)
+    np.testing.assert_allclose(
+        gram.reshape(saddle.shape), saddle.T @ (weights[:, None] * saddle), **tol
+    )
+    np.testing.assert_allclose(net.fixed_head_term, a10 @ net.fixed_heads, **tol)
+
+
+@pytest.mark.parametrize("columns", [None, 7])
+def test_cho_solve_across_blocks(columns):
+    rng = np.random.default_rng(17)
+    n = 150  # several diagonal blocks
+    base = rng.standard_normal((n, n))
+    matrix = base @ base.T + n * np.eye(n)
+    rhs = rng.standard_normal(n if columns is None else (n, columns))
+    x = cho_solve(np.linalg.cholesky(matrix), rhs)
+    np.testing.assert_allclose(x, np.linalg.solve(matrix, rhs), rtol=1e-10, atol=1e-12)
+
+
+def test_no_scipy_import(demo_dir):
+    code = f"""
+import sys
+from pathlib import Path
+import hydrostate as hs
+demo = Path({str(demo_dir)!r})
+net = hs.parse_network((demo / "triangle.json").read_text())
+meas_text = (demo / "triangle_meas.json").read_text()
+meas = hs.report_io.decode_measurement_set(meas_text, net)
+hs.solve_steady_state(net)
+x = hs.estimate_state(net, meas).state
+hs.sensitivity_bound(net, meas, x, hs.uncertainty_vector(net, meas))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ)
+    path = [str(SRC_DIR), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
