@@ -15,14 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, RankDeficient, SingularSystem
 from .estimator import (
     MeasurementSet,
     build_augmented,
     estimate_state,
 )
 from .hydraulics import StateVector, jacobian_coefficients
-from .linearization import NormalEquations, cho_solve, factor_gram
+from .linearization import GramFactor, NormalEquations
 from .network import Network
 
 
@@ -76,8 +76,7 @@ def bound_from_matrix(
     """
     delta_y = np.abs(np.asarray(delta_y, dtype=float))
     rows = np.flatnonzero(delta_y)
-    lower = factor_gram(system, jac)
-    sensitivity = cho_solve(lower, system.columns(jac, rows))
+    sensitivity = GramFactor(system.gram(jac)).solve(system.columns(jac, rows))
     return np.abs(sensitivity) @ delta_y[rows]
 
 
@@ -121,7 +120,8 @@ def monte_carlo_containment(
     components whose deviation from the nominal estimate lies within the
     halfwidth. Per-sample randomness derives from (seed, sample index), so
     results are reproducible and order-independent. A sample whose
-    estimation fails to converge counts as fully non-contained.
+    estimation fails (no convergence, or rank-deficient or singular linear
+    systems) counts as fully non-contained.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -153,7 +153,7 @@ def monte_carlo_containment(
             report = estimate_state(
                 sample_net, perturbed_meas, tol_x=tol_x, max_iter=max_iter
             )
-        except NonConvergence:
+        except (NonConvergence, RankDeficient, SingularSystem):
             continue
         deviation = np.abs(report.state.vector - center)
         contained += int(np.count_nonzero(deviation <= halfwidth))

@@ -24,7 +24,7 @@ from .hydraulics import (
     jacobian_coefficients,
     residual,
 )
-from .linearization import NormalEquations, cho_solve, factor_gram
+from .linearization import GramFactor, NormalEquations
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -173,7 +173,7 @@ def weighted_step(
     of A. Uses a Cholesky factorization as the positive-definiteness gate;
     a failed factorization signals an unobservable configuration.
     """
-    dx = cho_solve(factor_gram(system, jac), system.rhs(jac, rhs))
+    dx = GramFactor(system.gram(jac)).solve(system.rhs(jac, rhs))
     if not np.isfinite(dx).all():
         raise RankDeficient("weighted step produced non-finite entries")
     return dx

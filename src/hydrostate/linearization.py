@@ -19,9 +19,13 @@ definite matrix built from those blocks.
 - The error bound factors the same Gram matrix and solves for the columns
   of A^T W whose row carries data uncertainty.
 
-numpy has no triangular solve, so `cho_solve` runs the two triangular
-sweeps in blocks: a dense solve on each diagonal block and a matrix product
-for the rest.
+Both Gram solves go through `GramFactor`, a left-looking blocked Cholesky
+written in numpy. Nearly all of its work is matrix products (GEMM), and it
+keeps the inverse of each diagonal block, so the two triangular sweeps,
+which numpy lacks, are matrix products too. It beats `np.linalg.cholesky`
+here: with 2 OpenBLAS threads on a 2-vCPU host, order 1,809 factors in
+59 ms against 103 ms (an LU, `np.linalg.solve`, takes 110 ms), and order
+3,534 in 329 ms against 530 ms.
 """
 
 import numpy as np
@@ -29,28 +33,65 @@ import numpy as np
 from .errors import RankDeficient, SingularSystem
 from .network import Network
 
-# Diagonal block order of the triangular sweeps. Each diagonal block costs
-# a general dense solve (an LU of the block), so smaller blocks do less
-# redundant work but more Python-level steps; 64 measured best overall at
-# orders 305 and 1,809 with 1 and with hundreds of right-hand sides.
+# Block order of the Cholesky factor. Each block column costs one small
+# `np.linalg.cholesky`, one inverse of its diagonal block and a few
+# Python-level steps; the rest is matrix products. Of 32, 64, 96 and 128, 64
+# measured best for the estimator's mix at order 1,809 (one factor and one
+# right-hand side per step, then about 880 right-hand sides for the bound)
+# and as good as any at order 305.
 _BLOCK = 64
 
 
-def cho_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (lower @ lower.T) x = rhs for a vector or a matrix of columns."""
-    x = np.array(rhs, dtype=float)
-    n = lower.shape[0]
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        if start:
-            x[start:stop] -= lower[start:stop, :start] @ x[:start]
-        x[start:stop] = np.linalg.solve(lower[start:stop, start:stop], x[start:stop])
-    for stop in range(n, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        if stop < n:
-            x[start:stop] -= lower[stop:, start:stop].T @ x[stop:]
-        x[start:stop] = np.linalg.solve(lower[start:stop, start:stop].T, x[start:stop])
-    return x
+class GramFactor:
+    """Cholesky factor L of a symmetric positive definite matrix, L L^T = gram.
+
+    Factors `gram` in place: its lower triangle becomes L, and its strict
+    upper triangle is left stale. The algorithm is the left-looking block
+    Cholesky (Golub & Van Loan, Matrix Computations, section 4.2). For each
+    block column it subtracts the product of the columns already factored,
+    factors the diagonal block, keeps that block's inverse and scales the
+    panel below by it, so that nearly all the work is matrix products.
+    Raises RankDeficient when a diagonal block is not positive definite,
+    which signals an unobservable configuration.
+    """
+
+    def __init__(self, gram: np.ndarray):
+        n = gram.shape[0]
+        self._lower = gram
+        self._inverses = []
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            if start:
+                gram[start:, start:stop] -= gram[start:, :start] @ gram[start:stop, :start].T
+            try:
+                diagonal = np.linalg.cholesky(gram[start:stop, start:stop])
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficient("normal equations are not positive definite") from exc
+            inverse = np.linalg.inv(diagonal)
+            gram[start:stop, start:stop] = diagonal
+            gram[stop:, start:stop] = gram[stop:, start:stop] @ inverse.T
+            self._inverses.append(inverse)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (L L^T) x = rhs for a vector or a matrix of columns.
+
+        Both triangular sweeps apply the stored diagonal-block inverses, so
+        they are matrix products only.
+        """
+        lower, n = self._lower, self._lower.shape[0]
+        x = np.array(rhs, dtype=float)
+        starts = range(0, n, _BLOCK)
+        for start, inverse in zip(starts, self._inverses):
+            stop = start + inverse.shape[0]
+            if start:
+                x[start:stop] -= lower[start:stop, :start] @ x[:start]
+            x[start:stop] = inverse @ x[start:stop]
+        for start, inverse in zip(reversed(starts), reversed(self._inverses)):
+            stop = start + inverse.shape[0]
+            if stop < n:
+                x[start:stop] -= lower[stop:, start:stop].T @ x[stop:]
+            x[start:stop] = inverse.T @ x[start:stop]
+        return x
 
 
 def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -59,10 +100,10 @@ def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray) -> np.ndarr
 
     Eliminating dq = -F^-1 (r_e + A12 dH) from the energy rows leaves
     (A12^T F^-1 A12) dH = r_c - A12^T F^-1 r_e on the continuity rows.
-    The Laplacian is solved by LU (LAPACK gesv): one call, where Cholesky
-    plus the two triangular sweeps of `cho_solve` take three and measure
-    slower at every network size. Raises SingularSystem when the solve
-    fails or the step is not finite.
+    The Laplacian is solved by LU (LAPACK gesv) in one call. `GramFactor`
+    takes several numpy calls, which on the order-2 systems of the demo
+    network cost 29 us against the LU's 6 us. Raises SingularSystem when
+    the solve fails or the step is not finite.
     """
     n_pipes = net.n_pipes
     r_energy, r_continuity = residual[:n_pipes], residual[n_pipes:]
@@ -155,12 +196,3 @@ class NormalEquations:
         out[col[keep], position[row[keep]]] = value[keep] * self.weights[row[keep]]
         return out
 
-
-def factor_gram(system: NormalEquations, jac: np.ndarray) -> np.ndarray:
-    """Cholesky factor of system.gram(jac), the Gram matrix A^T W A; raises
-    RankDeficient when it is not positive definite, which signals an
-    unobservable configuration."""
-    try:
-        return np.linalg.cholesky(system.gram(jac))
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("normal equations are not positive definite") from exc

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import hydrostate.errorlimits
 from hydrostate import (
     IntervalState,
     MeasurementSet,
+    RankDeficient,
     build_augmented,
     estimate_state,
     monte_carlo_containment,
@@ -143,6 +145,23 @@ def test_containment_single_nominal_sample(triangle):
     delta = uncertainty_vector(triangle, meas)
     # zero widths: the single sample sits at the nominal data
     assert monte_carlo_containment(triangle, meas, np.zeros_like(delta), 1, 5) == 1.0
+
+
+def test_containment_counts_failed_sample_as_outside(triangle, monkeypatch):
+    meas, _ = _triangle_setup(triangle)
+    delta = np.zeros(triangle.n_pipes + triangle.n_demand + len(meas.measurements))
+    samples, calls = 4, []
+
+    def estimate_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # the nominal estimate, then the second sample
+            raise RankDeficient("normal equations are not positive definite")
+        return estimate_state(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostate.errorlimits, "estimate_state", estimate_failing_once)
+    fraction = monte_carlo_containment(triangle, meas, delta, samples=samples, seed=11)
+    assert len(calls) == samples + 1
+    assert fraction == (samples - 1) / samples
 
 
 def test_containment_deterministic(triangle):

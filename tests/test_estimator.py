@@ -141,6 +141,24 @@ def test_rank_deficient_normal_equations():
         weighted_step(DenseNormalEquations(matrix, np.ones(3)), None, np.ones(3))
 
 
+def test_repeated_step_leaves_static_gram_unchanged():
+    """The Gram matrix is factored in place. The x-independent part it is
+    built from must survive, so repeated steps at one linearization agree."""
+    net = random_network(5, n_nodes=150)  # Gram order about 300: several blocks
+    meas, _ = exact_measurements(net, seed=5, n_flow=10, n_head=10)
+    aug = build_augmented(net, meas)
+    system = NormalEquations(net, aug)
+    x = initial_state(net)
+    jac = jacobian_coefficients(net, x.q)
+    rhs = -augmented_residual(net, aug, x)
+    static, gram = system._static.copy(), system.gram(jac)
+    first = weighted_step(system, jac, rhs)
+    second = weighted_step(system, jac, rhs)
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(system._static, static)
+    np.testing.assert_array_equal(system.gram(jac), gram)
+
+
 def test_omega_range_checked(triangle):
     with pytest.raises(ValueError):
         estimate_state(triangle, MeasurementSet(), omega=2.0)

@@ -1,5 +1,6 @@
 """The shared linearization: sparse incidence products against the dense
-incidence, the blocked Cholesky solve, and the numpy-only dependency."""
+incidence, the blocked Cholesky factor and its solves, and the numpy-only
+dependency."""
 
 import os
 import subprocess
@@ -9,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hydrostate.linearization import cho_solve
+from hydrostate.errors import RankDeficient
+from hydrostate.linearization import GramFactor
 from hydrostate.network import incidence_matrices
 
-from helpers import random_network
+from helpers import random_network, scaled_backward_error
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,15 +49,48 @@ def test_incidence_products_match_dense(seed):
     np.testing.assert_allclose(net.fixed_head_term, a10 @ net.fixed_heads, **tol)
 
 
-@pytest.mark.parametrize("columns", [None, 7])
-def test_cho_solve_across_blocks(columns):
-    rng = np.random.default_rng(17)
-    n = 150  # several diagonal blocks
-    base = rng.standard_normal((n, n))
-    matrix = base @ base.T + n * np.eye(n)
-    rhs = rng.standard_normal(n if columns is None else (n, columns))
-    x = cho_solve(np.linalg.cholesky(matrix), rhs)
-    np.testing.assert_allclose(x, np.linalg.solve(matrix, rhs), rtol=1e-10, atol=1e-12)
+ORDERS = [1, 2, 63, 64, 65, 130, 305]  # one block, block edges, several blocks
+
+
+def _spd(order, seed=17):
+    rng = np.random.default_rng((seed, order))
+    base = rng.standard_normal((order, order))
+    return base @ base.T + order * np.eye(order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_gram_factor_matches_cholesky(order):
+    matrix = _spd(order)
+    reference = np.linalg.cholesky(matrix)
+    GramFactor(matrix)  # in place: the lower triangle becomes the factor
+    lower = np.tril(matrix)
+    assert np.max(np.abs(lower - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("columns", [None, 100])
+@pytest.mark.parametrize("order", ORDERS)
+def test_gram_factor_solve(order, columns):
+    matrix = _spd(order)
+    rng = np.random.default_rng((29, order))
+    rhs = rng.standard_normal(order if columns is None else (order, columns))
+    x = GramFactor(matrix.copy()).solve(rhs)
+    assert x.shape == rhs.shape
+    assert scaled_backward_error(matrix, x, rhs) <= 1e-10
+
+
+def test_gram_factor_rank_deficient_after_first_block():
+    order = 130
+    rng = np.random.default_rng(31)
+    lower = np.tril(rng.standard_normal((order, order)), -1) + np.diag(
+        rng.uniform(1.0, 2.0, order)
+    )
+    matrix = lower @ lower.T
+    # The leading 100 x 100 submatrix stays positive definite; the pivot of
+    # row 100, in the second block, becomes -1.
+    matrix[100, 100] -= lower[100, 100] ** 2 + 1.0
+    np.linalg.cholesky(matrix[:100, :100])
+    with pytest.raises(RankDeficient):
+        GramFactor(matrix)
 
 
 def test_no_scipy_import(demo_dir):
