@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient, SingularSystem
+from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
 from .estimator import (
     MeasurementSet,
     build_augmented,
@@ -65,19 +65,22 @@ def uncertainty_vector(net: Network, meas: MeasurementSet) -> np.ndarray:
     )
 
 
-def bound_from_matrix(
-    system: NormalEquations, jac: np.ndarray, delta_y: np.ndarray
-) -> np.ndarray:
-    """Core bound e = |(A^T W A)^-1 A^T W| |delta_y| for one linearization.
+def bound_from_matrix(system: NormalEquations, jac: np.ndarray, delta_y: np.ndarray):
+    """Core bound e = |(A^T W A)^-1 A^T W| |delta_y| per member, at the
+    derivative diagonals `jac` (members x n_pipes).
 
-    `system` supplies A^T W A and the columns of A^T W at derivative
-    diagonal `jac` (see `NormalEquations`). Only the columns of rows with
-    delta_y > 0 contribute, so only those are assembled and solved for.
+    `system` supplies A^T W A and the columns of A^T W (see
+    `NormalEquations`); `delta_y` is shared by all members. Only the
+    columns of rows with delta_y > 0 contribute, so only those are
+    assembled and solved for. Returns the bounds (members x unknowns) and a
+    dict from member position to RankDeficient for the members whose
+    factorization failed.
     """
     delta_y = np.abs(np.asarray(delta_y, dtype=float))
     rows = np.flatnonzero(delta_y)
-    sensitivity = GramFactor(system.gram(jac)).solve(system.columns(jac, rows))
-    return np.abs(sensitivity) @ delta_y[rows]
+    factor = GramFactor(system.gram(jac))
+    sensitivity = factor.solve(system.columns(jac, rows))
+    return np.abs(sensitivity) @ delta_y[rows], dict(factor.failed)
 
 
 def sensitivity_bound(
@@ -98,9 +101,12 @@ def sensitivity_bound(
         raise ValueError(f"delta_y must have length {expected}, got {delta_y.shape}")
     if (delta_y < 0).any():
         raise ValueError("delta_y entries must be >= 0")
-    system = NormalEquations(net, aug)
-    halfwidth = bound_from_matrix(system, jacobian_coefficients(net, x_star.q), delta_y)
-    return IntervalState(x_star.copy(), halfwidth)
+    halfwidth, failures = bound_from_matrix(
+        NormalEquations(net, aug), jacobian_coefficients(net, x_star.q)[None], delta_y
+    )
+    if failures:
+        raise failures[0]
+    return IntervalState(x_star.copy(), halfwidth[0])
 
 
 def monte_carlo_containment(
@@ -119,9 +125,10 @@ def monte_carlo_containment(
     inside their half-width boxes, re-runs the estimation, and counts the
     components whose deviation from the nominal estimate lies within the
     halfwidth. Per-sample randomness derives from (seed, sample index), so
-    results are reproducible and order-independent. A sample whose
-    estimation fails (no convergence, or rank-deficient or singular linear
-    systems) counts as fully non-contained.
+    results are reproducible and order-independent. A sample counts as
+    fully non-contained when it draws a negative demand, which no network
+    can carry, or when its estimation fails (no convergence, or
+    rank-deficient or singular linear systems).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -153,7 +160,7 @@ def monte_carlo_containment(
             report = estimate_state(
                 sample_net, perturbed_meas, tol_x=tol_x, max_iter=max_iter
             )
-        except (NonConvergence, RankDeficient, SingularSystem):
+        except (ValidationError, NonConvergence, RankDeficient, SingularSystem):
             continue
         deviation = np.abs(report.state.vector - center)
         contained += int(np.count_nonzero(deviation <= halfwidth))

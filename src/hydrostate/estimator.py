@@ -11,20 +11,24 @@ where A_k carries the derivative diagonal in its energy block and rhs_k is
 the negated augmented residual. Row weights are 1/sigma^2 per row class:
 energy rows use a small near-exact sigma, continuity rows the demand sigma,
 telemetry rows their per-measurement sigma.
+
+`estimate_members` runs the iteration in lockstep for members that share
+the network and the meters and differ in their telemetry values;
+`estimate_state` is its single-member case.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient, UnknownTarget
+from .errors import HydrostateError, NonConvergence, RankDeficient, UnknownTarget
 from .hydraulics import (
     StateVector,
     initial_state,
     jacobian_coefficients,
-    residual,
+    member_residuals,
 )
-from .linearization import GramFactor, NormalEquations
+from .linearization import GramFactor, NormalEquations, drop_failed, non_finite_members
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -159,24 +163,42 @@ def build_augmented(
 def augmented_residual(net: Network, aug: AugmentedSystem, x: StateVector) -> np.ndarray:
     """(energy | continuity | telemetry) residual at x; telemetry rows are
     selected state minus measured value."""
-    telemetry = x.vector[aug.telemetry_columns] - aug.values
-    return np.concatenate([residual(net, x), telemetry])
+    return _augmented_residuals(
+        net, aug.telemetry_columns, x.vector[None], aug.values[None]
+    )[0]
 
 
-def weighted_step(
-    system: NormalEquations, jac: np.ndarray, rhs: np.ndarray
+def _augmented_residuals(
+    net: Network, columns: np.ndarray, x: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """Solve the weighted normal equations (A^T W A) dx = A^T W rhs.
+    """`augmented_residual` of stacked state vectors x (members x
+    (L + N_p)), with telemetry `values` (members x telemetry rows)
+    selecting the unknowns `columns`; demands are the network's."""
+    return np.concatenate(
+        [member_residuals(net, x, net.demand[None]), x[:, columns] - values], axis=1
+    )
+
+
+def weighted_step(system: NormalEquations, jac: np.ndarray, rhs: np.ndarray):
+    """Solve the weighted normal equations (A^T W A) dx = A^T W rhs per
+    member (rows of `jac` and `rhs`).
 
     `system` supplies A^T W A and A^T W for the linearization with
     derivative diagonal `jac` (see `NormalEquations`); its `shape` is that
     of A. Uses a Cholesky factorization as the positive-definiteness gate;
-    a failed factorization signals an unobservable configuration.
+    a failed factorization signals an unobservable configuration. Returns
+    the corrections and a dict from member position to RankDeficient for
+    the members whose factorization failed or whose correction is not
+    finite.
     """
-    dx = GramFactor(system.gram(jac)).solve(system.rhs(jac, rhs))
-    if not np.isfinite(dx).all():
-        raise RankDeficient("weighted step produced non-finite entries")
-    return dx
+    factor = GramFactor(system.gram(jac))
+    dx = factor.solve(system.rhs(jac, rhs))
+    failures = dict(factor.failed)
+    for member in non_finite_members(dx):
+        failures.setdefault(
+            int(member), RankDeficient("weighted step produced non-finite entries")
+        )
+    return dx, failures
 
 
 def estimate_state(
@@ -196,23 +218,64 @@ def estimate_state(
     if not 0 < omega <= 1.5:
         raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     aug = build_augmented(net, meas, energy_sigma=energy_sigma)
-    system = NormalEquations(net, aug)
-    x = initial_state(net)
-    step_norms: list[float] = []
+    x, iterations, step_norms, failures = estimate_members(
+        NormalEquations(net, aug), aug.values[None], tol_x=tol_x, max_iter=max_iter,
+        omega=omega,
+    )
+    if failures:
+        raise failures[0]
+    state = StateVector.from_vector(net, x[0])
+    done = int(iterations[0])
+    return EstimateReport(
+        state, done, _weighted_norm(net, aug, state), True, step_norms[:done, 0].tolist()
+    )
+
+
+def estimate_members(
+    system: NormalEquations,
+    values: np.ndarray,
+    *,
+    tol_x: float = DEFAULT_TOL_X,
+    max_iter: int = DEFAULT_MAX_ITER,
+    omega: float = DEFAULT_OMEGA,
+):
+    """`estimate_state` in lockstep for members that differ only in their
+    telemetry values (members x telemetry rows).
+
+    `system` holds the network, the row weights and the telemetry columns
+    shared by all members; the demand rows use the network's demands.
+    Every member follows the single-case iteration on its own. Returns the
+    final iterates x = (q, H) (members x (L + N_p)), each member's
+    iteration count, the correction max-norms (max_iter x members; NaN past
+    a member's count), and a dict from the position of each failed member
+    to its NonConvergence or RankDeficient error.
+    """
+    net = system.net
+    members = values.shape[0]
+    x = np.repeat(initial_state(net).vector[None], members, axis=0)
+    step_norms = np.full((max_iter, members), np.nan)
+    iterations = np.zeros(members, dtype=int)
+    failures: dict[int, HydrostateError] = {}
+    active = np.arange(members)
 
     for iteration in range(1, max_iter + 1):
-        jac = jacobian_coefficients(net, x.q)
-        dx = weighted_step(system, jac, -augmented_residual(net, aug, x))
-        x = StateVector(
-            x.q + omega * dx[: net.n_pipes], x.H + omega * dx[net.n_pipes :]
+        if not active.size:
+            break
+        current = x[active]
+        r = _augmented_residuals(net, system.telemetry_columns, current, values[active])
+        dx, failed = weighted_step(
+            system, jacobian_coefficients(net, current[:, : net.n_pipes]), -r
         )
-        step_norm = float(np.max(np.abs(dx))) if dx.size else 0.0
-        step_norms.append(step_norm)
-        if step_norm <= tol_x:
-            weighted_norm = _weighted_norm(net, aug, x)
-            return EstimateReport(x, iteration, weighted_norm, True, step_norms)
+        active, current, dx = drop_failed(active, failed, failures, current, dx)
+        x[active] = current + omega * dx
+        norm = np.max(np.abs(dx), axis=1)
+        step_norms[iteration - 1, active] = norm
+        iterations[active] = iteration
+        active = active[~(norm <= tol_x)]
 
-    raise NonConvergence(max_iter, step_norms[-1])
+    for member in active:
+        failures[int(member)] = NonConvergence(max_iter, float(step_norms[-1, member]))
+    return x, iterations, step_norms, dict(sorted(failures.items()))
 
 
 def _weighted_norm(net: Network, aug: AugmentedSystem, x: StateVector) -> float:

@@ -242,12 +242,16 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
 def normalize(raw, normalization) -> Pattern:
     """Affine map of a state (interval or crisp) onto the unit cube,
     clamped at the range edges."""
+    return Pattern(*unit_bounds(*_raw_bounds(raw), normalization))
+
+
+def unit_bounds(lower, upper, normalization) -> tuple[np.ndarray, np.ndarray]:
+    """The map of `normalize` on raw (lower, upper) bounds, returned as
+    (inf, sup) arrays. It maps the last axis, so bounds stacked along
+    leading axes are normalized at once."""
     lo, hi = _check_ranges(normalization)
-    lower, upper = _raw_bounds(raw)
     span = hi - lo
-    inf = np.clip((lower - lo) / span, 0.0, 1.0)
-    sup = np.clip((upper - lo) / span, 0.0, 1.0)
-    return Pattern(inf, sup)
+    return np.clip((lower - lo) / span, 0.0, 1.0), np.clip((upper - lo) / span, 0.0, 1.0)
 
 
 def denormalize(pattern: Pattern, normalization) -> tuple[np.ndarray, np.ndarray]:

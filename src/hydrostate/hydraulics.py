@@ -10,6 +10,10 @@ demand node,
 and the Newton matrix replaces D(q) with the derivative diagonal
 d(D(q)q)/dq = diag(n_j r_j max(|q_j|, eps)^(n_j-1)); `linearization`
 solves each Newton step without forming that matrix.
+
+`solve_members` runs the iteration in lockstep for members that share the
+network's topology and differ in their demands; `solve_steady_state` is
+its single-member case.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NonConvergence
-from .linearization import newton_step
-from .network import FLOW_FLOOR, Network, headloss_coefficients
+from .errors import HydrostateError, NonConvergence
+from .linearization import drop_failed, newton_step
+from .network import FLOW_FLOOR, KIND_DEMAND, Network, headloss_coefficients
 
 DEFAULT_TOL_R = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -72,17 +76,26 @@ def initial_state(net: Network) -> StateVector:
     the energy rows for Newton to drive down, which is what makes the
     damped iteration dependable on loopy networks.
     """
-    subtree = [n.demand if n.demand is not None else 0.0 for n in net.nodes]
-    q = np.zeros(net.n_pipes)
+    return StateVector.from_vector(net, initial_states(net, net.demand[None])[0])
+
+
+def initial_states(net: Network, demand: np.ndarray) -> np.ndarray:
+    """`initial_state` as stacked vectors x = (q, H), one row per row of
+    `demand` (members x N_p)."""
+    members = demand.shape[0]
+    subtree = np.zeros((len(net.nodes), members))
+    subtree[[i for i, n in enumerate(net.nodes) if n.kind == KIND_DEMAND]] = demand.T
+    q = np.zeros((net.n_pipes, members))
     for node, up, j, sign in reversed(net.spanning_tree):
         q[j] += sign * subtree[node]
         subtree[up] += subtree[node]
-
-    return StateVector(q, np.full(net.n_demand, float(np.mean(net.fixed_heads))))
+    heads = np.full((members, net.n_demand), float(np.mean(net.fixed_heads)))
+    return np.concatenate([q.T, heads], axis=1)
 
 
 def jacobian_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
-    """Diagonal of d(D(q)q)/dq: n_j * r_j * max(|q_j|, floor) ** (n_j - 1)."""
+    """Diagonal of d(D(q)q)/dq: n_j * r_j * max(|q_j|, floor) ** (n_j - 1),
+    over the last axis of q."""
     q = np.asarray(q, dtype=float)
     return _kernels.loss_coefficients(
         q, net.exponent * net.resistance, net.exponent, FLOW_FLOOR
@@ -92,11 +105,16 @@ def jacobian_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
 def residual(net: Network, x: StateVector) -> np.ndarray:
     """Stacked (energy rows, continuity rows) residual; zero iff x solves
     the steady-state system."""
-    energy = (
-        headloss_coefficients(net, x.q) * x.q + net.a12.dot(x.H) + net.fixed_head_term
-    )
-    continuity = net.a12.tdot(x.q) - net.demand
-    return np.concatenate([energy, continuity])
+    return member_residuals(net, x.vector[None], net.demand[None])[0]
+
+
+def member_residuals(net: Network, x: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """`residual` of stacked state vectors x = (q, H) (members x
+    (L + N_p)), each with its own demands (members x N_p)."""
+    q, H = x[:, : net.n_pipes], x[:, net.n_pipes :]
+    energy = headloss_coefficients(net, q) * q + net.a12.dot(H) + net.fixed_head_term
+    continuity = net.a12.tdot(q) - demand
+    return np.concatenate([energy, continuity], axis=1)
 
 
 def solve_steady_state(
@@ -114,34 +132,77 @@ def solve_steady_state(
     and options. Raises NonConvergence after max_iter steps and
     SingularSystem if the linearization is rank-deficient.
     """
-    x = initial_state(net)
-    r = residual(net, x)
-    merit = float(r @ r)
-    norm = float(np.max(np.abs(r)))
-    history = [norm]
+    x, iterations, history, failures = solve_members(
+        net, net.demand[None], tol_r=tol_r, max_iter=max_iter
+    )
+    if failures:
+        raise failures[0]
+    done = int(iterations[0])
+    norms = history[: done + 1, 0].tolist()
+    return SolveReport(StateVector.from_vector(net, x[0]), done, norms[-1], True, norms)
+
+
+def solve_members(
+    net: Network,
+    demand: np.ndarray,
+    *,
+    tol_r: float = DEFAULT_TOL_R,
+    max_iter: int = DEFAULT_MAX_ITER,
+):
+    """`solve_steady_state` in lockstep for members that differ only in
+    their demands (members x N_p).
+
+    Every member follows the single-case iteration on its own: its own
+    line search, convergence test and failures. Returns the final iterates
+    x = (q, H) (members x (L + N_p)), each member's iteration count, the
+    residual max-norm history (max_iter + 1 x members; entries past a
+    member's count are NaN), and a dict from the position of each failed
+    member to its NonConvergence or SingularSystem error.
+    """
+    members = demand.shape[0]
+    x = initial_states(net, demand)
+    r = member_residuals(net, x, demand)
+    merit = _squared_norms(r)
+    history = np.full((max_iter + 1, members), np.nan)
+    history[0] = np.max(np.abs(r), axis=1)
+    iterations = np.zeros(members, dtype=int)
+    failures: dict[int, HydrostateError] = {}
+    active = np.flatnonzero(~(history[0] <= tol_r))
 
     for iteration in range(1, max_iter + 1):
-        if norm <= tol_r:
-            return SolveReport(x, iteration - 1, norm, True, history)
+        if not active.size:
+            break
+        step, failed = newton_step(
+            net, jacobian_coefficients(net, x[active, : net.n_pipes]), r[active]
+        )
+        active, step = drop_failed(active, failed, failures, step)
 
-        step = newton_step(net, jacobian_coefficients(net, x.q), r)
-
-        alpha = 1.0
+        # Halving line search: a member stops at its first candidate that
+        # does not raise the merit, or else takes its last candidate.
+        base, base_merit = x[active], merit[active]
+        alpha = np.ones(active.size)
+        searching = np.arange(active.size)
         for _ in range(_MAX_HALVINGS + 1):
-            candidate = StateVector(
-                x.q + alpha * step[: net.n_pipes],
-                x.H + alpha * step[net.n_pipes :],
-            )
-            cand_r = residual(net, candidate)
-            cand_merit = float(cand_r @ cand_r)
-            if cand_merit <= merit:
+            moved = active[searching]
+            candidate = base[searching] + alpha[searching, None] * step[searching]
+            cand_r = member_residuals(net, candidate, demand[moved])
+            cand_merit = _squared_norms(cand_r)
+            x[moved], r[moved], merit[moved] = candidate, cand_r, cand_merit
+            searching = searching[~(cand_merit <= base_merit[searching])]
+            if not searching.size:
                 break
-            alpha *= 0.5
+            alpha[searching] *= 0.5
 
-        x, r, merit = candidate, cand_r, cand_merit
-        norm = float(np.max(np.abs(cand_r)))
-        history.append(norm)
+        norm = np.max(np.abs(r[active]), axis=1)
+        history[iteration, active] = norm
+        iterations[active] = iteration
+        active = active[~(norm <= tol_r)]
 
-    if norm <= tol_r:
-        return SolveReport(x, max_iter, norm, True, history)
-    raise NonConvergence(max_iter, norm)
+    for member in active:
+        failures[int(member)] = NonConvergence(max_iter, float(history[max_iter, member]))
+    return x, iterations, history, dict(sorted(failures.items()))
+
+
+def _squared_norms(r: np.ndarray) -> np.ndarray:
+    """Per row, r @ r, by the same dot product as for a single vector."""
+    return np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]

@@ -12,6 +12,7 @@ leaves, which makes the continuity rows read A12^T q = Q directly.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,9 +177,10 @@ def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 
 def headloss_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
-    """Diagonal entries r_j * max(|q_j|, floor) ** (n_j - 1)."""
+    """Diagonal entries r_j * max(|q_j|, floor) ** (n_j - 1), over the last
+    axis of q."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (net.n_pipes,):
+    if q.shape[-1:] != (net.n_pipes,):
         raise ValueError(f"expected {net.n_pipes} flows, got shape {q.shape}")
     return _kernels.loss_coefficients(q, net.resistance, net.exponent, FLOW_FLOOR)
 
@@ -222,23 +224,24 @@ class Incidence:
         return out
 
     def dot(self, v: np.ndarray) -> np.ndarray:
-        """A @ v: per pipe, the signed sum of v over its ends in the set."""
-        return np.bincount(
-            self.pipe, weights=self.sign * v[self.node], minlength=self.shape[0]
-        )
+        """A @ v: per pipe, the signed sum of v over its ends in the set.
+
+        Like the other products, it maps the last axis of its argument, so
+        members stacked along a leading axis are multiplied at once.
+        """
+        return member_bincount(self.pipe, self.sign * v[..., self.node], self.shape[0])
 
     def tdot(self, u: np.ndarray) -> np.ndarray:
         """A^T @ u: per node, the signed sum of u over its incident pipes."""
-        return np.bincount(
-            self.node, weights=self.sign * u[self.pipe], minlength=self.shape[1]
-        )
+        return member_bincount(self.node, self.sign * u[..., self.pipe], self.shape[1])
 
     def node_gram(self, w: np.ndarray) -> np.ndarray:
         """A^T diag(w) A, dense n_nodes x n_nodes: a weighted graph
         Laplacian of the set, grounded at the nodes outside it."""
         index, sign, pipe = self._node_pairs
         n = self.shape[1]
-        return np.bincount(index, weights=sign * w[pipe], minlength=n * n).reshape(n, n)
+        gram = member_bincount(index, sign * w[..., pipe], n * n)
+        return gram.reshape(gram.shape[:-1] + (n, n))
 
     @cached_property
     def saddle_entries(self) -> tuple[np.ndarray, ...]:
@@ -289,6 +292,21 @@ class Incidence:
         a, b = _entry_pairs(self.pipe)
         index = self.node[a] * self.shape[1] + self.node[b]
         return index, self.sign[a] * self.sign[b], self.pipe[a]
+
+
+def member_bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """np.bincount(index, weights, minlength=length) over the last axis of
+    `weights`, for every member stacked along its leading axes.
+
+    One bincount serves all members: member s adds s * length to its bins.
+    Each bin still sums its entries in entry order, so every member's sums
+    are those of its own bincount, bit for bit.
+    """
+    lead = weights.shape[:-1]
+    members = math.prod(lead)
+    index = (np.arange(members)[:, None] * length + index).reshape(-1)
+    out = np.bincount(index, weights=weights.reshape(-1), minlength=members * length)
+    return out.reshape(lead + (length,))
 
 
 def _entry_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

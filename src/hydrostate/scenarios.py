@@ -6,23 +6,36 @@ forward-solves the true state, meters it at the configured points, and then
 estimates the state from the *nominal* demand predictions plus that
 telemetry. The resulting interval state, normalized over the generated
 dataset's padded min/max ranges, becomes one labeled training pattern.
+
+All scenarios of a dataset share the network's topology and the meters, so
+they run as members of one stacked computation: one lockstep solve, then
+one lockstep estimate and one stacked bound, per chunk of scenarios. A
+chunk holds as many scenarios as fit their stacked Gram matrices and
+sensitivity columns in about 2^20 float64 values (8 MB). Each scenario
+still follows the single-case algorithm on its own, and a scenario that
+fails is recorded and dropped without holding up the others.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HydrostateError
-from .estimator import Measurement, MeasurementSet, estimate_state
-from .errorlimits import sensitivity_bound, uncertainty_vector
-from .fuzzy import Pattern, normalize
-from .hydraulics import solve_steady_state
+from .errorlimits import bound_from_matrix, uncertainty_vector
+from .errors import ValidationError
+from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
+from .fuzzy import Pattern, unit_bounds
+from .hydraulics import jacobian_coefficients, solve_members
+from .linearization import NormalEquations, drop_failed
 from .network import Network
 
 NORMAL_LABEL = "normal"
 LEAK_PREFIX = "leak@"
 
 RANGE_PADDING = 0.05
+
+# Scenarios per chunk: as many as fit n (n + k) float64 values each, for
+# Gram order n and k bounded rows, in this budget.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,56 +113,63 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     schedule = [
         label for label, count in spec.counts for _ in range(count)
     ]
-    demand_delta = tuple(spec.demand_noise * net.demand)
+    true_demands = _true_demands(net, spec, schedule)
+    # The meters' rows, weights and half-widths, shared by all scenarios;
+    # each scenario's telemetry values are read off its own true state.
+    meas = MeasurementSet(
+        tuple(
+            Measurement(m.kind, m.target, value=0.0, sigma=m.sigma, delta=m.delta)
+            for m in spec.meters
+        ),
+        demand_sigma=spec.demand_sigma,
+        demand_delta=tuple(spec.demand_noise * net.demand),
+    )
+    aug = build_augmented(net, meas)
+    system = NormalEquations(net, aug)
+    delta_y = uncertainty_vector(net, meas)
+    n = net.n_pipes + net.n_demand
+    chunk = max(1, _CHUNK_ELEMENTS // (n * (n + np.count_nonzero(delta_y))))
 
-    intervals = []
-    labels = []
-    failures = []
-    for index, label in enumerate(schedule):
-        rng = np.random.default_rng((spec.seed, index))
-        noise = rng.uniform(-1.0, 1.0, net.n_demand)
-        magnitude = rng.uniform(spec.leak_magnitude[0], spec.leak_magnitude[1])
+    # A network carries no negative demand: such scenarios fail validation.
+    negative = (true_demands < 0).any(axis=1)
+    failures = {
+        int(index): ValidationError(
+            f"/scenarios/{index}/demand", "demand >= 0", str(true_demands[index].min())
+        )
+        for index in np.flatnonzero(negative)
+    }
+    valid = np.flatnonzero(~negative)
+    indices, centers, halfwidths = [], [], []
+    for first in range(0, valid.size, chunk):
+        members = valid[first : first + chunk]
+        truth, _, _, failed = solve_members(net, true_demands[members])
+        members, truth = drop_failed(members, failed, failures, truth)
+        x_star, _, _, failed = estimate_members(system, truth[:, aug.telemetry_columns])
+        members, x_star = drop_failed(members, failed, failures, x_star)
+        jac = jacobian_coefficients(net, x_star[:, : net.n_pipes])
+        halfwidth, failed = bound_from_matrix(system, jac, delta_y)
+        members, x_star, halfwidth = drop_failed(members, failed, failures, x_star, halfwidth)
+        indices.append(members)
+        centers.append(x_star)
+        halfwidths.append(halfwidth)
 
-        true_demands = net.demand * (1.0 + spec.demand_noise * noise)
-        if label.startswith(LEAK_PREFIX):
-            true_demands = true_demands.copy()
-            true_demands[net.demand_index(label[len(LEAK_PREFIX):])] += magnitude
-
-        try:
-            true_net = net.with_demands(true_demands)
-            truth = solve_steady_state(true_net).state
-            meas = MeasurementSet(
-                tuple(
-                    Measurement(
-                        m.kind,
-                        m.target,
-                        value=_metered_value(net, truth, m),
-                        sigma=m.sigma,
-                        delta=m.delta,
-                    )
-                    for m in spec.meters
-                ),
-                demand_sigma=spec.demand_sigma,
-                demand_delta=demand_delta,
-            )
-            estimate = estimate_state(net, meas)
-            interval = sensitivity_bound(
-                net, meas, estimate.state, uncertainty_vector(net, meas)
-            )
-        except HydrostateError as exc:
-            failures.append({"index": index, "label": label, "error": type(exc).__name__})
-            continue
-
-        intervals.append(interval)
-        labels.append(label)
-
-    if not intervals:
+    if not sum(part.size for part in indices):
         raise ValueError("every scenario failed; nothing to normalize")
+    # Chunks follow the schedule and keep their order, so the survivors
+    # come out in scenario order.
+    indices = np.concatenate(indices)
+    center, halfwidth = np.concatenate(centers), np.concatenate(halfwidths)
+    lowers, uppers = center - halfwidth, center + halfwidth
+    labels = [schedule[k] for k in indices]
 
-    ranges = _dataset_ranges(intervals)
+    ranges = _dataset_ranges(lowers, uppers)
     patterns = [
-        LabeledPattern(normalize(interval, ranges), label)
-        for interval, label in zip(intervals, labels)
+        LabeledPattern(Pattern(inf, sup), label)
+        for inf, sup, label in zip(*unit_bounds(lowers, uppers, ranges), labels)
+    ]
+    failures = [
+        {"index": index, "label": schedule[index], "error": type(error).__name__}
+        for index, error in sorted(failures.items())
     ]
 
     generated: dict[str, int] = {}
@@ -167,15 +187,24 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     return patterns, manifest
 
 
-def _metered_value(net: Network, state, meter: MeterSpec) -> float:
-    if meter.kind == "pipe-flow":
-        return float(state.q[net.pipe_index(meter.target)])
-    return float(state.H[net.demand_index(meter.target)])
+def _true_demands(net: Network, spec: ScenarioSpec, schedule: list[str]) -> np.ndarray:
+    """True demands per scenario (scenarios x N_p): scenario k perturbs the
+    demands by a relative noise and, for a leak class, adds the leak
+    magnitude at the leak node, all drawn from (spec.seed, k)."""
+    noise = np.empty((len(schedule), net.n_demand))
+    magnitude = np.empty(len(schedule))
+    for index in range(len(schedule)):
+        rng = np.random.default_rng((spec.seed, index))
+        noise[index] = rng.uniform(-1.0, 1.0, net.n_demand)
+        magnitude[index] = rng.uniform(spec.leak_magnitude[0], spec.leak_magnitude[1])
+    demands = net.demand * (1.0 + spec.demand_noise * noise)
+    for index, label in enumerate(schedule):
+        if label.startswith(LEAK_PREFIX):
+            demands[index, net.demand_index(label[len(LEAK_PREFIX):])] += magnitude[index]
+    return demands
 
 
-def _dataset_ranges(intervals) -> np.ndarray:
-    lowers = np.stack([iv.lower for iv in intervals])
-    uppers = np.stack([iv.upper for iv in intervals])
+def _dataset_ranges(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     lo = lowers.min(axis=0)
     hi = uppers.max(axis=0)
     span = hi - lo

@@ -101,25 +101,27 @@ def dense_augmented_matrix(net: Network, aug, q: np.ndarray) -> np.ndarray:
 
 
 class DenseNormalEquations:
-    """Reference A^T W A and A^T W from a dense matrix A and weights W.
+    """Reference A^T W A and A^T W from dense matrices A and weights W.
 
-    Has the interface of `linearization.NormalEquations`; the matrix is
-    already linearized, so the derivative diagonal argument is ignored.
+    `matrix` is one matrix A or a stack of them, one per member. Has the
+    member-stacked interface of `linearization.NormalEquations`; the
+    matrices are already linearized, so the derivative diagonal argument
+    is ignored.
     """
 
     def __init__(self, matrix: np.ndarray, weights: np.ndarray):
-        self.shape = matrix.shape
-        self.matrix = matrix
-        self.weighted_rows = matrix * weights[:, None]
+        self.matrices = np.asarray(matrix, dtype=float).reshape((-1,) + np.shape(matrix)[-2:])
+        self.shape = self.matrices.shape[1:]
+        self.weighted_rows = self.matrices * weights[:, None]
 
     def gram(self, jac=None) -> np.ndarray:
-        return self.matrix.T @ self.weighted_rows
+        return self.matrices.swapaxes(1, 2) @ self.weighted_rows
 
     def rhs(self, jac, r: np.ndarray) -> np.ndarray:
-        return self.weighted_rows.T @ r
+        return (self.weighted_rows.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
     def columns(self, jac, rows: np.ndarray) -> np.ndarray:
-        return self.weighted_rows.T[:, rows]
+        return self.weighted_rows.swapaxes(1, 2)[:, :, rows]
 
 
 def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:

@@ -32,8 +32,9 @@ def test_diagonal_matrix_oracle():
     # Square invertible case: bound reduces to |A^-1| |dy|.
     matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
     system = DenseNormalEquations(matrix, np.ones(2))
-    bound = bound_from_matrix(system, None, np.array([0.2, 0.4]))
-    np.testing.assert_allclose(bound, [0.1, 0.1], atol=1e-15)
+    bound, failures = bound_from_matrix(system, None, np.array([0.2, 0.4]))
+    assert not failures
+    np.testing.assert_allclose(bound, [[0.1, 0.1]], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +163,44 @@ def test_containment_counts_failed_sample_as_outside(triangle, monkeypatch):
     fraction = monte_carlo_containment(triangle, meas, delta, samples=samples, seed=11)
     assert len(calls) == samples + 1
     assert fraction == (samples - 1) / samples
+
+
+def test_containment_counts_negative_demand_sample_as_outside(triangle, monkeypatch):
+    """Demand boxes of three times the demands draw negative demands on
+    some samples. Those samples count as non-contained, and only the others
+    are estimated."""
+    meas, _ = _triangle_setup(triangle)
+    meas = MeasurementSet(
+        meas.measurements,
+        demand_sigma=meas.demand_sigma,
+        demand_delta=tuple(3.0 * triangle.demand),
+    )
+    delta = uncertainty_vector(triangle, meas)
+    samples, seed = 20, 1
+    demand_rows = slice(triangle.n_pipes, triangle.n_pipes + triangle.n_demand)
+    negative = sum(
+        bool(
+            (
+                triangle.demand
+                + (np.random.default_rng((seed, k)).uniform(-1.0, 1.0, delta.size) * delta)[
+                    demand_rows
+                ]
+                < 0
+            ).any()
+        )
+        for k in range(samples)
+    )
+    assert negative >= 1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return estimate_state(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostate.errorlimits, "estimate_state", counted)
+    fraction = monte_carlo_containment(triangle, meas, delta, samples=samples, seed=seed)
+    assert len(calls) == 1 + samples - negative
+    assert 0.0 < fraction <= (samples - negative) / samples
 
 
 def test_containment_deterministic(triangle):

@@ -4,13 +4,14 @@ import pytest
 from hydrostate import (
     Measurement,
     MeasurementSet,
+    NonConvergence,
     RankDeficient,
     UnknownTarget,
     build_augmented,
     estimate_state,
     solve_steady_state,
 )
-from hydrostate.estimator import augmented_residual, weighted_step
+from hydrostate.estimator import augmented_residual, estimate_members, weighted_step
 from hydrostate.hydraulics import initial_state, jacobian_coefficients
 from hydrostate.linearization import NormalEquations
 
@@ -115,10 +116,12 @@ def _assert_steps_solve_normal_equations(net, meas, steps):
     x = initial_state(net)
     for _ in range(steps):
         rhs = -augmented_residual(net, aug, x)
-        dx = weighted_step(system, jacobian_coefficients(net, x.q), rhs)
+        dx, failures = weighted_step(system, jacobian_coefficients(net, x.q)[None], rhs[None])
+        assert not failures
+        dx = dx[0]
         matrix = dense_augmented_matrix(net, aug, x.q)
         reference = DenseNormalEquations(matrix, aug.weights)
-        gram, b = reference.gram(), reference.rhs(None, rhs)
+        gram, b = reference.gram()[0], reference.rhs(None, rhs[None])[0]
         assert scaled_backward_error(gram, dx, b) <= 1e-10
         x = type(x)(x.q + dx[: net.n_pipes], x.H + dx[net.n_pipes :])
 
@@ -137,8 +140,32 @@ def test_step_solves_normal_equations_on_random_networks(seed, n_nodes):
 
 def test_rank_deficient_normal_equations():
     matrix = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(RankDeficient):
-        weighted_step(DenseNormalEquations(matrix, np.ones(3)), None, np.ones(3))
+    _, failures = weighted_step(DenseNormalEquations(matrix, np.ones(3)), None, np.ones((1, 3)))
+    assert list(failures) == [0]
+    assert isinstance(failures[0], RankDeficient)
+
+
+def test_stacked_weighted_step_isolates_bad_member():
+    """One member's Gram matrix is singular: that member alone fails, with
+    the error of its own single-member step, and every other member's
+    correction is bit for bit its single-member correction."""
+    rng = np.random.default_rng(41)
+    matrices = rng.standard_normal((4, 6, 3))
+    matrices[2, :, 1] = 0.0  # the Gram matrix of member 2 is singular
+    weights = rng.uniform(0.5, 2.0, 6)
+    rhs = rng.standard_normal((4, 6))
+    dx, failures = weighted_step(DenseNormalEquations(matrices, weights), None, rhs)
+    assert list(failures) == [2]
+    for member in range(4):
+        alone, alone_failures = weighted_step(
+            DenseNormalEquations(matrices[member], weights), None, rhs[member : member + 1]
+        )
+        if member == 2:
+            assert isinstance(failures[2], RankDeficient)
+            assert type(alone_failures[0]) is type(failures[2])
+        else:
+            assert not alone_failures
+            np.testing.assert_array_equal(dx[member], alone[0])
 
 
 def test_repeated_step_leaves_static_gram_unchanged():
@@ -149,11 +176,11 @@ def test_repeated_step_leaves_static_gram_unchanged():
     aug = build_augmented(net, meas)
     system = NormalEquations(net, aug)
     x = initial_state(net)
-    jac = jacobian_coefficients(net, x.q)
-    rhs = -augmented_residual(net, aug, x)
+    jac = jacobian_coefficients(net, x.q)[None]
+    rhs = -augmented_residual(net, aug, x)[None]
     static, gram = system._static.copy(), system.gram(jac)
-    first = weighted_step(system, jac, rhs)
-    second = weighted_step(system, jac, rhs)
+    first, _ = weighted_step(system, jac, rhs)
+    second, _ = weighted_step(system, jac, rhs)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_array_equal(system._static, static)
     np.testing.assert_array_equal(system.gram(jac), gram)
@@ -193,3 +220,40 @@ def test_step_norm_convergence_flag(triangle):
     report = estimate_state(triangle, meas)
     assert report.converged
     assert report.step_norms[-1] <= 1e-8
+
+
+@pytest.mark.parametrize("max_iter", [50, 25])
+def test_lockstep_estimate_matches_single_estimates(max_iter):
+    """Each member of a lockstep estimate ends bit for bit where its own
+    estimate ends, after as many iterations, or fails the same way. The
+    members take 23 to 28 iterations, or do not converge in 50."""
+    net = random_network(3, n_nodes=30)
+    meas, _ = exact_measurements(net, seed=3, n_flow=10, n_head=10)
+    rng = np.random.default_rng(59)
+    values = np.array([m.value for m in meas.measurements]) * (
+        1.0 + rng.uniform(-0.003, 0.003, (8, len(meas.measurements)))
+    )
+    system = NormalEquations(net, build_augmented(net, meas))
+    x, iterations, step_norms, failures = estimate_members(system, values, max_iter=max_iter)
+    outcomes = set()
+    for member, row in enumerate(values):
+        member_meas = MeasurementSet(
+            tuple(
+                Measurement(m.kind, m.target, float(v), m.sigma, m.delta)
+                for m, v in zip(meas.measurements, row)
+            ),
+            demand_sigma=meas.demand_sigma,
+        )
+        try:
+            alone = estimate_state(net, member_meas, max_iter=max_iter)
+        except NonConvergence as exc:
+            assert isinstance(failures[member], NonConvergence)
+            assert failures[member].residual == exc.residual
+            outcomes.add("failed")
+            continue
+        assert member not in failures
+        np.testing.assert_array_equal(x[member], alone.state.vector)
+        assert iterations[member] == alone.iterations
+        assert step_norms[: alone.iterations, member].tolist() == alone.step_norms
+        outcomes.add("converged")
+    assert outcomes == {"converged", "failed"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hydrostate.hydraulics
 from hydrostate import (
     Network,
     Node,
@@ -10,7 +11,12 @@ from hydrostate import (
     residual,
     solve_steady_state,
 )
-from hydrostate.hydraulics import StateVector, initial_state, jacobian_coefficients
+from hydrostate.hydraulics import (
+    StateVector,
+    initial_state,
+    jacobian_coefficients,
+    solve_members,
+)
 from hydrostate.linearization import newton_step
 from hydrostate.network import incidence_matrices
 
@@ -103,10 +109,8 @@ def test_non_convergence_reports_iterations(triangle):
     assert excinfo.value.residual > 0
 
 
-def test_singular_linear_system():
-    # The reservoir link is 1e20 times stiffer than the pipe behind it, so
-    # the Schur complement [[1 + 1e-20, -1], [-1, 1]] rounds to singular.
-    net = Network(
+def _chain_behind_reservoir() -> Network:
+    return Network(
         [
             Node("r", "fixed-head", head=100.0),
             Node("a", "demand", demand=1.0),
@@ -114,8 +118,72 @@ def test_singular_linear_system():
         ],
         [Pipe("ra", "r", "a", 1.0), Pipe("ab", "a", "b", 1.0)],
     )
-    with pytest.raises(SingularSystem):
-        newton_step(net, np.array([1e20, 1.0]), np.ones(4))
+
+
+def test_singular_linear_system():
+    # The reservoir link is 1e20 times stiffer than the pipe behind it, so
+    # the Schur complement [[1 + 1e-20, -1], [-1, 1]] rounds to singular.
+    net = _chain_behind_reservoir()
+    _, failures = newton_step(net, np.array([[1e20, 1.0]]), np.ones((1, 4)))
+    assert list(failures) == [0]
+    assert isinstance(failures[0], SingularSystem)
+
+
+def test_singular_step_raises_from_solve(triangle, monkeypatch):
+    """A Newton step that fails on the only member ends the solve with that
+    member's SingularSystem."""
+
+    def singular_step(net, jac, residual):
+        return np.zeros_like(residual), {0: SingularSystem("singular Laplacian")}
+
+    monkeypatch.setattr(hydrostate.hydraulics, "newton_step", singular_step)
+    with pytest.raises(SingularSystem, match="singular Laplacian"):
+        solve_steady_state(triangle)
+
+
+def test_lockstep_solve_with_every_member_failing_a_later_step(triangle, monkeypatch):
+    """When every remaining member fails one step, each is recorded with
+    its own error, and the members that converged before keep their
+    results."""
+    calls = []
+
+    def failing_second_step(net, jac, residual):
+        calls.append(jac.shape[0])
+        if len(calls) < 2:
+            return newton_step(net, jac, residual)
+        return np.zeros_like(residual), {
+            m: SingularSystem(f"step {m}") for m in range(jac.shape[0])
+        }
+
+    demands = triangle.demand * np.array([[1.0], [0.0], [2.0]])
+    monkeypatch.setattr(hydrostate.hydraulics, "newton_step", failing_second_step)
+    x, iterations, _, failures = solve_members(triangle, demands)
+    assert calls[0] == 2  # zero demand starts at its solution
+    assert [str(failures[m]) for m in failures] == ["step 0", "step 1"]
+    assert list(failures) == [0, 2]
+    assert iterations[1] == 0
+    np.testing.assert_array_equal(x[1, : triangle.n_pipes], 0.0)
+
+
+def test_stacked_newton_step_isolates_bad_member():
+    """Member 1 has the singular Schur complement of the test above: it
+    alone fails, with the error of its own single-member step, and every
+    other member's step is bit for bit its single-member step."""
+    net = _chain_behind_reservoir()
+    jac = np.array([[2.0, 3.0], [1e20, 1.0], [0.5, 4.0]])
+    r = np.random.default_rng(43).standard_normal((3, 4))
+    steps, failures = newton_step(net, jac, r)
+    assert list(failures) == [1]
+    for member in range(3):
+        alone, alone_failures = newton_step(
+            net, jac[member : member + 1], r[member : member + 1]
+        )
+        if member == 1:
+            assert isinstance(failures[1], SingularSystem)
+            assert type(alone_failures[0]) is type(failures[1])
+        else:
+            assert not alone_failures
+            np.testing.assert_array_equal(steps[member], alone[0])
 
 
 @pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
@@ -124,7 +192,9 @@ def test_newton_step_solves_dense_system(seed, n_nodes):
     x = initial_state(net)
     for _ in range(4):
         r = residual(net, x)
-        step = newton_step(net, jacobian_coefficients(net, x.q), r)
+        step, failures = newton_step(net, jacobian_coefficients(net, x.q)[None], r[None])
+        assert not failures
+        step = step[0]
         assert scaled_backward_error(dense_newton_matrix(net, x.q), step, -r) <= 1e-10
         x = StateVector(x.q + step[: net.n_pipes], x.H + step[net.n_pipes :])
 
@@ -165,3 +235,29 @@ def test_deterministic_repeat(triangle):
     np.testing.assert_array_equal(first.state.q, second.state.q)
     np.testing.assert_array_equal(first.state.H, second.state.H)
     assert first.iterations == second.iterations
+
+
+@pytest.mark.parametrize("max_iter", [50, 8])
+def test_lockstep_solve_matches_single_solves(max_iter):
+    """Each member of a lockstep solve ends bit for bit where its own solve
+    ends, after as many iterations, or fails the same way. The members take
+    6 to 10 iterations, so with max_iter 8 some run out of iterations."""
+    net = random_network(3, n_nodes=30)
+    rng = np.random.default_rng(47)
+    demands = net.demand * (1.0 + rng.uniform(-0.9, 3.0, (12, net.n_demand)))
+    x, iterations, history, failures = solve_members(net, demands, max_iter=max_iter)
+    outcomes = set()
+    for member, demand in enumerate(demands):
+        try:
+            alone = solve_steady_state(net.with_demands(demand), max_iter=max_iter)
+        except NonConvergence as exc:
+            assert isinstance(failures[member], NonConvergence)
+            assert failures[member].residual == exc.residual
+            outcomes.add("failed")
+            continue
+        assert member not in failures
+        np.testing.assert_array_equal(x[member], alone.state.vector)
+        assert iterations[member] == alone.iterations
+        assert history[: alone.iterations + 1, member].tolist() == alone.residual_history
+        outcomes.add("converged")
+    assert outcomes == ({"converged"} if max_iter == 50 else {"converged", "failed"})

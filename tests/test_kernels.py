@@ -1,8 +1,7 @@
-"""Both kernel flavours must agree with each other and with a direct
-scalar transcription of the formulas."""
+"""The kernels must agree with a direct scalar transcription of the
+formulas."""
 
 import numpy as np
-import pytest
 
 from hydrostate import _kernels
 
@@ -18,10 +17,6 @@ def _random_inputs(seed):
     return cell_min, cell_max, p_inf, p_sup, gamma
 
 
-def test_backend_name():
-    assert _kernels.backend() in ("numba", "numpy")
-
-
 def test_loss_coefficients_scalar_oracle():
     q = np.array([0.0, 2.0, -3.0, 1e-9])
     scale = np.array([10.0, 10.0, 4.0, 2.0])
@@ -33,8 +28,9 @@ def test_loss_coefficients_scalar_oracle():
         4.0 * 3.0,
         2.0 * (1e-6) ** 0.852,
     ]
-    for fn in (_kernels.loss_coefficients, _kernels.loss_coefficients_numpy):
-        np.testing.assert_allclose(fn(q, scale, exponent, floor), expected, rtol=1e-14)
+    np.testing.assert_allclose(
+        _kernels.loss_coefficients(q, scale, exponent, floor), expected, rtol=1e-14
+    )
 
 
 def test_box_violations_scalar_oracle():
@@ -47,10 +43,11 @@ def test_box_violations_scalar_oracle():
             under = min(1.0, max(0.0, gamma[i] * (cell_min[c, i] - p_inf[i])))
             worst = max(worst, over, under)
         expected[c] = worst
-    for fn in (_kernels.box_violations, _kernels.box_violations_numpy):
-        np.testing.assert_allclose(
-            fn(cell_min, cell_max, p_inf, p_sup, gamma), expected, rtol=1e-14
-        )
+    np.testing.assert_allclose(
+        _kernels.box_violations(cell_min, cell_max, p_inf, p_sup, gamma),
+        expected,
+        rtol=1e-14,
+    )
 
 
 def test_expansion_metrics_scalar_oracle():
@@ -70,41 +67,9 @@ def test_expansion_metrics_scalar_oracle():
             total += (hi - lo) - (cell_max[c, i] - cell_min[c, i])
         exp_cost[c] = total
         exp_feasible[c] = ok
-    for fn in (_kernels.expansion_metrics, _kernels.expansion_metrics_numpy):
-        cost, feasible = fn(cell_min, cell_max, p_inf, p_sup, theta)
-        np.testing.assert_allclose(cost, exp_cost, rtol=1e-13, atol=1e-15)
-        np.testing.assert_array_equal(feasible, exp_feasible)
-
-
-@pytest.mark.skipif(_kernels.numba is None, reason="numba unavailable")
-@pytest.mark.parametrize("seed", range(5))
-def test_flavours_agree(seed):
-    cell_min, cell_max, p_inf, p_sup, gamma = _random_inputs(seed)
-
-    np.testing.assert_allclose(
-        _kernels.box_violations_numba(cell_min, cell_max, p_inf, p_sup, gamma),
-        _kernels.box_violations_numpy(cell_min, cell_max, p_inf, p_sup, gamma),
-        rtol=1e-14,
-    )
-
-    cost_a, feas_a = _kernels.expansion_metrics_numba(
-        cell_min, cell_max, p_inf, p_sup, 0.45
-    )
-    cost_b, feas_b = _kernels.expansion_metrics_numpy(
-        cell_min, cell_max, p_inf, p_sup, 0.45
-    )
-    np.testing.assert_allclose(cost_a, cost_b, rtol=1e-13, atol=1e-15)
-    np.testing.assert_array_equal(feas_a, feas_b)
-
-    rng = np.random.default_rng((7, seed))
-    q = rng.uniform(-5, 5, 40)
-    scale = rng.uniform(0.1, 30, 40)
-    exponent = rng.uniform(1.3, 2.2, 40)
-    np.testing.assert_allclose(
-        _kernels.loss_coefficients_numba(q, scale, exponent, 1e-6),
-        _kernels.loss_coefficients_numpy(q, scale, exponent, 1e-6),
-        rtol=1e-14,
-    )
+    cost, feasible = _kernels.expansion_metrics(cell_min, cell_max, p_inf, p_sup, theta)
+    np.testing.assert_allclose(cost, exp_cost, rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(feasible, exp_feasible)
 
 
 def test_empty_cell_set():

@@ -62,8 +62,10 @@ def _spd(order, seed=17):
 def test_gram_factor_matches_cholesky(order):
     matrix = _spd(order)
     reference = np.linalg.cholesky(matrix)
-    GramFactor(matrix)  # in place: the lower triangle becomes the factor
-    lower = np.tril(matrix)
+    stack = matrix[None]
+    factor = GramFactor(stack)  # in place: the lower triangle becomes the factor
+    assert not factor.failed
+    lower = np.tril(stack[0])
     assert np.max(np.abs(lower - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -73,12 +75,14 @@ def test_gram_factor_solve(order, columns):
     matrix = _spd(order)
     rng = np.random.default_rng((29, order))
     rhs = rng.standard_normal(order if columns is None else (order, columns))
-    x = GramFactor(matrix.copy()).solve(rhs)
+    x = GramFactor(matrix[None].copy()).solve(rhs[None])[0]
     assert x.shape == rhs.shape
     assert scaled_backward_error(matrix, x, rhs) <= 1e-10
 
 
 def test_gram_factor_rank_deficient_after_first_block():
+    """Member 1 fails in its second block; it alone is reported, and the
+    members around it factor and solve exactly as on their own."""
     order = 130
     rng = np.random.default_rng(31)
     lower = np.tril(rng.standard_normal((order, order)), -1) + np.diag(
@@ -89,8 +93,31 @@ def test_gram_factor_rank_deficient_after_first_block():
     # row 100, in the second block, becomes -1.
     matrix[100, 100] -= lower[100, 100] ** 2 + 1.0
     np.linalg.cholesky(matrix[:100, :100])
-    with pytest.raises(RankDeficient):
-        GramFactor(matrix)
+    seeds = {0: 1, 2: 2}
+    stack = np.stack([_spd(order, seed=seeds[0]), matrix, _spd(order, seed=seeds[2])])
+    rhs = rng.standard_normal((3, order, 5))
+    factor = GramFactor(stack)
+    assert list(factor.failed) == [1]
+    assert isinstance(factor.failed[1], RankDeficient)
+    x = factor.solve(rhs)
+    for member, seed in seeds.items():
+        alone = _spd(order, seed=seed)[None]
+        np.testing.assert_array_equal(
+            GramFactor(alone).solve(rhs[member : member + 1])[0], x[member]
+        )
+
+
+def test_stacked_factor_matches_single_member_factor():
+    """A stack of one factors and solves bit for bit like each member of a
+    larger stack, across several blocks."""
+    order = 305
+    stack = np.stack([_spd(order, seed=seed) for seed in (3, 4, 5)])
+    rhs = np.random.default_rng(37).standard_normal((3, order))
+    together = GramFactor(stack.copy())
+    x = together.solve(rhs)
+    for member in range(3):
+        alone = stack[member : member + 1].copy()
+        np.testing.assert_array_equal(GramFactor(alone).solve(rhs[member : member + 1])[0], x[member])
 
 
 def test_no_scipy_import(demo_dir):
