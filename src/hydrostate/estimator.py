@@ -12,6 +12,13 @@ the negated augmented residual. Row weights are 1/sigma^2 per row class:
 energy rows use a small near-exact sigma, continuity rows the demand sigma,
 telemetry rows their per-measurement sigma.
 
+The correction is the solution of the normal equations A_k^T W A_k dx =
+A_k^T W rhs_k, but it is evaluated without them: as the Newton step of the
+square model rows plus a telemetry correction of order m, the number of
+meters (see `linearization.NormalEquations`). This keeps the accuracy of
+the square solve, where the normal equations would square its condition
+number.
+
 `estimate_members` runs the iteration in lockstep for members that share
 the network and the meters and differ in their telemetry values;
 `estimate_state` is its single-member case.
@@ -28,7 +35,7 @@ from .hydraulics import (
     jacobian_coefficients,
     member_residuals,
 )
-from .linearization import GramFactor, NormalEquations, drop_failed, non_finite_members
+from .linearization import NewtonFactor, NormalEquations, drop_failed, non_finite_members
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -181,19 +188,30 @@ def _augmented_residuals(
 
 def weighted_step(system: NormalEquations, jac: np.ndarray, rhs: np.ndarray):
     """Solve the weighted normal equations (A^T W A) dx = A^T W rhs per
-    member (rows of `jac` and `rhs`).
+    member (rows of `jac` and `rhs`), without forming A^T W A.
 
-    `system` supplies A^T W A and A^T W for the linearization with
-    derivative diagonal `jac` (see `NormalEquations`); its `shape` is that
-    of A. Uses a Cholesky factorization as the positive-definiteness gate;
-    a failed factorization signals an unobservable configuration. Returns
+    `system` holds the weights and the telemetry rows of A (see
+    `NormalEquations`), whose `shape` is that of A; `jac` holds the
+    derivative diagonals. One Schur factorization of the Newton matrix J
+    serves two rounds of solves: J^-1 against the telemetry columns S^T,
+    then J^-1 against r_j plus the telemetry correction. The Cholesky
+    factor of the Schur Laplacian is the positive-definiteness gate. Returns
     the corrections and a dict from member position to RankDeficient for
-    the members whose factorization failed or whose correction is not
-    finite.
+    the members whose factorization or update failed or whose correction is
+    not finite.
     """
-    factor = GramFactor(system.gram(jac))
-    dx = factor.solve(system.rhs(jac, rhs))
-    failures = dict(factor.failed)
+    newton = NewtonFactor(system.net, jac)
+    n_pipes, n = system.net.n_pipes, system.shape[1]
+    r_model = rhs[:, :n, None]
+    z = newton.solve(system.selectors[:n_pipes], system.selectors[n_pipes:])
+    scaled = system.model_variance * z
+    # S J^-1 r_j = Z^T r_j, since J is symmetric.
+    gain, failures = system.telemetry_solve(
+        z, scaled, rhs[:, n:, None] - (z * r_model).sum(axis=1)[:, :, None]
+    )
+    b = r_model + scaled @ gain
+    dx = newton.solve(b[:, :n_pipes], b[:, n_pipes:])[:, :, 0]
+    failures.update(newton.failed)
     for member in non_finite_members(dx):
         failures.setdefault(
             int(member), RankDeficient("weighted step produced non-finite entries")
@@ -273,8 +291,10 @@ def estimate_members(
         iterations[active] = iteration
         active = active[~(norm <= tol_x)]
 
+    # With max_iter = 0 no step is taken, and there is no norm to report.
+    last = step_norms[-1] if max_iter > 0 else np.full(members, np.nan)
     for member in active:
-        failures[int(member)] = NonConvergence(max_iter, float(step_norms[-1, member]))
+        failures[int(member)] = NonConvergence(max_iter, float(last[member]))
     return x, iterations, step_norms, dict(sorted(failures.items()))
 
 

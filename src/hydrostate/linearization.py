@@ -2,22 +2,30 @@
 
 All three stages linearize the same saddle-point system in x = (q, H),
 
-    A = [ F      A12 ]      F = diag(d(D(q)q)/dq),
+    J = [ F      A12 ]      F = diag(d(D(q)q)/dq),
         [ A12^T  0   ]
 
-to which the estimator appends unit telemetry rows selecting one flow or
-head each. No stage assembles A: the network's sparse incidence supplies
-every block, and each linear solve is dense on a symmetric positive
-definite matrix built from those blocks.
+to which the estimator appends unit telemetry rows S selecting one flow or
+head each, A = [J; S]. No stage assembles J or A: the network's sparse
+incidence supplies every product, and every linear solve goes through the
+Schur complement K = A12^T F^-1 A12, a weighted graph Laplacian of order
+N_p (the global gradient algorithm of Todini & Pilati, 1988). `eliminate`
+writes that elimination once, for all of them.
 
-- The Newton step eliminates dq and solves the Schur complement
-  A12^T F^-1 A12, a weighted graph Laplacian of order N_p (the global
-  gradient algorithm of Todini & Pilati, 1988).
-- The weighted least-squares step factors the Gram matrix A^T W A of order
-  L + N_p by Cholesky. Its x-independent part is assembled once per
-  `NormalEquations`; each iterate adds only the F-dependent entries.
-- The error bound factors the same Gram matrix and solves for the columns
-  of A^T W whose row carries data uncertainty.
+- The Newton step solves K by LU (`newton_step`).
+- The weighted least-squares step is defined by the normal equations
+  A^T W A dx = A^T W r of order L + N_p, which are never formed. J is
+  symmetric and invertible, so the Woodbury identity turns the step into a
+  Newton step plus a telemetry correction through an m x m matrix, for m
+  telemetry rows (`NormalEquations`). K is factored once per step by
+  Cholesky (`NewtonFactor`), and the factor serves both rounds of solves.
+- The error bound applies the same map to the right-hand-side columns
+  whose rows carry data uncertainty.
+
+Avoiding A^T W A also avoids squaring the condition number: on 150- to
+200-node random networks with 30 meters, cond(A^T W A) is about 1e21, and
+steps solved through it were off by 2e-4 to 3.6e-3 relative, against 1e-9
+to 1e-8 through J.
 
 Every routine here is batch-native: it takes members stacked along a
 leading axis, all on one network topology, which differ only in their
@@ -26,26 +34,26 @@ and each member's arithmetic is the same as on its own. When a stacked
 LAPACK call fails, only that call is repeated member by member, to name
 the members that failed; they are reported, and the others go on.
 
-Both Gram solves go through `GramFactor`, a left-looking blocked Cholesky
+The Cholesky factor is `GramFactor`, a left-looking blocked Cholesky
 written in numpy. Nearly all of its work is matrix products (GEMM), and it
 keeps the inverse of each diagonal block, so the two triangular sweeps,
 which numpy lacks, are matrix products too. It beats `np.linalg.cholesky`
-here: with 2 OpenBLAS threads on a 2-vCPU host, order 1,809 factors in
-59 ms against 103 ms (an LU, `np.linalg.solve`, takes 110 ms), and order
-3,534 in 329 ms against 530 ms.
+here: with 2 OpenBLAS threads on a 2-vCPU host, order 799 factors in
+9.5 ms against 17 ms (an LU, `np.linalg.solve`, takes 17 ms), and order
+1,499 in 39-46 ms against 70-75 ms.
 """
 
 import numpy as np
 
 from .errors import HydrostateError, RankDeficient, SingularSystem
-from .network import Network, member_bincount
+from .network import Network
 
 # Block order of the Cholesky factor. Each block column costs one small
 # `np.linalg.cholesky`, one inverse of its diagonal block and a few
-# Python-level steps; the rest is matrix products. Of 32, 64, 96 and 128, 64
-# measured best for the estimator's mix at order 1,809 (one factor and one
-# right-hand side per step, then about 880 right-hand sides for the bound)
-# and as good as any at order 305.
+# Python-level steps; the rest is matrix products. Of 32, 64, 96, 128 and
+# 200, 32 and 64 measured best for the estimator's mix at Schur order 799
+# (one factor and two rounds of 80 and 1 right-hand sides per step, then
+# about 960 right-hand sides for the bound).
 _BLOCK = 64
 
 
@@ -60,9 +68,9 @@ class GramFactor:
     columns already factored, factors the diagonal blocks, keeps their
     inverses and scales the panels below by them, so that nearly all the
     work is matrix products. A member whose diagonal block is not positive
-    definite, which signals an unobservable configuration, is recorded in
-    `failed` with a RankDeficient error; its remaining rows are replaced by
-    those of the identity, so the other members factor on unhindered.
+    definite, singular to working precision, is recorded in `failed` with a
+    RankDeficient error; its remaining rows are replaced by those of the
+    identity, so the other members factor on unhindered.
     """
 
     def __init__(self, gram: np.ndarray):
@@ -78,7 +86,7 @@ class GramFactor:
                 )
             diagonal, failed = _by_member(np.linalg.cholesky, gram[:, start:stop, start:stop])
             for member, exc in failed.items():
-                error = RankDeficient("normal equations are not positive definite")
+                error = RankDeficient("matrix is not positive definite")
                 error.__cause__ = exc
                 self.failed[member] = error
                 gram[member, start:] = 0.0
@@ -159,33 +167,48 @@ def non_finite_members(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~finite.reshape(values.shape[0], -1).all(axis=1))
 
 
+def eliminate(net: Network, inverse: np.ndarray, energy, continuity, solve_schur):
+    """J^-1 B for the Newton matrix J = [F A12; A12^T 0] with F^-1 =
+    diag(`inverse`), for blocks of right-hand-side columns B = (energy;
+    continuity), members x n_pipes x k over members x n_demand x k.
+
+    Eliminating dq = F^-1 (energy - A12 dH) from the energy rows leaves
+    (A12^T F^-1 A12) dH = A12^T F^-1 energy - continuity on the continuity
+    rows; `solve_schur` solves that per member. `inverse` (members x
+    n_pipes x 1) and `energy` (which may be 0.0) broadcast against the
+    columns. Returns the columns of x = (dq; dH), members x n x k.
+    """
+    a12 = net.a12
+    dH = solve_schur(a12.tdot(inverse * energy, axis=-2) - continuity)
+    dq = a12.dot(dH, axis=-2)
+    np.subtract(energy, dq, out=dq)
+    dq *= inverse
+    return np.concatenate([dq, dH], axis=1)
+
+
 def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
     """Solve A dx = -residual for the square linearization with derivative
     diagonal `jac`, per member (rows of `jac` and `residual`).
 
-    Eliminating dq = -F^-1 (r_e + A12 dH) from the energy rows leaves
-    (A12^T F^-1 A12) dH = r_c - A12^T F^-1 r_e on the continuity rows.
-    The Laplacians are solved by LU (LAPACK gesv) in one stacked call.
-    `GramFactor` takes several numpy calls, which on the order-2 systems of
-    the demo network cost 29 us against the LU's 6 us. Returns the steps
-    and a dict from member position to SingularSystem for the members
-    whose solve failed or whose step is not finite.
+    The Schur Laplacians of `eliminate` are solved by LU (LAPACK gesv) in
+    one stacked call. `GramFactor` takes several numpy calls, which on the
+    order-2 systems of the demo network cost 29 us against the LU's 6 us.
+    Returns the steps and a dict from member position to SingularSystem for
+    the members whose solve failed or whose step is not finite.
     """
     n_pipes = net.n_pipes
-    r_energy, r_continuity = residual[:, :n_pipes], residual[:, n_pipes:]
-    inverse = 1.0 / jac
-    dH, failed = _by_member(
-        np.linalg.solve,
-        net.a12.node_gram(inverse),
-        (r_continuity - net.a12.tdot(inverse * r_energy))[:, :, None],
-    )
+    inverse = (1.0 / jac)[:, :, None]
     failures: dict[int, HydrostateError] = {}
-    for member, exc in failed.items():
-        failures[member] = SingularSystem(str(exc))
-        failures[member].__cause__ = exc
-    dH = dH[:, :, 0]
-    dq = -inverse * (r_energy + net.a12.dot(dH))
-    step = np.concatenate([dq, dH], axis=1)
+
+    def solve_schur(rhs):
+        dH, failed = _by_member(np.linalg.solve, net.a12.node_gram(inverse[:, :, 0]), rhs)
+        for member, exc in failed.items():
+            failures[member] = SingularSystem(str(exc))
+            failures[member].__cause__ = exc
+        return dH
+
+    b = -residual[:, :, None]
+    step = eliminate(net, inverse, b[:, :n_pipes], b[:, n_pipes:], solve_schur)[:, :, 0]
     for member in non_finite_members(step):
         failures.setdefault(
             int(member), SingularSystem("linear solve produced non-finite entries")
@@ -193,91 +216,78 @@ def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
     return step, failures
 
 
+class NewtonFactor:
+    """The Newton matrix J = [F A12; A12^T 0] per member, at derivative
+    diagonals `jac` (members x n_pipes), ready for repeated solves.
+
+    The Schur Laplacian A12^T F^-1 A12 of `eliminate` is factored once by
+    `GramFactor`. It is positive definite whenever every flow derivative is
+    positive (FLOW_FLOOR sees to that) and the network is connected to a
+    fixed-head node, as validation requires. A member whose factorization
+    fails all the same, singular to working precision, is recorded in
+    `failed` with a RankDeficient error.
+    """
+
+    def __init__(self, net: Network, jac: np.ndarray):
+        self.net = net
+        self.inverse = (1.0 / jac)[:, :, None]
+        self.schur = GramFactor(net.a12.node_gram(self.inverse[:, :, 0]))
+        self.failed = self.schur.failed
+
+    def solve(self, energy, continuity) -> np.ndarray:
+        """J^-1 B per member for the columns B = (energy; continuity), as
+        in `eliminate`."""
+        return eliminate(self.net, self.inverse, energy, continuity, self.schur.solve)
+
+
 class NormalEquations:
-    """A^T W A and A^T W for the telemetry-augmented linearization.
+    """The weighted least-squares problem of the telemetry-augmented
+    linearization: A = [J; S], with J the Newton matrix and S the unit
+    telemetry rows, and W = diag(Wj, Wt), the row weights of the augmented
+    system `aug` (an `estimator.AugmentedSystem`) on the model rows and on
+    the telemetry rows. The normal equations A^T W A dx = A^T W r define the
+    step, but A^T W A is never formed.
 
-    Rows are (energy | continuity | telemetry) with the diagonal weights W
-    of the augmented system `aug` (an `estimator.AugmentedSystem`), whose
-    `telemetry_columns` name the unknown each telemetry row selects. The
-    weights and the telemetry rows are shared by all members; members
-    differ in their derivative diagonals, stacked as the rows of `jac`.
-    The Gram blocks that do not depend on x are assembled here, once:
+    J is symmetric and invertible (see `NewtonFactor`), so by the Woodbury
+    identity (Hager, SIAM Review 31, 1989) the step is a Newton step plus a
+    Kalman-style telemetry correction:
 
-        [ A12 Wc A12^T + St^T Wt St    .                          ]
-        [ .                            A12^T We A12 + St^T Wt St  ]
+        Z = J^-1 S^T                     (m columns)
+        C = Z^T Wj^-1 Z + Wt^-1          (symmetric positive definite, m x m)
+        dx = J^-1 (r_j + Wj^-1 Z g),     g = C^-1 (r_t - S J^-1 r_j).
 
-    `gram(jac)` broadcasts them over the members and adds F We F to the
-    flow block and F We A12 to the two off-diagonal blocks.
+    This holds what all members share: the telemetry columns (the unknown
+    each telemetry row selects), the selector rows S (as the columns of
+    S^T) and the variances Wj^-1 (as a column) and Wt^-1. Members differ
+    in their derivative diagonals. `shape` is that of A.
     """
 
     def __init__(self, net: Network, aug):
-        n_pipes, n_demand = net.n_pipes, net.n_demand
-        n = n_pipes + n_demand
+        n = net.n_pipes + net.n_demand
         weights, telemetry_columns = aug.weights, aug.telemetry_columns
+        m = telemetry_columns.size
         self.net = net
-        self.weights = weights
         self.telemetry_columns = telemetry_columns
         self.shape = (weights.shape[0], n)
-        self._w_energy = weights[:n_pipes]
+        self.model_variance = (1.0 / weights[:n])[:, None]
+        # S^T, the telemetry rows as columns.
+        self.selectors = np.zeros((n, m))
+        self.selectors[telemetry_columns, np.arange(m)] = 1.0
+        self._telemetry_covariance = np.diag(1.0 / weights[n:])
 
-        position, sign, row = net.a12.saddle_gram_terms
-        self._static = np.bincount(
-            np.concatenate([position, telemetry_columns * (n + 1)]),
-            weights=np.concatenate([sign * weights[row], weights[n:]]),
-            minlength=n * n,
-        ).reshape(n, n)
-        self._flow_diagonal = np.arange(n_pipes) * (n + 1)
-        # Flat positions of the F We A12 entries in the two coupling blocks;
-        # each (pipe, node) pair occurs once, since pipes have distinct ends.
-        row, col, _, _ = net.a12.saddle_entries
-        self._coupling = row * n + col
-
-    def gram(self, jac: np.ndarray) -> np.ndarray:
-        """A^T W A per member, members x n x n, at the derivative diagonals
-        `jac` (members x n_pipes)."""
-        _, _, pipe, sign = self.net.a12.saddle_entries
-        members = jac.shape[0]
-        gram = np.repeat(self._static[None], members, axis=0)
-        offsets = np.arange(members)[:, None] * self._static.size
-        diagonal = (offsets + self._flow_diagonal).reshape(-1)
-        coupling = (offsets + self._coupling).reshape(-1)
-        flat = gram.reshape(-1)
-        scaled = self._w_energy * jac
-        flat[diagonal] += (scaled * jac).reshape(-1)
-        flat[coupling] += (scaled[:, pipe] * sign).reshape(-1)
-        return gram
-
-    def rhs(self, jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """A^T W r per member, for residuals r (members x rows)."""
-        n_pipes, n = self.net.n_pipes, self.shape[1]
-        a12 = self.net.a12
-        weighted = self.weights * r
-        energy, continuity = weighted[:, :n_pipes], weighted[:, n_pipes:n]
-        out = np.concatenate(
-            [jac * energy + a12.dot(continuity), a12.tdot(energy)], axis=1
-        )
-        out += member_bincount(self.telemetry_columns, weighted[:, n:], n)
-        return out
-
-    def columns(self, jac: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The columns of A^T W for the given rows, dense members x n x
-        len(rows)."""
-        n_pipes, n = self.net.n_pipes, self.shape[1]
-        members = jac.shape[0]
-        a12 = self.net.a12
-        pipes = np.arange(n_pipes)
-        m = self.telemetry_columns.size
-        # A in coordinate form: F, then A12 and A12^T, then the selectors.
-        row, col, _, sign = a12.saddle_entries
-        row = np.concatenate([pipes, row, np.arange(n, n + m)])
-        col = np.concatenate([pipes, col, self.telemetry_columns])
-        value = np.concatenate(
-            [jac, np.broadcast_to(sign, (members, sign.size)), np.ones((members, m))],
-            axis=1,
-        )
-        position = np.full(self.shape[0], -1)
-        position[rows] = np.arange(rows.size)
-        keep = position[row] >= 0
-        out = np.zeros((members, n, rows.size))
-        out[:, col[keep], position[row[keep]]] = value[:, keep] * self.weights[row[keep]]
-        return out
+    def telemetry_solve(self, z: np.ndarray, scaled: np.ndarray, rhs: np.ndarray | None = None):
+        """C^-1 rhs per member, or C^-1 itself when `rhs` is None, with
+        C = Z^T Wj^-1 Z + Wt^-1 from Z (`z`) and Wj^-1 Z (`scaled`),
+        members x n x m, in one stacked LAPACK call. Returns the result and
+        a dict from member position to RankDeficient for the members whose
+        solve failed."""
+        coupling = z.swapaxes(1, 2) @ scaled + self._telemetry_covariance
+        if rhs is None:
+            out, failed = _by_member(np.linalg.inv, coupling)
+        else:
+            out, failed = _by_member(np.linalg.solve, coupling, rhs)
+        failures: dict[int, HydrostateError] = {}
+        for member, exc in failed.items():
+            failures[member] = RankDeficient("telemetry update is singular")
+            failures[member].__cause__ = exc
+        return out, failures

@@ -197,9 +197,9 @@ class Incidence:
     One entry per pipe end that lies in the node set: the pipe, the node's
     index in the set, and the sign (-1 at the `from` end, +1 at the `to`
     end), in pipe order. As a matrix it is n_pipes x n_nodes with at most
-    two nonzeros per row. Products and Gram matrices are assembled from the
-    entries with `np.bincount`, which sums in entry order, so results are
-    deterministic.
+    two nonzeros per row. Products gather the entries, and Gram matrices
+    are assembled from them with `np.bincount`; both sum in entry order, so
+    results are deterministic.
     """
 
     def __init__(self, pipes, index: dict[str, int]):
@@ -223,17 +223,19 @@ class Incidence:
         out.setflags(write=False)
         return out
 
-    def dot(self, v: np.ndarray) -> np.ndarray:
+    def dot(self, v: np.ndarray, axis: int = -1) -> np.ndarray:
         """A @ v: per pipe, the signed sum of v over its ends in the set.
 
-        Like the other products, it maps the last axis of its argument, so
-        members stacked along a leading axis are multiplied at once.
+        Like the other products, it maps one axis of its argument, the last
+        by default, so members stacked along leading axes are multiplied at
+        once; with axis=-2 it multiplies column blocks (..., n_nodes, k).
         """
-        return member_bincount(self.pipe, self.sign * v[..., self.node], self.shape[0])
+        return _gather_sum(*self._by_pipe, v, axis)
 
-    def tdot(self, u: np.ndarray) -> np.ndarray:
-        """A^T @ u: per node, the signed sum of u over its incident pipes."""
-        return member_bincount(self.node, self.sign * u[..., self.pipe], self.shape[1])
+    def tdot(self, u: np.ndarray, axis: int = -1) -> np.ndarray:
+        """A^T @ u: per node, the signed sum of u over its incident pipes,
+        along `axis` as for `dot`."""
+        return _gather_sum(*self._by_node, u, axis)
 
     def node_gram(self, w: np.ndarray) -> np.ndarray:
         """A^T diag(w) A, dense n_nodes x n_nodes: a weighted graph
@@ -244,46 +246,16 @@ class Incidence:
         return gram.reshape(gram.shape[:-1] + (n, n))
 
     @cached_property
-    def saddle_entries(self) -> tuple[np.ndarray, ...]:
-        """Row, column, pipe and sign of each entry of A, then of each entry
-        of A^T, in the block matrix [[., A], [A^T, .]] of order
-        n_pipes + n_nodes."""
-        shifted = self.node + self.shape[0]
-        return (
-            np.concatenate([self.pipe, shifted]),
-            np.concatenate([shifted, self.pipe]),
-            np.concatenate([self.pipe, self.pipe]),
-            np.concatenate([self.sign, self.sign]),
-        )
+    def _by_pipe(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node and sign of each pipe's entries, as `_slots` tables: at
+        most two rows, one per pipe end in the set."""
+        return _slots(self.pipe, self.node, self.sign, self.shape[0])
 
     @cached_property
-    def saddle_gram_terms(self) -> tuple[np.ndarray, ...]:
-        """Flat position, sign product and row of each product of two
-        entries in one row of [[., A], [A^T, .]] (order n_pipes + n_nodes).
-
-        Summed with row weights w, the terms give the Gram matrix of that
-        block matrix, [[A diag(w_nodes) A^T, 0], [0, A^T diag(w_pipes) A]],
-        where the first n_pipes rows are those of A and the rest those of
-        A^T.
-        """
-        n_pipes, n_nodes = self.shape
-        n = n_pipes + n_nodes
-        at_node = _entry_pairs(self.node)
-        on_pipe = _entry_pairs(self.pipe)
-        position = np.concatenate(
-            [
-                self.pipe[at_node[0]] * n + self.pipe[at_node[1]],
-                (n_pipes + self.node[on_pipe[0]]) * n + n_pipes + self.node[on_pipe[1]],
-            ]
-        )
-        sign = np.concatenate(
-            [
-                self.sign[at_node[0]] * self.sign[at_node[1]],
-                self.sign[on_pipe[0]] * self.sign[on_pipe[1]],
-            ]
-        )
-        row = np.concatenate([n_pipes + self.node[at_node[0]], self.pipe[on_pipe[0]]])
-        return position, sign, row
+    def _by_node(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pipe and sign of each node's entries, as `_slots` tables: one
+        row per incident pipe, up to the largest node degree."""
+        return _slots(self.node, self.pipe, self.sign, self.shape[1])
 
     @cached_property
     def _node_pairs(self):
@@ -307,6 +279,36 @@ def member_bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.n
     index = (np.arange(members)[:, None] * length + index).reshape(-1)
     out = np.bincount(index, weights=weights.reshape(-1), minlength=members * length)
     return out.reshape(lead + (length,))
+
+
+def _slots(groups: np.ndarray, other: np.ndarray, sign: np.ndarray, size: int):
+    """Padded tables of the entries of each of `size` groups: row k holds,
+    per group, the `other` index and the sign of its k-th entry in entry
+    order, or index 0 and sign 0 where the group has fewer entries."""
+    order = np.argsort(groups, kind="stable")
+    grouped = groups[order]
+    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
+    index = np.zeros((np.max(rank, initial=0) + 1, size), dtype=np.intp)
+    signs = np.zeros(index.shape)
+    index[rank, grouped] = other[order]
+    signs[rank, grouped] = sign[order]
+    return index, signs
+
+
+def _gather_sum(index: np.ndarray, sign: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the rows k of `_slots` tables of sign[k] * v[index[k]]
+    along the (negative) `axis` of v: a sparse product by gathers alone,
+    with no index array per stacked vector. The rows add in entry order,
+    so results are deterministic."""
+    shape = (-1,) + (1,) * (-1 - axis)
+    tail = (slice(None),) * (-1 - axis)
+    out = v[(Ellipsis, index[0], *tail)]
+    out *= sign[0].reshape(shape)
+    for k in range(1, index.shape[0]):
+        term = v[(Ellipsis, index[k], *tail)]
+        term *= sign[k].reshape(shape)
+        out += term
+    return out
 
 
 def _entry_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,10 +10,11 @@ dataset's padded min/max ranges, becomes one labeled training pattern.
 All scenarios of a dataset share the network's topology and the meters, so
 they run as members of one stacked computation: one lockstep solve, then
 one lockstep estimate and one stacked bound, per chunk of scenarios. A
-chunk holds as many scenarios as fit their stacked Gram matrices and
-sensitivity columns in about 2^20 float64 values (8 MB). Each scenario
-still follows the single-case algorithm on its own, and a scenario that
-fails is recorded and dropped without holding up the others.
+chunk holds as many scenarios as fit their stacked Schur Laplacians,
+telemetry blocks and sensitivity columns in about 2^20 float64 values
+(8 MB). Each scenario still follows the single-case algorithm on its own,
+and a scenario that fails is recorded and dropped without holding up the
+others.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,9 @@ LEAK_PREFIX = "leak@"
 
 RANGE_PADDING = 0.05
 
-# Scenarios per chunk: as many as fit n (n + k) float64 values each, for
-# Gram order n and k bounded rows, in this budget.
+# Scenarios per chunk: as many as fit N_p^2 + n (m + k) float64 values
+# each in this budget: the Schur Laplacian of N_p demand nodes, and n = L +
+# N_p unknowns per telemetry row (m of them) and per bounded row (k).
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -128,7 +130,8 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     system = NormalEquations(net, aug)
     delta_y = uncertainty_vector(net, meas)
     n = net.n_pipes + net.n_demand
-    chunk = max(1, _CHUNK_ELEMENTS // (n * (n + np.count_nonzero(delta_y))))
+    per_scenario = net.n_demand**2 + n * (aug.n_telemetry + np.count_nonzero(delta_y))
+    chunk = max(1, _CHUNK_ELEMENTS // per_scenario)
 
     # A network carries no negative demand: such scenarios fail validation.
     negative = (true_demands < 0).any(axis=1)

@@ -100,28 +100,21 @@ def dense_augmented_matrix(net: Network, aug, q: np.ndarray) -> np.ndarray:
     )
 
 
-class DenseNormalEquations:
-    """Reference A^T W A and A^T W from dense matrices A and weights W.
+def dense_normal_equations(
+    matrix: np.ndarray, weights: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Gram matrix A^T W A and right-hand side A^T W r, built
+    densely from A (`matrix`), the weight diagonal and the residual r."""
+    weighted_rows = matrix * weights[:, None]
+    return matrix.T @ weighted_rows, weighted_rows.T @ r
 
-    `matrix` is one matrix A or a stack of them, one per member. Has the
-    member-stacked interface of `linearization.NormalEquations`; the
-    matrices are already linearized, so the derivative diagonal argument
-    is ignored.
-    """
 
-    def __init__(self, matrix: np.ndarray, weights: np.ndarray):
-        self.matrices = np.asarray(matrix, dtype=float).reshape((-1,) + np.shape(matrix)[-2:])
-        self.shape = self.matrices.shape[1:]
-        self.weighted_rows = self.matrices * weights[:, None]
-
-    def gram(self, jac=None) -> np.ndarray:
-        return self.matrices.swapaxes(1, 2) @ self.weighted_rows
-
-    def rhs(self, jac, r: np.ndarray) -> np.ndarray:
-        return (self.weighted_rows.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
-
-    def columns(self, jac, rows: np.ndarray) -> np.ndarray:
-        return self.weighted_rows.swapaxes(1, 2)[:, :, rows]
+def least_squares_reference(matrix: np.ndarray, weights: np.ndarray, rhs: np.ndarray):
+    """The weighted least-squares solution of A x = rhs (rhs one vector or
+    columns): an SVD-based `lstsq` on W^(1/2) A, no normal equations."""
+    root_w = np.sqrt(weights)
+    scaled = root_w[:, None] * rhs if rhs.ndim == 2 else root_w * rhs
+    return np.linalg.lstsq(root_w[:, None] * matrix, scaled, rcond=None)[0]
 
 
 def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:

@@ -12,12 +12,11 @@ from hydrostate import (
     sensitivity_bound,
     uncertainty_vector,
 )
-from hydrostate.errorlimits import bound_from_matrix
-
 from helpers import (
-    DenseNormalEquations,
     dense_augmented_matrix,
+    dense_newton_matrix,
     exact_measurements,
+    least_squares_reference,
     random_network,
 )
 
@@ -28,13 +27,45 @@ def _triangle_setup(triangle, seed=0):
     return meas, estimate.state
 
 
-def test_diagonal_matrix_oracle():
-    # Square invertible case: bound reduces to |A^-1| |dy|.
-    matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
-    system = DenseNormalEquations(matrix, np.ones(2))
-    bound, failures = bound_from_matrix(system, None, np.array([0.2, 0.4]))
-    assert not failures
-    np.testing.assert_allclose(bound, [[0.1, 0.1]], atol=1e-15)
+def _least_squares_bound(net, meas, x_star, delta):
+    """|S| |delta| with the sensitivity S from a least-squares solve on
+    W^(1/2) A (SVD based, no normal equations)."""
+    aug = build_augmented(net, meas)
+    rows = np.flatnonzero(delta)
+    sensitivity = least_squares_reference(
+        dense_augmented_matrix(net, aug, x_star.q), aug.weights, np.eye(delta.size)[:, rows]
+    )
+    return np.abs(sensitivity) @ delta[rows]
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
+def test_bound_without_telemetry_is_newton_inverse(seed, n_nodes):
+    """Square invertible case: with no telemetry rows the bound reduces to
+    |J^-1| |delta| with J the dense Newton matrix, whatever the weights."""
+    net = random_network(seed, n_nodes=n_nodes)
+    meas = MeasurementSet(demand_sigma=0.3, demand_delta=tuple(0.02 * net.demand))
+    x_star = estimate_state(net, meas).state
+    delta = uncertainty_vector(net, meas)
+    bound = sensitivity_bound(net, meas, x_star, delta).halfwidth
+    reference = np.abs(np.linalg.inv(dense_newton_matrix(net, x_star.q))) @ delta
+    assert np.max(np.abs(bound - reference)) <= 1e-10 * np.max(reference)
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(5, 150), (7, 200)])
+def test_bound_matches_least_squares_reference_closely(seed, n_nodes):
+    """The bound agrees with the least-squares reference to 1e-6 relative,
+    where a bound through the normal equations A^T W A (condition number
+    about 1e21 here) keeps only about three digits."""
+    net = random_network(seed, n_nodes=n_nodes)
+    meas, _ = exact_measurements(net, seed=seed, n_flow=15, n_head=15)
+    x_star = estimate_state(net, meas).state
+    n_model = net.n_pipes + net.n_demand
+    delta = np.zeros(n_model + len(meas.measurements))
+    delta[net.n_pipes : n_model] = 0.02 * net.demand
+    delta[n_model:] = [0.01 * abs(m.value) for m in meas.measurements]
+    bound = sensitivity_bound(net, meas, x_star, delta).halfwidth
+    reference = _least_squares_bound(net, meas, x_star, delta)
+    assert np.linalg.norm(bound - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize(

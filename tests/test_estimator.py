@@ -4,7 +4,10 @@ import pytest
 from hydrostate import (
     Measurement,
     MeasurementSet,
+    Network,
+    Node,
     NonConvergence,
+    Pipe,
     RankDeficient,
     UnknownTarget,
     build_augmented,
@@ -13,12 +16,13 @@ from hydrostate import (
 )
 from hydrostate.estimator import augmented_residual, estimate_members, weighted_step
 from hydrostate.hydraulics import initial_state, jacobian_coefficients
-from hydrostate.linearization import NormalEquations
+from hydrostate.linearization import NormalEquations, newton_step
 
 from helpers import (
-    DenseNormalEquations,
     dense_augmented_matrix,
+    dense_normal_equations,
     exact_measurements,
+    least_squares_reference,
     random_network,
     scaled_backward_error,
 )
@@ -119,9 +123,7 @@ def _assert_steps_solve_normal_equations(net, meas, steps):
         dx, failures = weighted_step(system, jacobian_coefficients(net, x.q)[None], rhs[None])
         assert not failures
         dx = dx[0]
-        matrix = dense_augmented_matrix(net, aug, x.q)
-        reference = DenseNormalEquations(matrix, aug.weights)
-        gram, b = reference.gram()[0], reference.rhs(None, rhs[None])[0]
+        gram, b = dense_normal_equations(dense_augmented_matrix(net, aug, x.q), aug.weights, rhs)
         assert scaled_backward_error(gram, dx, b) <= 1e-10
         x = type(x)(x.q + dx[: net.n_pipes], x.H + dx[net.n_pipes :])
 
@@ -138,30 +140,87 @@ def test_step_solves_normal_equations_on_random_networks(seed, n_nodes):
     _assert_steps_solve_normal_equations(net, meas, steps=4)
 
 
+@pytest.mark.parametrize("seed, n_nodes", [(5, 150), (7, 200)])
+def test_step_matches_least_squares_reference(seed, n_nodes):
+    """Each step equals the weighted least-squares solution on W^(1/2) A
+    from an SVD-based solve, to 1e-6 relative in the max-norm, over the
+    first three steps from the initial state. Solving A^T W A instead,
+    whose condition number is about 1e21 here, loses all but about three
+    digits."""
+    net = random_network(seed, n_nodes=n_nodes)
+    meas, _ = exact_measurements(net, seed=seed, n_flow=15, n_head=15)
+    aug = build_augmented(net, meas)
+    system = NormalEquations(net, aug)
+    x = initial_state(net)
+    for _ in range(3):
+        rhs = -augmented_residual(net, aug, x)
+        dx, failures = weighted_step(system, jacobian_coefficients(net, x.q)[None], rhs[None])
+        assert not failures
+        matrix = dense_augmented_matrix(net, aug, x.q)
+        reference = least_squares_reference(matrix, aug.weights, rhs)
+        assert np.max(np.abs(dx[0] - reference)) <= 1e-6 * np.max(np.abs(reference))
+        x = type(x)(x.q + dx[0, : net.n_pipes], x.H + dx[0, net.n_pipes :])
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
+def test_step_without_telemetry_is_newton_step(seed, n_nodes):
+    """With no telemetry rows, A = J is square and invertible, so the
+    weighted step is the Newton step, whatever the weights. Checked at the
+    steady state (cond(J) about 5e6 and 2e9) with a random right-hand
+    side; the two differ only in how the Schur Laplacian is solved."""
+    net = random_network(seed, n_nodes=n_nodes)
+    aug = build_augmented(net, MeasurementSet(demand_sigma=0.3))
+    jac = jacobian_coefficients(net, solve_steady_state(net).state.q)[None]
+    rhs = np.random.default_rng(seed).standard_normal((1, net.n_pipes + net.n_demand))
+    newton, newton_failures = newton_step(net, jac, -rhs)
+    dx, failures = weighted_step(NormalEquations(net, aug), jac, rhs)
+    assert not failures and not newton_failures
+    assert np.max(np.abs(dx - newton)) <= 1e-11 * np.max(np.abs(newton))
+
+
+def _chain_behind_reservoir():
+    """Reservoir r feeding demand node a, which feeds demand node b, with a
+    flow meter on pipe ab and a head meter on node b."""
+    net = Network(
+        [
+            Node("r", "fixed-head", head=100.0),
+            Node("a", "demand", demand=1.0),
+            Node("b", "demand", demand=1.0),
+        ],
+        [Pipe("ra", "r", "a", 1.0), Pipe("ab", "a", "b", 1.0)],
+    )
+    meas = MeasurementSet(
+        (Measurement("pipe-flow", "ab", 1.0, 0.05), Measurement("node-head", "b", 98.0, 0.05))
+    )
+    return net, NormalEquations(net, build_augmented(net, meas))
+
+
 def test_rank_deficient_normal_equations():
-    matrix = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    _, failures = weighted_step(DenseNormalEquations(matrix, np.ones(3)), None, np.ones((1, 3)))
+    """The reservoir link is 1e20 times stiffer than the pipe behind it, so
+    the Schur Laplacian [[1 + 1e-20, -1], [-1, 1]] rounds to singular and
+    fails the Cholesky gate."""
+    net, system = _chain_behind_reservoir()
+    _, failures = weighted_step(system, np.array([[1e20, 1.0]]), np.ones((1, 6)))
     assert list(failures) == [0]
     assert isinstance(failures[0], RankDeficient)
 
 
 def test_stacked_weighted_step_isolates_bad_member():
-    """One member's Gram matrix is singular: that member alone fails, with
-    the error of its own single-member step, and every other member's
-    correction is bit for bit its single-member correction."""
-    rng = np.random.default_rng(41)
-    matrices = rng.standard_normal((4, 6, 3))
-    matrices[2, :, 1] = 0.0  # the Gram matrix of member 2 is singular
-    weights = rng.uniform(0.5, 2.0, 6)
-    rhs = rng.standard_normal((4, 6))
-    dx, failures = weighted_step(DenseNormalEquations(matrices, weights), None, rhs)
+    """One member's linearization is singular to working precision: that
+    member alone fails, with the error of its own single-member step, and
+    every other member's correction is bit for bit its single-member
+    correction."""
+    net, system = _chain_behind_reservoir()
+    jac = np.array([[1.0, 2.0], [3.0, 0.5], [1e20, 1.0], [0.25, 4.0]])
+    rhs = np.random.default_rng(41).standard_normal((4, 6))
+    dx, failures = weighted_step(system, jac, rhs)
     assert list(failures) == [2]
+    assert isinstance(failures[2], RankDeficient)
     for member in range(4):
         alone, alone_failures = weighted_step(
-            DenseNormalEquations(matrices[member], weights), None, rhs[member : member + 1]
+            system, jac[member : member + 1], rhs[member : member + 1]
         )
         if member == 2:
-            assert isinstance(failures[2], RankDeficient)
             assert type(alone_failures[0]) is type(failures[2])
         else:
             assert not alone_failures
@@ -169,21 +228,35 @@ def test_stacked_weighted_step_isolates_bad_member():
 
 
 def test_repeated_step_leaves_static_gram_unchanged():
-    """The Gram matrix is factored in place. The x-independent part it is
-    built from must survive, so repeated steps at one linearization agree."""
-    net = random_network(5, n_nodes=150)  # Gram order about 300: several blocks
+    """The Schur Laplacian is factored in place, and the solves take the
+    shared telemetry columns as right-hand sides. The blocks every step is
+    built from (the selectors, the variances and Wt^-1) must survive, so
+    repeated steps at one linearization agree."""
+    net = random_network(5, n_nodes=150)  # Schur order about 150: several blocks
     meas, _ = exact_measurements(net, seed=5, n_flow=10, n_head=10)
     aug = build_augmented(net, meas)
     system = NormalEquations(net, aug)
     x = initial_state(net)
     jac = jacobian_coefficients(net, x.q)[None]
     rhs = -augmented_residual(net, aug, x)[None]
-    static, gram = system._static.copy(), system.gram(jac)
+    shared = [
+        system.selectors.copy(),
+        system.model_variance.copy(),
+        system._telemetry_covariance.copy(),
+    ]
     first, _ = weighted_step(system, jac, rhs)
     second, _ = weighted_step(system, jac, rhs)
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(system._static, static)
-    np.testing.assert_array_equal(system.gram(jac), gram)
+    np.testing.assert_array_equal(system.selectors, shared[0])
+    np.testing.assert_array_equal(system.model_variance, shared[1])
+    np.testing.assert_array_equal(system._telemetry_covariance, shared[2])
+
+
+def test_zero_iterations_raise_non_convergence(triangle):
+    meas, _ = exact_measurements(triangle, seed=0)
+    with pytest.raises(NonConvergence) as info:
+        estimate_state(triangle, meas, max_iter=0)
+    assert info.value.iterations == 0
 
 
 def test_omega_range_checked(triangle):

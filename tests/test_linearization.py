@@ -1,6 +1,6 @@
 """The shared linearization: sparse incidence products against the dense
-incidence, the blocked Cholesky factor and its solves, and the numpy-only
-dependency."""
+incidence, the blocked Cholesky factor and its solves, the Newton solves
+through the Schur factor, and the numpy-only dependency."""
 
 import os
 import subprocess
@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from hydrostate.errors import RankDeficient
-from hydrostate.linearization import GramFactor
+from hydrostate import solve_steady_state
+from hydrostate.hydraulics import jacobian_coefficients
+from hydrostate.linearization import GramFactor, NewtonFactor
 from hydrostate.network import incidence_matrices
 
-from helpers import random_network, scaled_backward_error
+from helpers import dense_newton_matrix, random_network, scaled_backward_error
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,26 +29,33 @@ def test_incidence_products_match_dense(seed):
     heads = rng.standard_normal(net.n_demand)
     flows = rng.standard_normal(net.n_pipes)
     pipe_weights = rng.uniform(0.1, 2.0, net.n_pipes)
-    node_weights = rng.uniform(0.1, 2.0, net.n_demand)
     tol = {"rtol": 1e-13, "atol": 1e-13}
     np.testing.assert_allclose(net.a12.dot(heads), a12 @ heads, **tol)
     np.testing.assert_allclose(net.a12.tdot(flows), a12.T @ flows, **tol)
     np.testing.assert_allclose(
         net.a12.node_gram(pipe_weights), a12.T @ (pipe_weights[:, None] * a12), **tol
     )
-    saddle = np.block(
-        [
-            [np.zeros((net.n_pipes, net.n_pipes)), a12],
-            [a12.T, np.zeros((net.n_demand, net.n_demand))],
-        ]
-    )
-    weights = np.concatenate([pipe_weights, node_weights])
-    position, sign, row = net.a12.saddle_gram_terms
-    gram = np.bincount(position, weights=sign * weights[row], minlength=saddle.size)
-    np.testing.assert_allclose(
-        gram.reshape(saddle.shape), saddle.T @ (weights[:, None] * saddle), **tol
-    )
     np.testing.assert_allclose(net.fixed_head_term, a10 @ net.fixed_heads, **tol)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_incidence_products_on_column_blocks(seed):
+    """With axis=-2 the products multiply stacked column blocks, and each
+    column equals the product of that column alone."""
+    net = random_network(seed, n_nodes=40)
+    a12, _ = incidence_matrices(net)
+    rng = np.random.default_rng((307, seed))
+    heads = rng.standard_normal((3, net.n_demand, 5))
+    flows = rng.standard_normal((3, net.n_pipes, 5))
+    tol = {"rtol": 1e-13, "atol": 1e-13}
+    np.testing.assert_allclose(net.a12.dot(heads, axis=-2), a12 @ heads, **tol)
+    np.testing.assert_allclose(net.a12.tdot(flows, axis=-2), a12.T @ flows, **tol)
+    np.testing.assert_array_equal(
+        net.a12.tdot(flows, axis=-2)[1, :, 2], net.a12.tdot(flows[1, :, 2])
+    )
+    np.testing.assert_array_equal(
+        net.a12.dot(heads, axis=-2)[2, :, 4], net.a12.dot(heads[2, :, 4])
+    )
 
 
 ORDERS = [1, 2, 63, 64, 65, 130, 305]  # one block, block edges, several blocks
@@ -118,6 +127,28 @@ def test_stacked_factor_matches_single_member_factor():
     for member in range(3):
         alone = stack[member : member + 1].copy()
         np.testing.assert_array_equal(GramFactor(alone).solve(rhs[member : member + 1])[0], x[member])
+
+
+@pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
+def test_newton_factor_solves_dense_system(seed, n_nodes):
+    """J^-1 B through the Schur factor, for stacked column blocks, and for
+    blocks with zero energy rows (passed as 0.0), against the dense Newton
+    matrix at the steady state, to a tiny scaled backward error."""
+    net = random_network(seed, n_nodes=n_nodes)
+    q = solve_steady_state(net).state.q
+    jac = jacobian_coefficients(net, q)
+    newton = NewtonFactor(net, np.stack([jac, 2.0 * jac]))
+    assert not newton.failed
+    n_pipes = net.n_pipes
+    b = np.random.default_rng((211, seed)).standard_normal((2, n_pipes + net.n_demand, 4))
+    x = newton.solve(b[:, :n_pipes], b[:, n_pipes:])
+    heads_only = newton.solve(0.0, b[:, n_pipes:])
+    for member, scale in enumerate((1.0, 2.0)):
+        matrix = dense_newton_matrix(net, q)
+        matrix[:n_pipes, :n_pipes] *= scale
+        assert scaled_backward_error(matrix, x[member], b[member]) <= 1e-10
+        zero_energy = np.concatenate([np.zeros((n_pipes, 4)), b[member, n_pipes:]])
+        assert scaled_backward_error(matrix, heads_only[member], zero_energy) <= 1e-10
 
 
 def test_no_scipy_import(demo_dir):
