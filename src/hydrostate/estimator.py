@@ -192,10 +192,11 @@ def weighted_step(system: NormalEquations, jac: np.ndarray, rhs: np.ndarray):
 
     `system` holds the weights and the telemetry rows of A (see
     `NormalEquations`), whose `shape` is that of A; `jac` holds the
-    derivative diagonals. One Schur factorization of the Newton matrix J
-    serves two rounds of solves: J^-1 against the telemetry columns S^T,
-    then J^-1 against r_j plus the telemetry correction. The Cholesky
-    factor of the Schur Laplacian is the positive-definiteness gate. Returns
+    derivative diagonals. One factorization of the Newton matrix J (of its
+    loop matrix, see `NewtonFactor`) serves two rounds of solves: J^-1
+    against the telemetry columns S^T, then J^-1 against r_j plus the
+    telemetry correction. The Cholesky factor of the loop matrix is the
+    positive-definiteness gate. Returns
     the corrections and a dict from member position to RankDeficient for
     the members whose factorization or update failed or whose correction is
     not finite.

@@ -6,19 +6,32 @@ All three stages linearize the same saddle-point system in x = (q, H),
         [ A12^T  0   ]
 
 to which the estimator appends unit telemetry rows S selecting one flow or
-head each, A = [J; S]. No stage assembles J or A: the network's sparse
-incidence supplies every product, and every linear solve goes through the
-Schur complement K = A12^T F^-1 A12, a weighted graph Laplacian of order
-N_p (the global gradient algorithm of Todini & Pilati, 1988). `eliminate`
-writes that elimination once, for all of them.
+head each, A = [J; S]. No stage assembles J or A, and every linear solve
+goes through `NewtonFactor`, which solves J on the null space of A12^T
+(the co-tree or loop-flow method: Elhay, Simpson, Deuerlein, Alexander &
+Schilders, J. Water Resour. Plann. Manage. 140(12), 2014; Abraham &
+Stoianov, J. Hydraul. Eng. 142(3), 2016). The network's spanning forest
+(`network.Forest`) splits the pipes into N_p tree pipes, one per demand
+node, and L - N_p co-tree pipes, each of which closes one loop:
 
-- The Newton step solves K by LU (`newton_step`).
+- sweeps over the forest's depths solve with the square tree incidence
+  A12_T and its transpose, so the continuity rows are met by tree flows;
+- the flows around the loops, w, solve the loop matrix Z^T F Z of order
+  L - N_p (Z the loop basis, A12^T Z = 0), which is symmetric positive
+  definite and is factored once per linearization by Cholesky;
+- the tree rows of the energy equations then give the heads.
+
+A member whose loop matrix fails to factor is reported, by `newton_step`
+as SingularSystem and by `NewtonFactor` as RankDeficient. The stages use
+the solve as follows.
+
+- The Newton step is one such solve (`newton_step`).
 - The weighted least-squares step is defined by the normal equations
   A^T W A dx = A^T W r of order L + N_p, which are never formed. J is
   symmetric and invertible, so the Woodbury identity turns the step into a
   Newton step plus a telemetry correction through an m x m matrix, for m
-  telemetry rows (`NormalEquations`). K is factored once per step by
-  Cholesky (`NewtonFactor`), and the factor serves both rounds of solves.
+  telemetry rows (`NormalEquations`). The loop matrix is factored once per
+  step, and the factor serves both rounds of solves.
 - The error bound applies the same map to the right-hand-side columns
   whose rows carry data uncertainty.
 
@@ -50,10 +63,12 @@ from .network import Network
 
 # Block order of the Cholesky factor. Each block column costs one small
 # `np.linalg.cholesky`, one inverse of its diagonal block and a few
-# Python-level steps; the rest is matrix products. Of 32, 64, 96, 128 and
-# 200, 32 and 64 measured best for the estimator's mix at Schur order 799
-# (one factor and two rounds of 80 and 1 right-hand sides per step, then
-# about 960 right-hand sides for the bound).
+# Python-level steps; the rest is matrix products. The factor holds the
+# loop matrix, of order 211 on the 800-node benchmark cases. There, for the
+# estimator's mix (one factor and two rounds of 80 and 1 right-hand sides
+# per step, then the bound's 80 + 80 and about 800 right-hand sides in
+# blocks), blocks of 32 to 128 measured within the run-to-run spread of
+# each other, and 256 (a single block) about 20 % slower.
 _BLOCK = 64
 
 
@@ -167,77 +182,82 @@ def non_finite_members(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~finite.reshape(values.shape[0], -1).all(axis=1))
 
 
-def eliminate(net: Network, inverse: np.ndarray, energy, continuity, solve_schur):
-    """J^-1 B for the Newton matrix J = [F A12; A12^T 0] with F^-1 =
-    diag(`inverse`), for blocks of right-hand-side columns B = (energy;
-    continuity), members x n_pipes x k over members x n_demand x k.
+class NewtonFactor:
+    """The Newton matrix J = [F A12; A12^T 0] per member, at derivative
+    diagonals `jac` (members x n_pipes), ready for repeated solves.
 
-    Eliminating dq = F^-1 (energy - A12 dH) from the energy rows leaves
-    (A12^T F^-1 A12) dH = A12^T F^-1 energy - continuity on the continuity
-    rows; `solve_schur` solves that per member. `inverse` (members x
-    n_pipes x 1) and `energy` (which may be 0.0) broadcast against the
-    columns. Returns the columns of x = (dq; dH), members x n x k.
+    J is solved on the null space of A12^T (see `network.Forest`): the
+    forest sweeps meet the continuity rows, and the loop flows w of the
+    co-tree pipes meet the energy rows through the loop matrix Z^T F Z,
+    factored once by `GramFactor`. It is positive definite whenever every
+    flow derivative is positive (FLOW_FLOOR sees to that). A member whose
+    factorization fails all the same, singular to working precision, is
+    recorded in `failed` with a RankDeficient error.
     """
-    a12 = net.a12
-    dH = solve_schur(a12.tdot(inverse * energy, axis=-2) - continuity)
-    dq = a12.dot(dH, axis=-2)
-    np.subtract(energy, dq, out=dq)
-    dq *= inverse
-    return np.concatenate([dq, dH], axis=1)
+
+    def __init__(self, net: Network, jac: np.ndarray):
+        self.net = net
+        self.tree_jac = jac[:, net.forest.tree_pipe, None]
+        self.loops = GramFactor(net.forest.loop_gram(jac))
+        self.failed = self.loops.failed
+
+    def solve(self, energy, continuity) -> np.ndarray:
+        """J^-1 B per member for blocks of right-hand-side columns B =
+        (energy; continuity), members x n_pipes x k over members x n_demand
+        x k; blocks shared by all members may drop the leading axis, and
+        `energy` may be 0.0. Returns the columns of x = (dq; dH),
+        members x n x k.
+
+        The tree flows of the continuity columns are a particular solution
+        dq_p; then w = (Z^T F Z)^-1 Z^T (energy - F dq_p), dq = dq_p + Z w,
+        and the tree rows of the energy equations give dH. Z^T and Z are
+        applied by the sweeps: Z^T r = r_C - A12_C A12_T^-1 r_T, and the
+        tree part of Z w is -(A12_T^T)^-1 A12_C^T w.
+        """
+        forest = self.net.forest
+        if np.ndim(energy):
+            tree_energy = energy[..., forest.tree_pipe, :]
+            loop_energy = energy[..., forest.cotree, :]
+        else:
+            tree_energy = loop_energy = energy
+        continuity = continuity[..., forest.order, :]
+        flows = forest.tree_flows(continuity)
+        heads = forest.path_sums(tree_energy - self.tree_jac * flows)
+        loop_flows = 0.0  # a tree network has no loops to correct
+        if forest.cotree.size:
+            loop_flows = self.loops.solve(loop_energy - forest.chords.dot(heads, axis=-2))
+            flows = forest.tree_flows(continuity - forest.chords.tdot(loop_flows, axis=-2))
+            heads = forest.path_sums(tree_energy - self.tree_jac * flows)
+        n_pipes = self.net.n_pipes
+        members, n_demand, k = heads.shape
+        x = np.empty((members, n_pipes + n_demand, k))
+        x[:, forest.tree_pipe] = flows
+        x[:, forest.cotree] = loop_flows
+        x[:, n_pipes + forest.order] = heads
+        return x
 
 
 def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
     """Solve A dx = -residual for the square linearization with derivative
-    diagonal `jac`, per member (rows of `jac` and `residual`).
+    diagonal `jac`, per member (rows of `jac` and `residual`), through
+    `NewtonFactor`.
 
-    The Schur Laplacians of `eliminate` are solved by LU (LAPACK gesv) in
-    one stacked call. `GramFactor` takes several numpy calls, which on the
-    order-2 systems of the demo network cost 29 us against the LU's 6 us.
     Returns the steps and a dict from member position to SingularSystem for
-    the members whose solve failed or whose step is not finite.
+    the members whose loop matrix failed to factor or whose step is not
+    finite.
     """
-    n_pipes = net.n_pipes
-    inverse = (1.0 / jac)[:, :, None]
+    newton = NewtonFactor(net, jac)
     failures: dict[int, HydrostateError] = {}
-
-    def solve_schur(rhs):
-        dH, failed = _by_member(np.linalg.solve, net.a12.node_gram(inverse[:, :, 0]), rhs)
-        for member, exc in failed.items():
-            failures[member] = SingularSystem(str(exc))
-            failures[member].__cause__ = exc
-        return dH
-
+    for member, exc in newton.failed.items():
+        failures[member] = SingularSystem(str(exc))
+        failures[member].__cause__ = exc
     b = -residual[:, :, None]
-    step = eliminate(net, inverse, b[:, :n_pipes], b[:, n_pipes:], solve_schur)[:, :, 0]
+    step = newton.solve(b[:, : net.n_pipes], b[:, net.n_pipes :])[:, :, 0]
     for member in non_finite_members(step):
         failures.setdefault(
             int(member), SingularSystem("linear solve produced non-finite entries")
         )
     return step, failures
-
-
-class NewtonFactor:
-    """The Newton matrix J = [F A12; A12^T 0] per member, at derivative
-    diagonals `jac` (members x n_pipes), ready for repeated solves.
-
-    The Schur Laplacian A12^T F^-1 A12 of `eliminate` is factored once by
-    `GramFactor`. It is positive definite whenever every flow derivative is
-    positive (FLOW_FLOOR sees to that) and the network is connected to a
-    fixed-head node, as validation requires. A member whose factorization
-    fails all the same, singular to working precision, is recorded in
-    `failed` with a RankDeficient error.
-    """
-
-    def __init__(self, net: Network, jac: np.ndarray):
-        self.net = net
-        self.inverse = (1.0 / jac)[:, :, None]
-        self.schur = GramFactor(net.a12.node_gram(self.inverse[:, :, 0]))
-        self.failed = self.schur.failed
-
-    def solve(self, energy, continuity) -> np.ndarray:
-        """J^-1 B per member for the columns B = (energy; continuity), as
-        in `eliminate`."""
-        return eliminate(self.net, self.inverse, energy, continuity, self.schur.solve)
 
 
 class NormalEquations:

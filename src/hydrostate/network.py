@@ -12,7 +12,6 @@ leaves, which makes the continuity rows read A12^T q = Q directly.
 """
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,11 +131,17 @@ class Network:
                     edges.append((other, node, j, sign))
         return tuple(edges)
 
+    @cached_property
+    def forest(self) -> "Forest":
+        """`spanning_tree` cut at the fixed-head nodes, and the loop basis
+        of its co-tree (see `Forest`)."""
+        return Forest(self)
+
     def with_demands(self, demands: np.ndarray) -> "Network":
         """Copy of the network with the demand vector replaced.
 
-        The copy shares this network's pipes, incidence and spanning tree:
-        only demands change, so only they are validated again.
+        The copy shares this network's pipes, incidence and spanning
+        forest: only demands change, so only they are validated again.
         """
         demands = np.asarray(demands, dtype=float)
         if demands.shape != (self.n_demand,):
@@ -197,9 +202,8 @@ class Incidence:
     One entry per pipe end that lies in the node set: the pipe, the node's
     index in the set, and the sign (-1 at the `from` end, +1 at the `to`
     end), in pipe order. As a matrix it is n_pipes x n_nodes with at most
-    two nonzeros per row. Products gather the entries, and Gram matrices
-    are assembled from them with `np.bincount`; both sum in entry order, so
-    results are deterministic.
+    two nonzeros per row. Products gather the entries and sum them in entry
+    order, so results are deterministic.
     """
 
     def __init__(self, pipes, index: dict[str, int]):
@@ -237,14 +241,6 @@ class Incidence:
         along `axis` as for `dot`."""
         return _gather_sum(*self._by_node, u, axis)
 
-    def node_gram(self, w: np.ndarray) -> np.ndarray:
-        """A^T diag(w) A, dense n_nodes x n_nodes: a weighted graph
-        Laplacian of the set, grounded at the nodes outside it."""
-        index, sign, pipe = self._node_pairs
-        n = self.shape[1]
-        gram = member_bincount(index, sign * w[..., pipe], n * n)
-        return gram.reshape(gram.shape[:-1] + (n, n))
-
     @cached_property
     def _by_pipe(self) -> tuple[np.ndarray, np.ndarray]:
         """Node and sign of each pipe's entries, as `_slots` tables: at
@@ -257,28 +253,163 @@ class Incidence:
         row per incident pipe, up to the largest node degree."""
         return _slots(self.node, self.pipe, self.sign, self.shape[1])
 
-    @cached_property
-    def _node_pairs(self):
-        """Flat entry of A^T A, sign product and pipe of each pair of ends
-        of one pipe."""
-        a, b = _entry_pairs(self.pipe)
-        index = self.node[a] * self.shape[1] + self.node[b]
-        return index, self.sign[a] * self.sign[b], self.pipe[a]
 
+class Forest:
+    """`Network.spanning_tree` cut at the fixed-head nodes: a spanning forest
+    of the demand nodes, with a root at every fixed-head node it touches,
+    and the loop basis of the pipes left out of it.
 
-def member_bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """np.bincount(index, weights, minlength=length) over the last axis of
-    `weights`, for every member stacked along its leading axes.
+    Each demand node has one tree pipe that joins it to its parent, so the
+    incidence of the tree pipes on the demand nodes, A12_T, is square. The
+    forest keeps the demand nodes in the tree's visiting order, `order`:
+    there, every depth is a contiguous run, and the children of each parent
+    are contiguous too. Row p of A12_T, for the node order[p] and its pipe
+    `tree_pipe[p]`, reads sign[p] (H_p - H_parent), with no parent term
+    below a fixed-head node (`sign` is a column). Solves with A12_T and
+    A12_T^T are therefore two sweeps over the depths, a few array operations
+    per depth (`path_sums`, `tree_flows`). Their arguments and results hold
+    column blocks (..., N_p, k) with rows in `order`. Every depth adds in a
+    fixed order, so results are deterministic, and the same for each member
+    of a stack as on its own.
 
-    One bincount serves all members: member s adds s * length to its bins.
-    Each bin still sums its entries in entry order, so every member's sums
-    are those of its own bincount, bit for bit.
+    The other pipes, `cotree`, include the pipes that end at a fixed-head
+    node other than a root and the pipes between two fixed-head nodes; their
+    incidence on the demand nodes, rows in `order`, is `chords` (A12_C).
+    Co-tree pipe c spans loop column c of Z = [Z_T; I]: the unit entry on c
+    plus the tree flows -(A12_T^T)^-1 A12[c]^T, the tree path that closes c
+    into a loop or joins its ends to fixed-head nodes. So A12^T Z = 0, and
+    Z^T F Z is symmetric positive definite for every positive diagonal F
+    (`loop_gram`).
     """
-    lead = weights.shape[:-1]
-    members = math.prod(lead)
-    index = (np.arange(members)[:, None] * length + index).reshape(-1)
-    out = np.bincount(index, weights=weights.reshape(-1), minlength=members * length)
-    return out.reshape(lead + (length,))
+
+    def __init__(self, net: Network):
+        is_demand = [n.kind == KIND_DEMAND for n in net.nodes]
+        edges = [edge for edge in net.spanning_tree if is_demand[edge[0]]]
+        n_demand = len(edges)
+        self.order = np.array([net.demand_index(net.nodes[e[0]].id) for e in edges], dtype=np.intp)
+        self.tree_pipe = np.array([e[2] for e in edges], dtype=np.intp)
+        self.sign = np.array([e[3] for e in edges])[:, None]
+        # Parent positions, n_demand (a zero row in the sweeps) under a
+        # fixed-head node, and the depth of each node in the whole tree.
+        at = {e[0]: p for p, e in enumerate(edges)}
+        parent = np.array([at.get(e[1], n_demand) for e in edges], dtype=np.intp)
+        tree_depth = {net.spanning_tree[0][1]: 0}  # the root
+        for node, up, _, _ in net.spanning_tree:
+            tree_depth[node] = tree_depth[up] + 1
+        depth = np.array([tree_depth[e[0]] for e in edges], dtype=np.intp)
+
+        # Per depth with a demand parent: its run of nodes, their parents,
+        # and where each parent's run of children starts.
+        self._levels = []
+        for d in range(1, int(depth.max()) + 1):
+            lo, hi = np.searchsorted(depth, [d, d + 1])
+            parents = parent[lo:hi]
+            if (parents < n_demand).any():
+                starts = np.flatnonzero(np.diff(parents, prepend=-1))
+                self._levels.append((lo, hi, parents, starts, parents[starts]))
+
+        in_tree = np.zeros(net.n_pipes, dtype=bool)
+        in_tree[self.tree_pipe] = True
+        self.cotree = np.flatnonzero(~in_tree)
+        sweep_index = {net.nodes[e[0]].id: p for p, e in enumerate(edges)}
+        self.chords = Incidence([net.pipes[c] for c in self.cotree], sweep_index)
+
+        # Loop entries (pipe, loop, sign), loop by loop: the co-tree pipe,
+        # then the tree path between its ends, walked up from the deeper end
+        # until the ends meet or both have passed a root.
+        up, pipes, signs = parent.tolist(), self.tree_pipe.tolist(), self.sign[:, 0].tolist()
+        level = depth.tolist() + [-1]
+        entries = []
+        for loop, c in enumerate(self.cotree.tolist()):
+            entries.append((c, loop, 1.0))
+            to, frm = (sweep_index.get(node_id, n_demand)
+                       for node_id in (net.pipes[c].to_node, net.pipes[c].from_node))
+            while to != frm:
+                if level[to] >= level[frm]:
+                    entries.append((pipes[to], loop, -signs[to]))
+                    to = up[to]
+                else:
+                    entries.append((pipes[frm], loop, signs[frm]))
+                    frm = up[frm]
+        pipe = np.array([e[0] for e in entries], dtype=np.intp)
+        loop = np.array([e[1] for e in entries], dtype=np.intp)
+        loop_sign = np.array([e[2] for e in entries])
+        self._loops = (pipe, loop, loop_sign)
+        self._gram_terms = _loop_gram_terms(pipe, loop, loop_sign, net.n_pipes, self.cotree.size)
+        for arr in (self.order, self.tree_pipe, self.sign, self.cotree, pipe, loop, loop_sign):
+            arr.setflags(write=False)
+
+    def path_sums(self, b: np.ndarray) -> np.ndarray:
+        """A12_T^-1 b, root down: per demand node, the signed sum of b over
+        the tree pipes from its root to the node."""
+        n = self.order.size
+        out = np.zeros(b.shape[:-2] + (n + 1, b.shape[-1]))
+        np.multiply(b, self.sign, out=out[..., :n, :])
+        for lo, hi, parents, _, _ in self._levels:
+            out[..., lo:hi, :] += out[..., parents, :]
+        return out[..., :n, :]
+
+    def tree_flows(self, c: np.ndarray) -> np.ndarray:
+        """(A12_T^T)^-1 c, leaves up: per tree pipe, the signed sum of c
+        over the subtree the pipe feeds."""
+        n = self.order.size
+        out = np.empty(c.shape[:-2] + (n + 1, c.shape[-1]))
+        out[..., :n, :] = c
+        out[..., n, :] = 0.0
+        for lo, hi, _, starts, parents in reversed(self._levels):
+            out[..., parents, :] += np.add.reduceat(out[..., lo:hi, :], starts, axis=-2)
+        out = out[..., :n, :]
+        out *= self.sign
+        return out
+
+    def loop_gram(self, weights: np.ndarray) -> np.ndarray:
+        """The lower triangles of Z^T diag(w) Z (members x n_loops x
+        n_loops, upper triangles zero), for pipe weights w (members x
+        n_pipes). Each entry sums w over the pipes its two loops share, in
+        a fixed order."""
+        signed_pipe, starts, flat = self._gram_terms
+        n = self.cotree.size
+        signed = np.concatenate([weights, -weights], axis=-1)
+        gram = np.zeros((weights.shape[0], n * n))
+        gram[:, flat] = np.add.reduceat(signed[:, signed_pipe], starts, axis=-1)
+        return gram.reshape(weights.shape[0], n, n)
+
+    def loop_matrix(self) -> np.ndarray:
+        """Z as a read-only dense n_pipes x n_loops array (a reference for
+        checks; the solves never form it)."""
+        pipe, loop, sign = self._loops
+        out = np.zeros((self.tree_pipe.size + self.cotree.size, self.cotree.size))
+        out[pipe, loop] = sign
+        out.setflags(write=False)
+        return out
+
+
+def _loop_gram_terms(pipe, loop, sign, n_pipes, n_loops):
+    """The terms of `Forest.loop_gram`: for every pair of loop entries on
+    one pipe with loop a >= loop b, the pipe (offset by n_pipes where the
+    signs differ), sorted by the flat index a * n_loops + b of the entry
+    they add to; where each entry's run of terms starts; and the entries.
+
+    The pair arrays are the largest this builds (about n_loops^2 / 2
+    pairs on networks whose loops share the pipes near a root), so the
+    pair indices, which are not kept, are int32.
+    """
+    order = np.lexsort((loop, pipe))
+    pipe, loop, negative = pipe[order], loop[order], sign[order] < 0
+    start = np.searchsorted(pipe, pipe)
+    count = np.arange(pipe.size) - start + 1  # entries at or before this one on its pipe
+    first = np.repeat(np.arange(pipe.size, dtype=np.int32), count)
+    second = np.arange(first.size, dtype=np.int32)
+    second += np.repeat((start - np.cumsum(count) + count).astype(np.int32), count)
+    flat = loop[first] * n_loops
+    flat += loop[second]
+    signed_pipe = pipe[first]
+    signed_pipe[negative[first] != negative[second]] += n_pipes
+    del first, second
+    order = np.argsort(flat, kind="stable")
+    flat, signed_pipe = flat[order], signed_pipe[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    return signed_pipe, starts, flat[starts]
 
 
 def _slots(groups: np.ndarray, other: np.ndarray, sign: np.ndarray, size: int):
@@ -309,19 +440,6 @@ def _gather_sum(index: np.ndarray, sign: np.ndarray, v: np.ndarray, axis: int) -
         term *= sign[k].reshape(shape)
         out += term
     return out
-
-
-def _entry_pairs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry indices (a, b) of every ordered pair with groups[a] == groups[b],
-    a == b included, grouped and in entry order within each group."""
-    order = np.argsort(groups, kind="stable")
-    grouped = groups[order]
-    start = np.searchsorted(grouped, grouped)
-    size = np.searchsorted(grouped, grouped, side="right") - start
-    first = np.repeat(np.arange(grouped.size), size)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
-    second = np.repeat(start, size) + offset
-    return order[first], order[second]
 
 
 def _validate_demand(i, node):

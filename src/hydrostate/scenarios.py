@@ -10,18 +10,18 @@ dataset's padded min/max ranges, becomes one labeled training pattern.
 All scenarios of a dataset share the network's topology and the meters, so
 they run as members of one stacked computation: one lockstep solve, then
 one lockstep estimate and one stacked bound, per chunk of scenarios. A
-chunk holds as many scenarios as fit their stacked Schur Laplacians,
-telemetry blocks and sensitivity columns in about 2^20 float64 values
-(8 MB). Each scenario still follows the single-case algorithm on its own,
-and a scenario that fails is recorded and dropped without holding up the
-others.
+chunk holds as many scenarios as fit their stacked loop matrices,
+telemetry blocks and blocks of sensitivity columns in about 2^20 float64
+values (8 MB). Each scenario still follows the single-case algorithm on its
+own, and a scenario that fails is recorded and dropped without holding up
+the others.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errorlimits import bound_from_matrix, uncertainty_vector
+from .errorlimits import block_columns, bound_from_matrix, uncertainty_vector
 from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
 from .fuzzy import Pattern, unit_bounds
@@ -34,9 +34,10 @@ LEAK_PREFIX = "leak@"
 
 RANGE_PADDING = 0.05
 
-# Scenarios per chunk: as many as fit N_p^2 + n (m + k) float64 values
-# each in this budget: the Schur Laplacian of N_p demand nodes, and n = L +
-# N_p unknowns per telemetry row (m of them) and per bounded row (k).
+# Scenarios per chunk: as many as fit n_loops^2 + n (m + k) float64 values
+# each in this budget: the loop matrix of the n_loops = L - N_p co-tree
+# pipes, and n = L + N_p unknowns per telemetry row (m of them) and per
+# bounded row in one block of the bound (k).
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -130,7 +131,8 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     system = NormalEquations(net, aug)
     delta_y = uncertainty_vector(net, meas)
     n = net.n_pipes + net.n_demand
-    per_scenario = net.n_demand**2 + n * (aug.n_telemetry + np.count_nonzero(delta_y))
+    bounded = min(np.count_nonzero(delta_y), block_columns(net))
+    per_scenario = net.forest.cotree.size**2 + n * (aug.n_telemetry + bounded)
     chunk = max(1, _CHUNK_ELEMENTS // per_scenario)
 
     # A network carries no negative demand: such scenarios fail validation.

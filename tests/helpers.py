@@ -1,12 +1,17 @@
-"""Shared test utilities: seedable random connected networks, exact
-measurement synthesis, and dense reference builds of the linearized
-systems."""
+"""Shared test utilities: seedable random connected networks, the
+topologies of the forest and loop-basis checks, exact measurement
+synthesis, and dense reference builds of the linearized systems."""
+
+from pathlib import Path
 
 import numpy as np
 
 from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe
 from hydrostate.hydraulics import jacobian_coefficients, solve_steady_state
 from hydrostate.network import incidence_matrices
+from hydrostate.report_io import decode_network
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
 
 
 def random_network(seed: int, n_nodes: int | None = None) -> Network:
@@ -37,6 +42,66 @@ def random_network(seed: int, n_nodes: int | None = None) -> Network:
         pipes.append(_pipe(len(pipes), nodes[a].id, nodes[b].id, rng))
 
     return Network(nodes, pipes)
+
+
+def with_reservoirs(net: Network, count: int) -> Network:
+    """`net` with its first `count` nodes fixed-head and the others demand
+    nodes (demand 1.0 where a node had none)."""
+    nodes = [
+        Node(n.id, "fixed-head", head=100.0 + i)
+        if i < count
+        else Node(n.id, "demand", demand=n.demand if n.demand is not None else 1.0)
+        for i, n in enumerate(net.nodes)
+    ]
+    return Network(nodes, list(net.pipes))
+
+
+# Topologies on which the spanning forest and its loop basis are checked:
+# no loop, one loop, random networks with one and with two reservoirs, a
+# pipe between two fixed-head nodes, and a reservoir that the spanning
+# tree reaches in its middle, so that a second tree of the forest hangs
+# below it and one loop runs between the two trees.
+TOPOLOGIES = {
+    "single pipe": lambda: decode_network((DEMO_DIR / "single_pipe.json").read_text()),
+    "triangle": lambda: decode_network((DEMO_DIR / "triangle.json").read_text()),
+    "random 3-30, 1 reservoir": lambda: with_reservoirs(random_network(3, 30), 1),
+    "random 3-30, 2 reservoirs": lambda: with_reservoirs(random_network(3, 30), 2),
+    "random 5-150, 1 reservoir": lambda: with_reservoirs(random_network(5, 150), 1),
+    "random 5-150, 2 reservoirs": lambda: with_reservoirs(random_network(5, 150), 2),
+    "pipe between reservoirs": lambda: Network(
+        [
+            Node("r1", "fixed-head", head=100.0),
+            Node("r2", "fixed-head", head=90.0),
+            Node("a", "demand", demand=1.0),
+            Node("b", "demand", demand=2.0),
+        ],
+        [
+            Pipe("p1", "r1", "a", 2.0),
+            Pipe("p2", "r2", "b", 3.0),
+            Pipe("p3", "a", "b", 4.0),
+            Pipe("p4", "r1", "r2", 5.0),
+        ],
+    ),
+    "reservoir mid-tree": lambda: Network(
+        [
+            Node("r1", "fixed-head", head=100.0),
+            Node("a", "demand", demand=1.0),
+            Node("r2", "fixed-head", head=95.0),
+            Node("b", "demand", demand=2.0),
+            Node("c", "demand", demand=0.5),
+            Node("d", "demand", demand=1.5),
+        ],
+        [
+            Pipe("p1", "r1", "a", 2.0),
+            Pipe("p2", "a", "r2", 3.0),
+            Pipe("p3", "r2", "b", 4.0),
+            Pipe("p4", "b", "c", 5.0),
+            Pipe("p5", "c", "a", 6.0),
+            Pipe("p6", "b", "d", 7.0),
+            Pipe("p7", "d", "r2", 8.0),
+        ],
+    ),
+}
 
 
 def _pipe(index: int, a: str, b: str, rng) -> Pipe:

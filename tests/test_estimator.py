@@ -167,7 +167,7 @@ def test_step_without_telemetry_is_newton_step(seed, n_nodes):
     """With no telemetry rows, A = J is square and invertible, so the
     weighted step is the Newton step, whatever the weights. Checked at the
     steady state (cond(J) about 5e6 and 2e9) with a random right-hand
-    side; the two differ only in how the Schur Laplacian is solved."""
+    side; both go through the loop-form solve of J."""
     net = random_network(seed, n_nodes=n_nodes)
     aug = build_augmented(net, MeasurementSet(demand_sigma=0.3))
     jac = jacobian_coefficients(net, solve_steady_state(net).state.q)[None]
@@ -178,29 +178,35 @@ def test_step_without_telemetry_is_newton_step(seed, n_nodes):
     assert np.max(np.abs(dx - newton)) <= 1e-11 * np.max(np.abs(newton))
 
 
-def _chain_behind_reservoir():
-    """Reservoir r feeding demand node a, which feeds demand node b, with a
-    flow meter on pipe ab and a head meter on node b."""
+def _theta_behind_reservoir():
+    """Reservoir r feeding demand node a, joined to demand node b by three
+    parallel pipes (two loops, which share the tree pipe ab), with a flow
+    meter on pipe ab2 and a head meter on node b."""
     net = Network(
         [
             Node("r", "fixed-head", head=100.0),
             Node("a", "demand", demand=1.0),
             Node("b", "demand", demand=1.0),
         ],
-        [Pipe("ra", "r", "a", 1.0), Pipe("ab", "a", "b", 1.0)],
+        [
+            Pipe("ra", "r", "a", 1.0),
+            Pipe("ab", "a", "b", 1.0),
+            Pipe("ab2", "a", "b", 1.0),
+            Pipe("ab3", "a", "b", 1.0),
+        ],
     )
     meas = MeasurementSet(
-        (Measurement("pipe-flow", "ab", 1.0, 0.05), Measurement("node-head", "b", 98.0, 0.05))
+        (Measurement("pipe-flow", "ab2", 1.0, 0.05), Measurement("node-head", "b", 98.0, 0.05))
     )
     return net, NormalEquations(net, build_augmented(net, meas))
 
 
 def test_rank_deficient_normal_equations():
-    """The reservoir link is 1e20 times stiffer than the pipe behind it, so
-    the Schur Laplacian [[1 + 1e-20, -1], [-1, 1]] rounds to singular and
+    """The shared pipe is 1e20 times stiffer than the rest, so the loop
+    matrix [[1e20 + 1, 1e20], [1e20, 1e20 + 1]] rounds to singular and
     fails the Cholesky gate."""
-    net, system = _chain_behind_reservoir()
-    _, failures = weighted_step(system, np.array([[1e20, 1.0]]), np.ones((1, 6)))
+    net, system = _theta_behind_reservoir()
+    _, failures = weighted_step(system, np.array([[1.0, 1e20, 1.0, 1.0]]), np.ones((1, 8)))
     assert list(failures) == [0]
     assert isinstance(failures[0], RankDeficient)
 
@@ -210,9 +216,16 @@ def test_stacked_weighted_step_isolates_bad_member():
     member alone fails, with the error of its own single-member step, and
     every other member's correction is bit for bit its single-member
     correction."""
-    net, system = _chain_behind_reservoir()
-    jac = np.array([[1.0, 2.0], [3.0, 0.5], [1e20, 1.0], [0.25, 4.0]])
-    rhs = np.random.default_rng(41).standard_normal((4, 6))
+    net, system = _theta_behind_reservoir()
+    jac = np.array(
+        [
+            [1.0, 2.0, 0.5, 1.5],
+            [3.0, 0.5, 2.0, 1.0],
+            [1.0, 1e20, 1.0, 1.0],
+            [0.25, 4.0, 1.0, 2.0],
+        ]
+    )
+    rhs = np.random.default_rng(41).standard_normal((4, 8))
     dx, failures = weighted_step(system, jac, rhs)
     assert list(failures) == [2]
     assert isinstance(failures[2], RankDeficient)
@@ -228,12 +241,12 @@ def test_stacked_weighted_step_isolates_bad_member():
 
 
 def test_repeated_step_leaves_static_gram_unchanged():
-    """The Schur Laplacian is factored in place, and the solves take the
+    """The loop matrix is factored in place, and the solves take the
     shared telemetry columns as right-hand sides. The blocks every step is
     built from (the selectors, the variances and Wt^-1) must survive, so
     repeated steps at one linearization agree."""
-    net = random_network(5, n_nodes=150)  # Schur order about 150: several blocks
-    meas, _ = exact_measurements(net, seed=5, n_flow=10, n_head=10)
+    net = random_network(4, n_nodes=300)  # 149 loops: several blocks
+    meas, _ = exact_measurements(net, seed=4, n_flow=10, n_head=10)
     aug = build_augmented(net, meas)
     system = NormalEquations(net, aug)
     x = initial_state(net)

@@ -109,22 +109,29 @@ def test_non_convergence_reports_iterations(triangle):
     assert excinfo.value.residual > 0
 
 
-def _chain_behind_reservoir() -> Network:
+def _theta_behind_reservoir() -> Network:
+    """Reservoir r feeding demand node a, joined to demand node b by three
+    parallel pipes: two loops, which share the tree pipe ab."""
     return Network(
         [
             Node("r", "fixed-head", head=100.0),
             Node("a", "demand", demand=1.0),
             Node("b", "demand", demand=1.0),
         ],
-        [Pipe("ra", "r", "a", 1.0), Pipe("ab", "a", "b", 1.0)],
+        [
+            Pipe("ra", "r", "a", 1.0),
+            Pipe("ab", "a", "b", 1.0),
+            Pipe("ab2", "a", "b", 1.0),
+            Pipe("ab3", "a", "b", 1.0),
+        ],
     )
 
 
 def test_singular_linear_system():
-    # The reservoir link is 1e20 times stiffer than the pipe behind it, so
-    # the Schur complement [[1 + 1e-20, -1], [-1, 1]] rounds to singular.
-    net = _chain_behind_reservoir()
-    _, failures = newton_step(net, np.array([[1e20, 1.0]]), np.ones((1, 4)))
+    # The shared pipe is 1e20 times stiffer than the rest, so the loop
+    # matrix [[1e20 + 1, 1e20], [1e20, 1e20 + 1]] rounds to singular.
+    net = _theta_behind_reservoir()
+    _, failures = newton_step(net, np.array([[1.0, 1e20, 1.0, 1.0]]), np.ones((1, 6)))
     assert list(failures) == [0]
     assert isinstance(failures[0], SingularSystem)
 
@@ -134,10 +141,10 @@ def test_singular_step_raises_from_solve(triangle, monkeypatch):
     member's SingularSystem."""
 
     def singular_step(net, jac, residual):
-        return np.zeros_like(residual), {0: SingularSystem("singular Laplacian")}
+        return np.zeros_like(residual), {0: SingularSystem("singular loop matrix")}
 
     monkeypatch.setattr(hydrostate.hydraulics, "newton_step", singular_step)
-    with pytest.raises(SingularSystem, match="singular Laplacian"):
+    with pytest.raises(SingularSystem, match="singular loop matrix"):
         solve_steady_state(triangle)
 
 
@@ -166,12 +173,12 @@ def test_lockstep_solve_with_every_member_failing_a_later_step(triangle, monkeyp
 
 
 def test_stacked_newton_step_isolates_bad_member():
-    """Member 1 has the singular Schur complement of the test above: it
-    alone fails, with the error of its own single-member step, and every
-    other member's step is bit for bit its single-member step."""
-    net = _chain_behind_reservoir()
-    jac = np.array([[2.0, 3.0], [1e20, 1.0], [0.5, 4.0]])
-    r = np.random.default_rng(43).standard_normal((3, 4))
+    """Member 1 has the singular loop matrix of the test above: it alone
+    fails, with the error of its own single-member step, and every other
+    member's step is bit for bit its single-member step."""
+    net = _theta_behind_reservoir()
+    jac = np.array([[2.0, 3.0, 1.0, 0.5], [1.0, 1e20, 1.0, 1.0], [0.5, 4.0, 2.0, 1.5]])
+    r = np.random.default_rng(43).standard_normal((3, 6))
     steps, failures = newton_step(net, jac, r)
     assert list(failures) == [1]
     for member in range(3):

@@ -11,6 +11,8 @@ from hydrostate.network import (
     incidence_matrices,
 )
 
+from helpers import TOPOLOGIES
+
 SINGLE_PIPE_TEXT = """
 {
   "nodes": [
@@ -203,3 +205,54 @@ def test_network_arrays_read_only(triangle):
         a12[0, 0] = 5.0
     with pytest.raises(ValueError):
         triangle.demand[0] = 9.0
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_loop_basis_spans_null_space(topology):
+    """The tree pipes and the co-tree pipes split the pipes, every demand
+    node has one tree pipe that ends at it with the recorded sign, and Z
+    (unit rows on the co-tree) satisfies A12^T Z = 0 exactly, with one
+    column per co-tree pipe."""
+    net = TOPOLOGIES[topology]()
+    forest = net.forest
+    a12, _ = incidence_matrices(net)
+    assert sorted(forest.order) == list(range(net.n_demand))
+    assert sorted(np.concatenate([forest.tree_pipe, forest.cotree])) == list(range(net.n_pipes))
+    z = forest.loop_matrix()
+    assert z.shape == (net.n_pipes, net.n_pipes - net.n_demand)
+    np.testing.assert_array_equal(z[forest.cotree], np.eye(forest.cotree.size))
+    np.testing.assert_array_equal(a12.T @ z, 0.0)
+    tree = a12[forest.tree_pipe][:, forest.order]
+    np.testing.assert_array_equal(np.diag(tree), forest.sign[:, 0])
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_forest_sweeps_match_dense_solves(topology):
+    """`path_sums` and `tree_flows` solve with A12_T and its transpose, on
+    stacked column blocks and on a block shared by all members, and each
+    member is bit for bit its own solve."""
+    net = TOPOLOGIES[topology]()
+    forest = net.forest
+    a12, _ = incidence_matrices(net)
+    tree = a12[forest.tree_pipe][:, forest.order]
+    b = np.random.default_rng(311).standard_normal((3, net.n_demand, 4))
+    for sweep, matrix in ((forest.path_sums, tree), (forest.tree_flows, tree.T)):
+        x = sweep(b)
+        reference = np.linalg.solve(matrix, b)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+        np.testing.assert_array_equal(sweep(b[1]), x[1])
+        np.testing.assert_array_equal(sweep(b[2:]), x[2:])
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_loop_gram_matches_dense(topology):
+    """`loop_gram` holds the lower triangle of Z^T diag(w) Z per member
+    and zeros above it."""
+    net = TOPOLOGIES[topology]()
+    forest = net.forest
+    z = forest.loop_matrix()
+    weights = np.random.default_rng(313).uniform(0.1, 10.0, (2, net.n_pipes))
+    gram = forest.loop_gram(weights)
+    for member in range(2):
+        reference = z.T @ (weights[member, :, None] * z)
+        np.testing.assert_allclose(gram[member], np.tril(reference), rtol=1e-14, atol=0.0)

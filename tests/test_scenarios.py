@@ -246,7 +246,7 @@ def _random_network_spec(seed, n_meters, demand_noise):
     "case, chunk_elements",
     [
         ("demo x4", None),
-        ("demo x4", 400),  # 6 scenarios per chunk: Schur order 2, 5 meters, 7 bounded rows
+        ("demo x4", 400),  # 6 scenarios per chunk: loop order 1, 5 meters, 7 bounded rows
         ("random network", None),
         ("estimator failures", None),  # 4 of 26 scenarios do not converge
         ("estimator failures", 1),  # one scenario per chunk: whole chunks fail
