@@ -75,11 +75,22 @@ def test_bound_matches_least_squares_reference_closely(seed, n_nodes):
     assert np.linalg.norm(bound - reference) <= 1e-7 * np.linalg.norm(reference)
 
 
-def test_bound_matches_least_squares_reference(triangle):
-    """On the triangle, where cond(A^T W A) is about 7e8, the bound agrees
-    with the least-squares reference to 1e-9 relative."""
-    bound, reference = _bounds_against_reference(triangle, exact_measurements(triangle, seed=0)[0])
-    assert np.linalg.norm(bound - reference) <= 1e-9 * np.linalg.norm(reference)
+@pytest.mark.parametrize(
+    "seed, n_nodes, tolerance", [(None, None, 1e-9), (5, 150, 2.5e-2), (7, 200, 2.5e-2)]
+)
+def test_bound_matches_least_squares_reference(triangle, seed, n_nodes, tolerance):
+    """The bound against |S| |dy| with S from a least-squares solve on
+    W^(1/2) A (SVD based, no normal equations). cond(A^T W A) is about 7e8
+    on the triangle and about 1e21 on the random networks; the tighter
+    check on the random networks is the _closely test above."""
+    if seed is None:
+        net, meas = triangle, exact_measurements(triangle, seed=0)[0]
+    else:
+        net = random_network(seed, n_nodes=n_nodes)
+        meas, _ = exact_measurements(net, seed=seed, n_flow=15, n_head=15)
+    bound, reference = _bounds_against_reference(net, meas)
+    error = np.linalg.norm(bound - reference) / np.linalg.norm(reference)
+    assert error <= tolerance
 
 
 def test_zero_uncertainty_collapses_interval(triangle):
