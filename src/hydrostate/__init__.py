@@ -46,7 +46,6 @@ from .network import (
     Network,
     Node,
     Pipe,
-    headloss_diagonal,
     incidence_matrices,
     parse_network,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "denormalize",
     "estimate_state",
     "generate",
-    "headloss_diagonal",
     "incidence_matrices",
     "membership",
     "monte_carlo_containment",

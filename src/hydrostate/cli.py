@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -120,13 +120,22 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not isinstance(file_values, dict):
             parser.error(f"config file {config_path} must hold a JSON object")
 
+    types = {f.name: f.type for f in fields(RunConfig)}
     merged = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in file_values:
-            merged[key] = file_values[key]
+            value = file_values[key]
+            # A JSON integer may stand for a float; a boolean stands for neither.
+            expected = (int, float) if types[key] is float else types[key]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                name = getattr(types[key], "__name__", types[key])
+                parser.error(
+                    f"config file {config_path}: {key} must be {name}, got {json.dumps(value)}"
+                )
+            merged[key] = value
         else:
             merged[key] = default
     cfg = RunConfig(**merged)

@@ -26,7 +26,7 @@ from .estimator import (
     estimate_state,
 )
 from .hydraulics import StateVector, jacobian_coefficients
-from .linearization import NewtonFactor, NormalEquations
+from .linearization import AugmentedSystem, NewtonFactor
 from .network import Network
 
 # Values per member in one block of the bound's continuity columns: the
@@ -47,7 +47,7 @@ class IntervalState:
         self.halfwidth = np.asarray(self.halfwidth, dtype=float)
         if self.halfwidth.shape != self.center.vector.shape:
             raise ValueError("halfwidth length must match the state dimension")
-        if (self.halfwidth < 0).any():
+        if not (self.halfwidth >= 0).all():
             raise ValueError("halfwidth entries must be >= 0")
 
     @property
@@ -86,14 +86,14 @@ def block_columns(net: Network) -> int:
     return max(1, max(_BOUND_ELEMENTS, net.forest.cotree.size**2 // 4) // n)
 
 
-def bound_from_matrix(system: NormalEquations, jac: np.ndarray, delta_y: np.ndarray):
+def bound_from_matrix(system: AugmentedSystem, jac: np.ndarray, delta_y: np.ndarray):
     """Core bound e = |(A^T W A)^-1 A^T W| |delta_y| per member, at the
     derivative diagonals `jac` (members x n_pipes), without forming
     A^T W A.
 
     The sensitivity matrix (A^T W A)^-1 A^T W is the map from the
     right-hand side r = (r_j | r_t) to the step of `estimator.weighted_step`
-    (see `NormalEquations`). With Z = J^-1 S^T, Y = J^-1 Wj^-1 Z and the
+    (see `AugmentedSystem`). With Z = J^-1 S^T, Y = J^-1 Wj^-1 Z and the
     telemetry update C, its telemetry columns are Y C^-1 and its model
     columns are J^-1 - Y C^-1 Z^T. Only the columns of rows with
     delta_y > 0 contribute, and energy rows carry none; so of J^-1 the
@@ -143,14 +143,11 @@ def sensitivity_bound(
     """
     aug = build_augmented(net, meas)
     delta_y = np.asarray(delta_y, dtype=float)
-    expected = net.n_pipes + net.n_demand + aug.n_telemetry
-    if delta_y.shape != (expected,):
-        raise ValueError(f"delta_y must have length {expected}, got {delta_y.shape}")
-    if (delta_y < 0).any():
+    if delta_y.shape != aug.shape[:1]:
+        raise ValueError(f"delta_y must have length {aug.shape[0]}, got {delta_y.shape}")
+    if not (delta_y >= 0).all():
         raise ValueError("delta_y entries must be >= 0")
-    halfwidth, failures = bound_from_matrix(
-        NormalEquations(net, aug), jacobian_coefficients(net, x_star.q)[None], delta_y
-    )
+    halfwidth, failures = bound_from_matrix(aug, jacobian_coefficients(net, x_star.q)[None], delta_y)
     if failures:
         raise failures[0]
     return IntervalState(x_star.copy(), halfwidth[0])

@@ -15,7 +15,7 @@ telemetry rows their per-measurement sigma.
 The correction is the solution of the normal equations A_k^T W A_k dx =
 A_k^T W rhs_k, but it is evaluated without them: as the Newton step of the
 square model rows plus a telemetry correction of order m, the number of
-meters (see `linearization.NormalEquations`). This keeps the accuracy of
+meters (see `linearization.AugmentedSystem`). This keeps the accuracy of
 the square solve, where the normal equations would square its condition
 number.
 
@@ -35,7 +35,7 @@ from .hydraulics import (
     jacobian_coefficients,
     member_residuals,
 )
-from .linearization import NewtonFactor, NormalEquations, drop_failed, non_finite_members
+from .linearization import AugmentedSystem, NewtonFactor, drop_failed, non_finite_members
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -63,7 +63,7 @@ class Measurement:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
 
 
@@ -79,7 +79,7 @@ class MeasurementSet:
             raise ValueError(f"demand_sigma must be > 0, got {self.demand_sigma}")
         if self.demand_delta is not None:
             dd = tuple(float(v) for v in self.demand_delta)
-            if any(v < 0 for v in dd):
+            if not all(v >= 0 for v in dd):
                 raise ValueError("demand_delta entries must be >= 0")
             object.__setattr__(self, "demand_delta", dd)
 
@@ -95,28 +95,6 @@ class MeasurementSet:
 
 
 @dataclass
-class AugmentedSystem:
-    """Telemetry blocks plus the diagonal weights of all rows.
-
-    Row layout everywhere is (energy | continuity | telemetry); `weights`
-    holds the diagonal of W in that order and `values` the telemetry
-    right-hand sides M_t. `telemetry_columns` holds the index in x = (q, H)
-    of the unknown each telemetry row selects.
-    """
-
-    flow_selector: np.ndarray
-    head_selector: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    telemetry_columns: np.ndarray
-
-    @property
-    def n_telemetry(self) -> int:
-        return self.flow_selector.shape[0]
-
-
-
-@dataclass
 class EstimateReport:
     state: StateVector
     iterations: int
@@ -128,14 +106,13 @@ class EstimateReport:
 def build_augmented(
     net: Network, meas: MeasurementSet, *, energy_sigma: float = ENERGY_SIGMA
 ) -> AugmentedSystem:
-    """Selector rows and row weights for a measurement set.
+    """The augmented system of a measurement set: its telemetry columns,
+    values and row weights.
 
-    A pipe-flow measurement on pipe j gets a unit row selecting q_j; a
-    node-head measurement on node i gets a unit row selecting H_i.
+    A pipe-flow measurement on pipe j selects q_j; a node-head measurement
+    on node i selects H_i.
     """
     m = len(meas.measurements)
-    flow_selector = np.zeros((m, net.n_pipes))
-    head_selector = np.zeros((m, net.n_demand))
     values = np.zeros(m)
     sigmas = np.zeros(m)
     columns = np.zeros(m, dtype=np.intp)
@@ -144,11 +121,9 @@ def build_augmented(
             if not net.has_pipe(measurement.target):
                 raise UnknownTarget(measurement.target)
             columns[k] = net.pipe_index(measurement.target)
-            flow_selector[k, columns[k]] = 1.0
         else:
             if not net.has_demand_node(measurement.target):
                 raise UnknownTarget(measurement.target)
-            head_selector[k, net.demand_index(measurement.target)] = 1.0
             columns[k] = net.n_pipes + net.demand_index(measurement.target)
         values[k] = measurement.value
         sigmas[k] = measurement.sigma
@@ -164,7 +139,7 @@ def build_augmented(
         weights = 1.0 / row_sigmas**2
     if not np.isfinite(weights).all():
         raise ValueError("a sigma is too small: its weight 1/sigma^2 overflows")
-    return AugmentedSystem(flow_selector, head_selector, values, weights, columns)
+    return AugmentedSystem(net, columns, values, weights)
 
 
 def augmented_residual(net: Network, aug: AugmentedSystem, x: StateVector) -> np.ndarray:
@@ -186,12 +161,12 @@ def _augmented_residuals(
     )
 
 
-def weighted_step(system: NormalEquations, jac: np.ndarray, rhs: np.ndarray):
+def weighted_step(system: AugmentedSystem, jac: np.ndarray, rhs: np.ndarray):
     """Solve the weighted normal equations (A^T W A) dx = A^T W rhs per
     member (rows of `jac` and `rhs`), without forming A^T W A.
 
     `system` holds the weights and the telemetry rows of A (see
-    `NormalEquations`), whose `shape` is that of A; `jac` holds the
+    `AugmentedSystem`), whose `shape` is that of A; `jac` holds the
     derivative diagonals. One factorization of the Newton matrix J (of its
     loop matrix, see `NewtonFactor`) serves two rounds of solves: J^-1
     against the telemetry columns S^T, then J^-1 against r_j plus the
@@ -238,8 +213,7 @@ def estimate_state(
         raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     aug = build_augmented(net, meas, energy_sigma=energy_sigma)
     x, iterations, step_norms, failures = estimate_members(
-        NormalEquations(net, aug), aug.values[None], tol_x=tol_x, max_iter=max_iter,
-        omega=omega,
+        aug, aug.values[None], tol_x=tol_x, max_iter=max_iter, omega=omega
     )
     if failures:
         raise failures[0]
@@ -251,7 +225,7 @@ def estimate_state(
 
 
 def estimate_members(
-    system: NormalEquations,
+    system: AugmentedSystem,
     values: np.ndarray,
     *,
     tol_x: float = DEFAULT_TOL_X,

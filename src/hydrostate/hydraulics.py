@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .errors import HydrostateError, NonConvergence
 from .linearization import drop_failed, newton_step
-from .network import FLOW_FLOOR, KIND_DEMAND, Network, headloss_coefficients
+from .network import FLOW_FLOOR, Network, headloss_coefficients
 
 DEFAULT_TOL_R = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -68,29 +68,27 @@ class SolveReport:
 
 
 def initial_state(net: Network) -> StateVector:
-    """Continuity-feasible start: demands routed up a spanning tree.
+    """Continuity-feasible start: the demands routed up the spanning
+    forest (`network.Forest`).
 
-    Tree pipes carry their subtree's total demand, chords start at zero
-    (the regularization floor keeps the linearization well-posed there),
-    and heads start at the mean fixed head. A feasible start leaves only
-    the energy rows for Newton to drive down, which is what makes the
-    damped iteration dependable on loopy networks.
+    Each tree pipe carries the total demand of the subtree it feeds, so
+    every fixed-head node supplies the subtrees hanging below it; co-tree
+    pipes start at zero (the regularization floor keeps the linearization
+    well-posed there), and heads start at the mean fixed head. A feasible
+    start leaves only the energy rows for Newton to drive down, which is
+    what makes the damped iteration dependable on loopy networks.
     """
     return StateVector.from_vector(net, initial_states(net, net.demand[None])[0])
 
 
 def initial_states(net: Network, demand: np.ndarray) -> np.ndarray:
     """`initial_state` as stacked vectors x = (q, H), one row per row of
-    `demand` (members x N_p)."""
-    members = demand.shape[0]
-    subtree = np.zeros((len(net.nodes), members))
-    subtree[[i for i, n in enumerate(net.nodes) if n.kind == KIND_DEMAND]] = demand.T
-    q = np.zeros((net.n_pipes, members))
-    for node, up, j, sign in reversed(net.spanning_tree):
-        q[j] += sign * subtree[node]
-        subtree[up] += subtree[node]
-    heads = np.full((members, net.n_demand), float(np.mean(net.fixed_heads)))
-    return np.concatenate([q.T, heads], axis=1)
+    `demand` (members x N_p): the tree flows (A12_T^T)^-1 of the demands."""
+    forest = net.forest
+    x = np.zeros((demand.shape[0], net.n_pipes + net.n_demand))
+    x[:, forest.tree_pipe] = forest.tree_flows(demand[:, forest.order, None])[..., 0]
+    x[:, net.n_pipes :] = np.mean(net.fixed_heads)
+    return x
 
 
 def jacobian_coefficients(net: Network, q: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ the solve as follows.
   A^T W A dx = A^T W r of order L + N_p, which are never formed. J is
   symmetric and invertible, so the Woodbury identity turns the step into a
   Newton step plus a telemetry correction through an m x m matrix, for m
-  telemetry rows (`NormalEquations`). The loop matrix is factored once per
+  telemetry rows (`AugmentedSystem`). The loop matrix is factored once per
   step, and the factor serves both rounds of solves.
 - The error bound applies the same map to the right-hand-side columns
   whose rows carry data uncertainty.
@@ -50,10 +50,12 @@ the members that failed; they are reported, and the others go on.
 The Cholesky factor is `GramFactor`, a left-looking blocked Cholesky
 written in numpy. Nearly all of its work is matrix products (GEMM), and it
 keeps the inverse of each diagonal block, so the two triangular sweeps,
-which numpy lacks, are matrix products too. It beats `np.linalg.cholesky`
-here: with 2 OpenBLAS threads on a 2-vCPU host, order 799 factors in
-9.5 ms against 17 ms (an LU, `np.linalg.solve`, takes 17 ms), and order
-1,499 in 39-46 ms against 70-75 ms.
+which numpy lacks, are matrix products too. With 2 OpenBLAS threads on a
+2-vCPU host, factoring a loop matrix and solving one right-hand side takes
+0.9-1.2 ms at order 211 (the 800-node benchmark cases), where
+`np.linalg.cholesky` alone takes 0.8-0.9 ms and an LU solve
+(`np.linalg.solve`) 0.6 ms; at order 1,640 (a 5000-node network) it takes
+48-59 ms, against 91-93 ms and 68-72 ms.
 """
 
 import numpy as np
@@ -260,40 +262,46 @@ def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
     return step, failures
 
 
-class NormalEquations:
-    """The weighted least-squares problem of the telemetry-augmented
-    linearization: A = [J; S], with J the Newton matrix and S the unit
-    telemetry rows, and W = diag(Wj, Wt), the row weights of the augmented
-    system `aug` (an `estimator.AugmentedSystem`) on the model rows and on
-    the telemetry rows. The normal equations A^T W A dx = A^T W r define the
-    step, but A^T W A is never formed.
+class AugmentedSystem:
+    """The telemetry-augmented linearization A = [J; S] of a meter set and
+    its row weights W = diag(Wj, Wt), in the row layout (energy |
+    continuity | telemetry) used everywhere: J is the Newton matrix, and
+    the unit telemetry rows S select, row k, the unknown
+    `telemetry_columns[k]` of x = (q, H), measured as `values[k]`.
+    `weights` holds the diagonal of W, and `shape` is that of A.
 
-    J is symmetric and invertible (see `NewtonFactor`), so by the Woodbury
-    identity (Hager, SIAM Review 31, 1989) the step is a Newton step plus a
-    Kalman-style telemetry correction:
+    The weighted least-squares step solves the normal equations
+    A^T W A dx = A^T W r, but A^T W A is never formed. J is symmetric and
+    invertible (see `NewtonFactor`), so by the Woodbury identity (Hager,
+    SIAM Review 31, 1989) the step is a Newton step plus a Kalman-style
+    telemetry correction:
 
         Z = J^-1 S^T                     (m columns)
         C = Z^T Wj^-1 Z + Wt^-1          (symmetric positive definite, m x m)
         dx = J^-1 (r_j + Wj^-1 Z g),     g = C^-1 (r_t - S J^-1 r_j).
 
-    This holds what all members share: the telemetry columns (the unknown
-    each telemetry row selects), the selector rows S (as the columns of
-    S^T) and the variances Wj^-1 (as a column) and Wt^-1. Members differ
-    in their derivative diagonals. `shape` is that of A.
+    This holds what all members share: the columns of S^T (`selectors`),
+    the variances Wj^-1 (`model_variance`, a column) and Wt^-1. Members
+    differ in their derivative diagonals.
     """
 
-    def __init__(self, net: Network, aug):
+    def __init__(self, net: Network, telemetry_columns: np.ndarray, values: np.ndarray,
+                 weights: np.ndarray):
         n = net.n_pipes + net.n_demand
-        weights, telemetry_columns = aug.weights, aug.telemetry_columns
         m = telemetry_columns.size
         self.net = net
         self.telemetry_columns = telemetry_columns
+        self.values = values
+        self.weights = weights
         self.shape = (weights.shape[0], n)
         self.model_variance = (1.0 / weights[:n])[:, None]
-        # S^T, the telemetry rows as columns.
         self.selectors = np.zeros((n, m))
         self.selectors[telemetry_columns, np.arange(m)] = 1.0
         self._telemetry_covariance = np.diag(1.0 / weights[n:])
+
+    @property
+    def n_telemetry(self) -> int:
+        return self.telemetry_columns.size
 
     def telemetry_solve(self, z: np.ndarray, scaled: np.ndarray, rhs: np.ndarray | None = None):
         """C^-1 rhs per member, or C^-1 itself when `rhs` is None, with

@@ -108,33 +108,9 @@ class Network:
         return node_id in self._demand_index
 
     @cached_property
-    def spanning_tree(self) -> tuple[tuple[int, int, int, float], ...]:
-        """Breadth-first spanning tree rooted at the first fixed-head node.
-
-        One (node, parent, pipe, sign) tuple per tree pipe in visiting
-        order, nodes as positions in `nodes`; sign is +1 when the pipe is
-        oriented from the parent to the node.
-        """
-        position = {n.id: i for i, n in enumerate(self.nodes)}
-        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in self.nodes]
-        for j, pipe in enumerate(self.pipes):
-            a, b = position[pipe.from_node], position[pipe.to_node]
-            adjacency[a].append((j, b, +1.0))
-            adjacency[b].append((j, a, -1.0))
-        root = position[self.fixed_nodes[0].id]
-        order, seen, edges = [root], {root}, []
-        for node in order:
-            for j, other, sign in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    order.append(other)
-                    edges.append((other, node, j, sign))
-        return tuple(edges)
-
-    @cached_property
     def forest(self) -> "Forest":
-        """`spanning_tree` cut at the fixed-head nodes, and the loop basis
-        of its co-tree (see `Forest`)."""
+        """The breadth-first spanning tree cut at the fixed-head nodes, and
+        the loop basis of its co-tree (see `Forest`)."""
         return Forest(self)
 
     def with_demands(self, demands: np.ndarray) -> "Network":
@@ -171,7 +147,8 @@ def parse_network(text: str) -> Network:
 
 
 def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Signed incidence blocks (A12 over demand nodes, A10 over fixed).
+    """Signed incidence blocks (A12 over demand nodes, A10 over fixed), as
+    dense reference matrices for checks and measurements.
 
     Entry (j, i) is +1 when pipe j enters node i under the orientation
     convention and -1 when it leaves; each pipe row has exactly two
@@ -188,12 +165,6 @@ def headloss_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
     if q.shape[-1:] != (net.n_pipes,):
         raise ValueError(f"expected {net.n_pipes} flows, got shape {q.shape}")
     return _kernels.loss_coefficients(q, net.resistance, net.exponent, FLOW_FLOOR)
-
-
-def headloss_diagonal(net: Network, q: np.ndarray) -> np.ndarray:
-    """The L x L diagonal loss matrix; row j of (this @ q) is the signed
-    head loss across pipe j."""
-    return np.diag(headloss_coefficients(net, q))
 
 
 class Incidence:
@@ -255,9 +226,10 @@ class Incidence:
 
 
 class Forest:
-    """`Network.spanning_tree` cut at the fixed-head nodes: a spanning forest
-    of the demand nodes, with a root at every fixed-head node it touches,
-    and the loop basis of the pipes left out of it.
+    """The network's breadth-first spanning tree, rooted at the first
+    fixed-head node, cut at the fixed-head nodes: a spanning forest of the
+    demand nodes, with a root at every fixed-head node it touches, and the
+    loop basis of the pipes left out of it.
 
     Each demand node has one tree pipe that joins it to its parent, so the
     incidence of the tree pipes on the demand nodes, A12_T, is square. The
@@ -283,20 +255,36 @@ class Forest:
     """
 
     def __init__(self, net: Network):
-        is_demand = [n.kind == KIND_DEMAND for n in net.nodes]
-        edges = [edge for edge in net.spanning_tree if is_demand[edge[0]]]
-        n_demand = len(edges)
-        self.order = np.array([net.demand_index(net.nodes[e[0]].id) for e in edges], dtype=np.intp)
-        self.tree_pipe = np.array([e[2] for e in edges], dtype=np.intp)
-        self.sign = np.array([e[3] for e in edges])[:, None]
-        # Parent positions, n_demand (a zero row in the sweeps) under a
-        # fixed-head node, and the depth of each node in the whole tree.
-        at = {e[0]: p for p, e in enumerate(edges)}
-        parent = np.array([at.get(e[1], n_demand) for e in edges], dtype=np.intp)
-        tree_depth = {net.spanning_tree[0][1]: 0}  # the root
-        for node, up, _, _ in net.spanning_tree:
-            tree_depth[node] = tree_depth[up] + 1
-        depth = np.array([tree_depth[e[0]] for e in edges], dtype=np.intp)
+        # Breadth-first spanning tree from the first fixed-head node, each
+        # node's pipes taken in pipe order: one (node, parent, pipe, sign)
+        # per tree pipe in visiting order, nodes as positions in `nodes` and
+        # sign +1 where the pipe leaves the parent; and each node's depth.
+        position = {n.id: i for i, n in enumerate(net.nodes)}
+        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in net.nodes]
+        for j, pipe in enumerate(net.pipes):
+            a, b = position[pipe.from_node], position[pipe.to_node]
+            adjacency[a].append((j, b, +1.0))
+            adjacency[b].append((j, a, -1.0))
+        root = position[net.fixed_nodes[0].id]
+        visit, depth_of, tree = [root], {root: 0}, []
+        for up in visit:
+            for j, node, sign in adjacency[up]:
+                if node not in depth_of:
+                    depth_of[node] = depth_of[up] + 1
+                    visit.append(node)
+                    tree.append((node, up, j, sign))
+
+        # The demand nodes' tree pipes; `sweep` maps each demand node to its
+        # position in `order`, and parents that are fixed-head nodes map to
+        # n_demand, a zero row in the sweeps.
+        tree = [e for e in tree if net.nodes[e[0]].kind == KIND_DEMAND]
+        n_demand = len(tree)
+        sweep = {net.nodes[e[0]].id: p for p, e in enumerate(tree)}
+        self.order = np.array([net.demand_index(net.nodes[e[0]].id) for e in tree], dtype=np.intp)
+        self.tree_pipe = np.array([e[2] for e in tree], dtype=np.intp)
+        self.sign = np.array([e[3] for e in tree])[:, None]
+        parent = np.array([sweep.get(net.nodes[e[1]].id, n_demand) for e in tree], dtype=np.intp)
+        depth = np.array([depth_of[e[0]] for e in tree], dtype=np.intp)
 
         # Per depth with a demand parent: its run of nodes, their parents,
         # and where each parent's run of children starts.
@@ -311,8 +299,7 @@ class Forest:
         in_tree = np.zeros(net.n_pipes, dtype=bool)
         in_tree[self.tree_pipe] = True
         self.cotree = np.flatnonzero(~in_tree)
-        sweep_index = {net.nodes[e[0]].id: p for p, e in enumerate(edges)}
-        self.chords = Incidence([net.pipes[c] for c in self.cotree], sweep_index)
+        self.chords = Incidence([net.pipes[c] for c in self.cotree], sweep)
 
         # Loop entries (pipe, loop, sign), loop by loop: the co-tree pipe,
         # then the tree path between its ends, walked up from the deeper end
@@ -322,7 +309,7 @@ class Forest:
         entries = []
         for loop, c in enumerate(self.cotree.tolist()):
             entries.append((c, loop, 1.0))
-            to, frm = (sweep_index.get(node_id, n_demand)
+            to, frm = (sweep.get(node_id, n_demand)
                        for node_id in (net.pipes[c].to_node, net.pipes[c].from_node))
             while to != frm:
                 if level[to] >= level[frm]:
@@ -443,7 +430,7 @@ def _gather_sum(index: np.ndarray, sign: np.ndarray, v: np.ndarray, axis: int) -
 
 
 def _validate_demand(i, node):
-    if node.demand < 0:
+    if not node.demand >= 0:
         raise ValidationError(
             f"/nodes/{i}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
         )

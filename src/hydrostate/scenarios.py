@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
 from .fuzzy import Pattern, unit_bounds
 from .hydraulics import jacobian_coefficients, solve_members
-from .linearization import NormalEquations, drop_failed
+from .linearization import drop_failed
 from .network import Network
 
 NORMAL_LABEL = "normal"
@@ -77,11 +77,11 @@ class ScenarioSpec:
         )
         object.__setattr__(self, "meters", tuple(self.meters))
         lo, hi = self.leak_magnitude
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi:
             raise ValueError(f"leak magnitude range must satisfy 0 <= lo <= hi, got {self.leak_magnitude}")
         if any(count < 1 for _, count in self.counts):
             raise ValueError("per-class counts must be >= 1")
-        if self.demand_noise < 0:
+        if not self.demand_noise >= 0:
             raise ValueError("demand_noise must be >= 0")
         for label, _ in self.counts:
             if label != NORMAL_LABEL and not label.startswith(LEAK_PREFIX):
@@ -127,12 +127,11 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         demand_sigma=spec.demand_sigma,
         demand_delta=tuple(spec.demand_noise * net.demand),
     )
-    aug = build_augmented(net, meas)
-    system = NormalEquations(net, aug)
+    system = build_augmented(net, meas)
     delta_y = uncertainty_vector(net, meas)
     n = net.n_pipes + net.n_demand
     bounded = min(np.count_nonzero(delta_y), block_columns(net))
-    per_scenario = net.forest.cotree.size**2 + n * (aug.n_telemetry + bounded)
+    per_scenario = net.forest.cotree.size**2 + n * (system.n_telemetry + bounded)
     chunk = max(1, _CHUNK_ELEMENTS // per_scenario)
 
     # A network carries no negative demand: such scenarios fail validation.
@@ -149,7 +148,7 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         members = valid[first : first + chunk]
         truth, _, _, failed = solve_members(net, true_demands[members])
         members, truth = drop_failed(members, failed, failures, truth)
-        x_star, _, _, failed = estimate_members(system, truth[:, aug.telemetry_columns])
+        x_star, _, _, failed = estimate_members(system, truth[:, system.telemetry_columns])
         members, x_star = drop_failed(members, failed, failures, x_star)
         jac = jacobian_coefficients(net, x_star[:, : net.n_pipes])
         halfwidth, failed = bound_from_matrix(system, jac, delta_y)

@@ -8,7 +8,7 @@ import numpy as np
 
 from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe
 from hydrostate.hydraulics import jacobian_coefficients, solve_steady_state
-from hydrostate.network import incidence_matrices
+from hydrostate.network import headloss_coefficients, incidence_matrices
 from hydrostate.report_io import decode_network
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
@@ -145,6 +145,12 @@ def exact_measurements(
     return MeasurementSet(tuple(measurements), demand_sigma=demand_sigma), truth
 
 
+def headloss_diagonal(net: Network, q: np.ndarray) -> np.ndarray:
+    """The L x L diagonal loss matrix; row j of (this @ q) is the signed
+    head loss across pipe j."""
+    return np.diag(headloss_coefficients(net, q))
+
+
 def dense_newton_matrix(net: Network, q: np.ndarray) -> np.ndarray:
     """Reference Newton matrix [F A12; A12^T 0] at flows q, built densely."""
     a12, _ = incidence_matrices(net)
@@ -160,9 +166,8 @@ def dense_newton_matrix(net: Network, q: np.ndarray) -> np.ndarray:
 def dense_augmented_matrix(net: Network, aug, q: np.ndarray) -> np.ndarray:
     """Reference telemetry-augmented matrix: the Newton matrix over the
     telemetry selector rows."""
-    return np.vstack(
-        [dense_newton_matrix(net, q), np.hstack([aug.flow_selector, aug.head_selector])]
-    )
+    newton = dense_newton_matrix(net, q)
+    return np.vstack([newton, np.eye(newton.shape[1])[aug.telemetry_columns]])
 
 
 def dense_normal_equations(

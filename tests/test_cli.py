@@ -167,6 +167,27 @@ def test_config_via_environment(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["error"] == "NonConvergence"
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("solve", '{"max_iter": "5"}'),
+        ("solve", '{"theta": null}'),
+        ("solve", '{"tol_x": true}'),
+        ("solve", '{"format": 1}'),
+        ("gen", '{"seed": 1.5}'),
+    ],
+    ids=["max_iter string", "theta null", "tol_x boolean", "format number", "gen seed float"],
+)
+def test_mistyped_config_value_is_usage_error(capsys, tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    inputs = {"solve": [TRIANGLE], "gen": [TRIANGLE, SCENARIO, "--out", str(tmp_path / "p.json")]}
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *inputs[command], "--config", str(path)])
+    assert excinfo.value.code == 2
+    assert "config file" in capsys.readouterr().err
+
+
 def test_invalid_omega_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["estimate", TRIANGLE, TRIANGLE_MEAS, "--omega", "9"])

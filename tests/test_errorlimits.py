@@ -4,8 +4,11 @@ import pytest
 import hydrostate.errorlimits
 from hydrostate import (
     IntervalState,
+    Measurement,
     MeasurementSet,
     RankDeficient,
+    ScenarioSpec,
+    ValidationError,
     build_augmented,
     estimate_state,
     monte_carlo_containment,
@@ -156,6 +159,45 @@ def test_interval_state_validation(triangle):
         IntervalState(x_star, np.ones(4))
     with pytest.raises(ValueError):
         sensitivity_bound(triangle, meas, x_star, np.zeros(3))
+
+
+NAN = float("nan")
+_SPEC = dict(counts=(("normal", 1),), leak_magnitude=(0.0, 1.0), demand_noise=0.05,
+             demand_sigma=0.1, meters=(), seed=0)
+
+
+def _nan_delta_y(triangle):
+    meas, x_star = _triangle_setup(triangle)
+    delta = uncertainty_vector(triangle, meas)
+    delta[-1] = NAN
+    sensitivity_bound(triangle, meas, x_star, delta)
+
+
+def _nan_halfwidth(triangle):
+    _, x_star = _triangle_setup(triangle)
+    IntervalState(x_star, np.array([0.0, 0.0, 0.0, NAN, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda net: Measurement("pipe-flow", "p1", 1.0, 0.1, delta=NAN),
+        lambda net: MeasurementSet(demand_delta=(0.1, NAN)),
+        lambda net: ScenarioSpec(**dict(_SPEC, demand_noise=NAN)),
+        lambda net: ScenarioSpec(**dict(_SPEC, leak_magnitude=(NAN, 1.0))),
+        lambda net: ScenarioSpec(**dict(_SPEC, leak_magnitude=(0.0, NAN))),
+        _nan_delta_y,
+        _nan_halfwidth,
+        lambda net: net.with_demands(np.array([1.0, NAN])),
+    ],
+    ids=[
+        "measurement delta", "demand_delta", "demand_noise", "leak_magnitude low",
+        "leak_magnitude high", "delta_y", "halfwidth", "network demand",
+    ],
+)
+def test_non_negative_checks_reject_nan(triangle, build):
+    with pytest.raises((ValueError, ValidationError)):
+        build(triangle)
 
 
 def test_containment_zero_delta_is_exact(triangle):

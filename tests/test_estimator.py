@@ -16,7 +16,7 @@ from hydrostate import (
 )
 from hydrostate.estimator import augmented_residual, estimate_members, weighted_step
 from hydrostate.hydraulics import initial_state, jacobian_coefficients
-from hydrostate.linearization import NormalEquations, newton_step
+from hydrostate.linearization import newton_step
 
 from helpers import (
     dense_augmented_matrix,
@@ -31,15 +31,13 @@ from helpers import (
 def test_flow_measurement_selector_row(triangle):
     meas = MeasurementSet((Measurement("pipe-flow", "p1", 2.0, 0.1),))
     aug = build_augmented(triangle, meas)
-    assert aug.flow_selector.tolist() == [[1.0, 0.0, 0.0]]
-    assert aug.head_selector.tolist() == [[0.0, 0.0]]
+    assert aug.telemetry_columns.tolist() == [0]
 
 
 def test_head_measurement_selector_row(triangle):
     meas = MeasurementSet((Measurement("node-head", "n2", 60.0, 0.1),))
     aug = build_augmented(triangle, meas)
-    assert aug.flow_selector.tolist() == [[0.0, 0.0, 0.0]]
-    assert aug.head_selector.tolist() == [[0.0, 1.0]]
+    assert aug.telemetry_columns.tolist() == [triangle.n_pipes + 1]
 
 
 def test_empty_measurements_reduce_to_model_rows(triangle):
@@ -116,11 +114,10 @@ def _assert_steps_solve_normal_equations(net, meas, steps):
     """Accepted steps satisfy the dense reference normal equations to a
     tiny scaled backward error."""
     aug = build_augmented(net, meas)
-    system = NormalEquations(net, aug)
     x = initial_state(net)
     for _ in range(steps):
         rhs = -augmented_residual(net, aug, x)
-        dx, failures = weighted_step(system, jacobian_coefficients(net, x.q)[None], rhs[None])
+        dx, failures = weighted_step(aug, jacobian_coefficients(net, x.q)[None], rhs[None])
         assert not failures
         dx = dx[0]
         gram, b = dense_normal_equations(dense_augmented_matrix(net, aug, x.q), aug.weights, rhs)
@@ -150,11 +147,10 @@ def test_step_matches_least_squares_reference(seed, n_nodes):
     net = random_network(seed, n_nodes=n_nodes)
     meas, _ = exact_measurements(net, seed=seed, n_flow=15, n_head=15)
     aug = build_augmented(net, meas)
-    system = NormalEquations(net, aug)
     x = initial_state(net)
     for _ in range(3):
         rhs = -augmented_residual(net, aug, x)
-        dx, failures = weighted_step(system, jacobian_coefficients(net, x.q)[None], rhs[None])
+        dx, failures = weighted_step(aug, jacobian_coefficients(net, x.q)[None], rhs[None])
         assert not failures
         matrix = dense_augmented_matrix(net, aug, x.q)
         reference = least_squares_reference(matrix, aug.weights, rhs)
@@ -173,7 +169,7 @@ def test_step_without_telemetry_is_newton_step(seed, n_nodes):
     jac = jacobian_coefficients(net, solve_steady_state(net).state.q)[None]
     rhs = np.random.default_rng(seed).standard_normal((1, net.n_pipes + net.n_demand))
     newton, newton_failures = newton_step(net, jac, -rhs)
-    dx, failures = weighted_step(NormalEquations(net, aug), jac, rhs)
+    dx, failures = weighted_step(aug, jac, rhs)
     assert not failures and not newton_failures
     assert np.max(np.abs(dx - newton)) <= 1e-11 * np.max(np.abs(newton))
 
@@ -198,7 +194,7 @@ def _theta_behind_reservoir():
     meas = MeasurementSet(
         (Measurement("pipe-flow", "ab2", 1.0, 0.05), Measurement("node-head", "b", 98.0, 0.05))
     )
-    return net, NormalEquations(net, build_augmented(net, meas))
+    return net, build_augmented(net, meas)
 
 
 def test_rank_deficient_normal_equations():
@@ -248,21 +244,20 @@ def test_repeated_step_leaves_static_gram_unchanged():
     net = random_network(4, n_nodes=300)  # 149 loops: several blocks
     meas, _ = exact_measurements(net, seed=4, n_flow=10, n_head=10)
     aug = build_augmented(net, meas)
-    system = NormalEquations(net, aug)
     x = initial_state(net)
     jac = jacobian_coefficients(net, x.q)[None]
     rhs = -augmented_residual(net, aug, x)[None]
     shared = [
-        system.selectors.copy(),
-        system.model_variance.copy(),
-        system._telemetry_covariance.copy(),
+        aug.selectors.copy(),
+        aug.model_variance.copy(),
+        aug._telemetry_covariance.copy(),
     ]
-    first, _ = weighted_step(system, jac, rhs)
-    second, _ = weighted_step(system, jac, rhs)
+    first, _ = weighted_step(aug, jac, rhs)
+    second, _ = weighted_step(aug, jac, rhs)
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(system.selectors, shared[0])
-    np.testing.assert_array_equal(system.model_variance, shared[1])
-    np.testing.assert_array_equal(system._telemetry_covariance, shared[2])
+    np.testing.assert_array_equal(aug.selectors, shared[0])
+    np.testing.assert_array_equal(aug.model_variance, shared[1])
+    np.testing.assert_array_equal(aug._telemetry_covariance, shared[2])
 
 
 def test_zero_iterations_raise_non_convergence(triangle):
@@ -319,7 +314,7 @@ def test_lockstep_estimate_matches_single_estimates(max_iter):
     values = np.array([m.value for m in meas.measurements]) * (
         1.0 + rng.uniform(-0.003, 0.003, (8, len(meas.measurements)))
     )
-    system = NormalEquations(net, build_augmented(net, meas))
+    system = build_augmented(net, meas)
     x, iterations, step_norms, failures = estimate_members(system, values, max_iter=max_iter)
     outcomes = set()
     for member, row in enumerate(values):

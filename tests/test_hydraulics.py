@@ -14,13 +14,14 @@ from hydrostate import (
 from hydrostate.hydraulics import (
     StateVector,
     initial_state,
+    initial_states,
     jacobian_coefficients,
     solve_members,
 )
 from hydrostate.linearization import newton_step
 from hydrostate.network import incidence_matrices
 
-from helpers import dense_newton_matrix, random_network, scaled_backward_error
+from helpers import TOPOLOGIES, dense_newton_matrix, random_network, scaled_backward_error
 
 
 def test_single_pipe_continuity_forces_flow(single_pipe):
@@ -204,6 +205,23 @@ def test_newton_step_solves_dense_system(seed, n_nodes):
         step = step[0]
         assert scaled_backward_error(dense_newton_matrix(net, x.q), step, -r) <= 1e-10
         x = StateVector(x.q + step[: net.n_pipes], x.H + step[net.n_pipes :])
+
+
+@pytest.mark.parametrize("topology", list(TOPOLOGIES))
+def test_initial_state_is_forest_flow_of_demands(topology):
+    """The start meets continuity, with zero co-tree flows and every head at
+    the mean fixed head; each member of a stack gets its own start bit for
+    bit."""
+    net = TOPOLOGIES[topology]()
+    x = initial_state(net)
+    a12, _ = incidence_matrices(net)
+    assert np.max(np.abs(a12.T @ x.q - net.demand)) <= 1e-12 * np.sum(net.demand)
+    assert not x.q[net.forest.cotree].any()
+    assert (x.H == np.mean(net.fixed_heads)).all()
+    demands = net.demand * np.random.default_rng(3).uniform(0.5, 2.0, (4, net.n_demand))
+    stacked = initial_states(net, demands)
+    for member, demand in enumerate(demands):
+        np.testing.assert_array_equal(stacked[member], initial_states(net, demand[None])[0])
 
 
 def test_state_vector_rejects_non_finite():

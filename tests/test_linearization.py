@@ -16,7 +16,7 @@ from hydrostate import build_augmented, solve_steady_state
 from hydrostate.errorlimits import bound_from_matrix
 from hydrostate.estimator import weighted_step
 from hydrostate.hydraulics import initial_state, jacobian_coefficients
-from hydrostate.linearization import GramFactor, NewtonFactor, NormalEquations
+from hydrostate.linearization import GramFactor, NewtonFactor
 from hydrostate.network import incidence_matrices
 
 from helpers import (
@@ -181,7 +181,7 @@ def _parity_case(members, seed):
     around the initial state."""
     net = random_network(4, n_nodes=300)
     meas, _ = exact_measurements(net, seed=4, n_flow=10, n_head=10)
-    system = NormalEquations(net, build_augmented(net, meas))
+    system = build_augmented(net, meas)
     rng = np.random.default_rng(seed)
     scale = rng.uniform(0.5, 2.0, (members, net.n_pipes))
     return net, system, jacobian_coefficients(net, initial_state(net).q) * scale, rng

@@ -4,14 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostate import Network, Node, Pipe, ValidationError, parse_network
-from hydrostate.network import (
-    FLOW_FLOOR,
-    headloss_coefficients,
-    headloss_diagonal,
-    incidence_matrices,
-)
+from hydrostate.network import FLOW_FLOOR, headloss_coefficients, incidence_matrices
 
-from helpers import TOPOLOGIES
+from helpers import TOPOLOGIES, headloss_diagonal
 
 SINGLE_PIPE_TEXT = """
 {

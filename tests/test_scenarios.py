@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from hydrostate import (
     uncertainty_vector,
 )
 
-from helpers import random_network
+from helpers import DEMO_DIR, random_network
 
 METERS = (
     MeterSpec("pipe-flow", "p1", sigma=0.01, delta=0.02),
@@ -278,3 +280,34 @@ def test_generate_matches_single_case_chain(case, chunk_elements, triangle, demo
     tolerance = 1e-10 * np.max(np.abs((lowers + uppers) / 2))
     np.testing.assert_allclose([b[0] for b in bounds], lowers, rtol=0, atol=tolerance)
     np.testing.assert_allclose([b[1] for b in bounds], uppers, rtol=0, atol=tolerance)
+
+
+def test_committed_demo_artifacts_are_current(tmp_path):
+    """`demo/out` holds what `demo/run_demo.py` writes: the same labels,
+    manifest keys and cells, and the same numbers up to 1e-9."""
+    subprocess.run(
+        [sys.executable, str(DEMO_DIR / "run_demo.py"), "--out-dir", str(tmp_path)],
+        capture_output=True, check=True, timeout=120,
+    )
+    committed = DEMO_DIR / "out"
+    fresh, fresh_manifest = report_io.decode_patterns((tmp_path / "patterns.json").read_text())
+    kept, kept_manifest = report_io.decode_patterns((committed / "patterns.json").read_text())
+    assert [label for _, label in fresh] == [label for _, label in kept]
+    assert fresh_manifest.keys() == kept_manifest.keys()
+    for key in fresh_manifest.keys() - {"normalization"}:
+        assert fresh_manifest[key] == kept_manifest[key]
+    np.testing.assert_allclose(
+        fresh_manifest["normalization"], kept_manifest["normalization"], rtol=0, atol=1e-9
+    )
+    for (a, _), (b, _) in zip(fresh, kept):
+        np.testing.assert_allclose([a.inf, a.sup], [b.inf, b.sup], rtol=0, atol=1e-9)
+
+    fresh = report_io.decode_model((tmp_path / "model.json").read_text())
+    kept = report_io.decode_model((committed / "model.json").read_text())
+    assert len(fresh.cells) == len(kept.cells)
+    assert fresh.labels == kept.labels
+    assert (fresh.theta, fresh.gamma.tolist()) == (kept.theta, kept.gamma.tolist())
+    np.testing.assert_allclose(fresh.normalization, kept.normalization, rtol=0, atol=1e-9)
+    for a, b in zip(fresh.cells, kept.cells):
+        assert a.label == b.label
+        np.testing.assert_allclose([a.m, a.M], [b.m, b.M], rtol=0, atol=1e-9)
