@@ -9,29 +9,29 @@ variable.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from . import report_io
 from .errors import HydrostateError
 from .errorlimits import sensitivity_bound, uncertainty_vector
-from .estimator import estimate_state
-from .fuzzy import ClassifierModel, classify as classify_pattern, train as train_model
-from .hydraulics import solve_steady_state
+from .estimator import DEFAULT_OMEGA, DEFAULT_TOL_X, estimate_state
+from .fuzzy import DEFAULT_GAMMA, DEFAULT_THETA, ClassifierModel
+from .fuzzy import classify as classify_pattern, train as train_model
+from .hydraulics import DEFAULT_MAX_ITER, DEFAULT_TOL_R, solve_steady_state
 from .scenarios import generate
 
 CONFIG_ENV = "HYDROSTATE_CONFIG"
 
 DEFAULTS = {
-    "tol_r": 1e-8,
-    "tol_x": 1e-8,
-    "max_iter": 50,
-    "omega": 1.0,
-    "theta": 0.3,
-    "gamma": 4.0,
+    "tol_r": DEFAULT_TOL_R,
+    "tol_x": DEFAULT_TOL_X,
+    "max_iter": DEFAULT_MAX_ITER,
+    "omega": DEFAULT_OMEGA,
+    "theta": DEFAULT_THETA,
+    "gamma": DEFAULT_GAMMA,
     "seed": None,
     "format": "json",
 }
@@ -57,8 +57,10 @@ class RunConfig:
             return "omega must be in (0, 1.5]"
         if not 0 < self.theta <= 1:
             return "theta must be in (0, 1]"
-        if self.gamma <= 0:
-            return "gamma must be > 0"
+        if not 0 < self.gamma < math.inf:
+            return "gamma must be a finite number > 0"
+        if self.seed is not None and self.seed < 0:
+            return "seed must be >= 0"
         if self.format not in ("json", "csv"):
             return "format must be 'json' or 'csv'"
         return None
@@ -231,15 +233,8 @@ def _cmd_train(args, cfg: RunConfig) -> None:
     n_dims = labeled[0][0].n_dims
     normalization = None
     if manifest and "normalization" in manifest:
-        try:
-            normalization = np.asarray(manifest["normalization"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise HydrostateError(f"manifest normalization is malformed: {exc}") from exc
-        if normalization.shape != (n_dims, 2):
-            raise HydrostateError(
-                f"manifest normalization has shape {normalization.shape}, "
-                f"expected ({n_dims}, 2)"
-            )
+        ranges = manifest["normalization"]
+        normalization = report_io.decode_ranges(ranges, "/manifest/normalization")
     model = ClassifierModel.create(
         n_dims, theta=cfg.theta, gamma=cfg.gamma, normalization=normalization
     )
@@ -303,11 +298,6 @@ def dispatch(argv) -> int:
         sys.stdout.write(
             report_io.dumps({"error": type(exc).__name__, "detail": str(exc)})
         )
-        return 1
-    except ValueError as exc:
-        # inputs that pass schema checks but fail cross-file validation,
-        # e.g. a scenario class naming a node the network does not have
-        sys.stdout.write(report_io.dumps({"error": "ValueError", "detail": str(exc)}))
         return 1
     except OSError as exc:
         sys.stdout.write(report_io.dumps({"error": "FileError", "detail": str(exc)}))

@@ -20,12 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
-from .estimator import (
-    MeasurementSet,
-    build_augmented,
-    estimate_state,
-)
-from .hydraulics import StateVector, jacobian_coefficients
+from .estimator import DEFAULT_TOL_X, MeasurementSet, build_augmented, estimate_state
+from .hydraulics import DEFAULT_MAX_ITER, StateVector, jacobian_coefficients
 from .linearization import AugmentedSystem, NewtonFactor
 from .network import Network
 
@@ -48,7 +44,9 @@ class IntervalState:
         if self.halfwidth.shape != self.center.vector.shape:
             raise ValueError("halfwidth length must match the state dimension")
         if not (self.halfwidth >= 0).all():
-            raise ValueError("halfwidth entries must be >= 0")
+            raise ValidationError("/halfwidth", "entries >= 0", "negative entry")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValidationError("/halfwidth", "finite center -/+ halfwidth", "overflow")
 
     @property
     def lower(self) -> np.ndarray:
@@ -160,8 +158,8 @@ def monte_carlo_containment(
     samples: int,
     seed: int,
     *,
-    tol_x: float = 1e-8,
-    max_iter: int = 50,
+    tol_x: float = DEFAULT_TOL_X,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Fraction of resampled state components that stay inside the bound.
 
@@ -177,10 +175,7 @@ def monte_carlo_containment(
     Failed estimations therefore lower the fraction as much as samples
     outside the bound. On the 150-node estimator repro (15 flow and 15
     head meters, 2 % boxes), no sample converges in 50 iterations, and
-    the fraction is 0.0 on seed 1234. Solved through the normal equations,
-    4 of those 40 samples used to stop after 42 to 49 iterations with a
-    step below tol_x = 1e-8, for 0.0998; but the accurate step at those
-    iterates is 1.4e-6 to 5.4e-6, so those convergences were rounding.
+    the fraction is 0.0 on seed 1234.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Every domain failure raised by the library derives from HydrostateError so
-the CLI can map it to a machine-readable error report with exit status 1.
+Every failure an input can cause derives from HydrostateError, which the CLI
+reports as a JSON error with exit status 1. Each invariant of a value a file
+can carry is checked once, by its type, and a violation is a ValidationError
+located by a JSON pointer. Misused library arguments (a wrong array shape,
+`samples < 1`) raise a plain ValueError instead.
 """
 
 
@@ -26,12 +29,17 @@ class SchemaError(HydrostateError):
         super().__init__(f"{path}: expected {expected}, found {found}")
 
 
-class ValidationError(SchemaError):
+class ValidationError(SchemaError, ValueError):
     """A structurally well-formed document violates a domain invariant.
 
     Subclasses SchemaError so decoders report every rejection with a
-    located path, whether the problem is shape-level or semantic.
+    located path, whether the problem is shape-level or semantic, and
+    ValueError, since the same check guards a library constructor.
     """
+
+    def within(self, prefix: str) -> "ValidationError":
+        """The same violation, located inside the entity at `prefix`."""
+        return ValidationError(prefix + self.path, self.expected, self.found)
 
 
 class UnknownTarget(HydrostateError):

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HydrostateError, NonConvergence, RankDeficient, UnknownTarget
+from .errors import HydrostateError, NonConvergence, RankDeficient, UnknownTarget, ValidationError
 from .hydraulics import (
+    DEFAULT_MAX_ITER,
     StateVector,
     initial_state,
     jacobian_coefficients,
@@ -46,8 +47,25 @@ KIND_NODE_HEAD = "node-head"
 ENERGY_SIGMA = 1e-4
 
 DEFAULT_TOL_X = 1e-8
-DEFAULT_MAX_ITER = 50
 DEFAULT_OMEGA = 1.0
+
+
+def check_sigma(sigma, path: str) -> None:
+    """A standard deviation is > 0, with a finite row weight 1/sigma^2."""
+    if not sigma > 0:
+        raise ValidationError(path, "number > 0", str(sigma))
+    square = float(sigma) * float(sigma)
+    if not square or 1.0 / square == np.inf:
+        raise ValidationError(path, "sigma with a finite weight 1/sigma^2", str(sigma))
+
+
+def check_meter(kind: str, sigma, delta) -> None:
+    """The checks a measurement and a scenario's meter spec share."""
+    if kind not in (KIND_PIPE_FLOW, KIND_NODE_HEAD):
+        raise ValidationError("/kind", "'pipe-flow' or 'node-head'", repr(kind))
+    check_sigma(sigma, "/sigma")
+    if not delta >= 0:
+        raise ValidationError("/delta", "number >= 0", str(delta))
 
 
 @dataclass(frozen=True)
@@ -59,12 +77,7 @@ class Measurement:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (KIND_PIPE_FLOW, KIND_NODE_HEAD):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        check_meter(self.kind, self.sigma, self.delta)
 
 
 @dataclass(frozen=True)
@@ -75,12 +88,12 @@ class MeasurementSet:
 
     def __post_init__(self):
         object.__setattr__(self, "measurements", tuple(self.measurements))
-        if not self.demand_sigma > 0:
-            raise ValueError(f"demand_sigma must be > 0, got {self.demand_sigma}")
+        check_sigma(self.demand_sigma, "/demand_sigma")
         if self.demand_delta is not None:
             dd = tuple(float(v) for v in self.demand_delta)
-            if not all(v >= 0 for v in dd):
-                raise ValueError("demand_delta entries must be >= 0")
+            for i, v in enumerate(dd):
+                if not v >= 0:
+                    raise ValidationError(f"/demand_delta/{i}", "number >= 0", str(v))
             object.__setattr__(self, "demand_delta", dd)
 
     def demand_delta_vector(self, net: Network) -> np.ndarray:

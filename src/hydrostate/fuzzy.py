@@ -18,12 +18,13 @@ differently-labeled cell is repaired by contracting both boxes along the
 single dimension of minimal overlap.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRange, EmptyModel, PatternOutOfRange, PatternTooWide
+from .errors import DegenerateRange, EmptyModel, PatternOutOfRange, PatternTooWide, ValidationError
 
 DEFAULT_THETA = 0.3
 DEFAULT_GAMMA = 4.0
@@ -43,7 +44,7 @@ class Pattern:
         if self.inf.shape != self.sup.shape or self.inf.ndim != 1:
             raise ValueError("inf and sup must be 1-d vectors of equal length")
         if (self.inf > self.sup).any():
-            raise ValueError("pattern requires inf <= sup componentwise")
+            raise ValidationError("/inf", "inf <= sup", "crossed bounds")
 
     @classmethod
     def crisp(cls, values) -> "Pattern":
@@ -66,8 +67,9 @@ class Cell:
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
         self.M = np.asarray(self.M, dtype=float)
-        if (self.m > self.M).any():
-            raise ValueError("cell requires m <= M componentwise")
+        # The model that holds the cell checks its dimension.
+        if self.m.shape == self.M.shape and (self.m > self.M).any():
+            raise ValidationError("/m", "m <= M", "crossed min/max points")
 
     def volume(self) -> float:
         return float(np.prod(self.M - self.m))
@@ -85,14 +87,27 @@ class ClassifierModel:
         self.gamma = np.asarray(self.gamma, dtype=float)
         self.normalization = np.asarray(self.normalization, dtype=float)
         if not 0 < self.theta <= 1:
-            raise ValueError(f"theta must be in (0, 1], got {self.theta}")
-        if (self.gamma <= 0).any():
-            raise ValueError("gamma entries must be > 0")
-        if self.normalization.shape != (self.gamma.shape[0], 2):
-            raise ValueError("normalization must be an (n, 2) array of (lo, hi)")
-        for cell in self.cells:
+            raise ValidationError("/theta", "number in (0, 1]", str(self.theta))
+        n = self.n_dims
+        if not n:
+            raise ValidationError("/gamma", "at least one entry", "empty array")
+        for i, g in enumerate(self.gamma.tolist()):
+            if not 0 < g < math.inf:
+                raise ValidationError(f"/gamma/{i}", "number > 0", str(g))
+        if self.normalization.shape != (n, 2):
+            raise ValidationError("/normalization", f"{n} ranges", f"{len(self.normalization)}")
+        for i, (lo, hi) in enumerate(self.normalization.tolist()):
+            if not hi > lo:
+                raise ValidationError(f"/normalization/{i}", "hi > lo", f"[{lo}, {hi}]")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"/normalization/{i}", "finite bounds", f"[{lo}, {hi}]")
+        for i, cell in enumerate(self.cells):
+            if cell.m.shape != (n,) or cell.M.shape != (n,):
+                raise ValidationError(
+                    f"/cells/{i}", f"{n}-dimensional cell", f"({cell.m.size}, {cell.M.size})"
+                )
             if cell.label not in self.labels:
-                raise ValueError(f"cell label {cell.label!r} missing from label set")
+                raise ValidationError(f"/cells/{i}/label", "label from /labels", repr(cell.label))
 
     @classmethod
     def create(
@@ -152,10 +167,7 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     theta = model.theta
 
     for pattern, label in examples:
-        if pattern.n_dims != model.n_dims:
-            raise ValueError(
-                f"pattern has {pattern.n_dims} dimensions, model expects {model.n_dims}"
-            )
+        _check_dimension(model, pattern)
         if (pattern.inf < 0.0).any() or (pattern.sup > 1.0).any():
             raise PatternOutOfRange(
                 "pattern coordinates must lie in [0, 1] after normalization"
@@ -205,10 +217,7 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     """
     if not model.cells:
         raise EmptyModel("model has no cells")
-    if pattern.n_dims != model.n_dims:
-        raise ValueError(
-            f"pattern has {pattern.n_dims} dimensions, model expects {model.n_dims}"
-        )
+    _check_dimension(model, pattern)
     viol = _kernels.box_violations(
         np.stack([c.m for c in model.cells]),
         np.stack([c.M for c in model.cells]),
@@ -237,6 +246,13 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
         model.labels, key=lambda lb: (-per_label[lb], tie_key[lb][0], tie_key[lb][1])
     )
     return ClassificationResult(per_label, winner, per_label[winner])
+
+
+def _check_dimension(model: ClassifierModel, pattern: Pattern) -> None:
+    if pattern.n_dims != model.n_dims:
+        raise ValidationError(
+            "/inf", f"{model.n_dims} entries, the model's dimension", f"{pattern.n_dims}"
+        )
 
 
 def normalize(raw, normalization) -> Pattern:

@@ -1,17 +1,20 @@
 """JSON (and CSV row) serialization for every file format the tool reads
 or writes, with located schema errors.
 
-Decoders check shape and domain invariants together and always point at the
+Decoders check JSON types, field presence, array lengths and targets in
+another file; the types they build check their own invariants, and the
+decoders locate those errors inside the file. Every rejection points at the
 offending location with a JSON-pointer path. Encoders are deterministic:
 keys sorted, entities in canonical (file) order, numbers as shortest
 round-trip decimals. decode(encode(value)) reproduces the value exactly.
 """
 
 import json
+import sys
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, ValidationError
 from .estimator import Measurement, MeasurementSet
 from .errorlimits import IntervalState
 from .fuzzy import Cell, ClassifierModel, Pattern
@@ -29,7 +32,8 @@ def dumps(doc) -> str:
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers integer literals too long to convert.
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -61,7 +65,8 @@ def _string(obj: dict, key: str, path: str) -> str:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "number", type(value).__name__)
-    if not np.isfinite(value):
+    # Also rejects NaN, and integers too large to convert.
+    if not abs(value) <= sys.float_info.max:
         raise SchemaError(path, "finite number", repr(value))
     return float(value)
 
@@ -173,9 +178,6 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
     doc = _as_object(_loads(text), "")
     _check_version(doc)
     demand_sigma = _number_field(doc, "demand_sigma", "")
-    if demand_sigma <= 0:
-        raise SchemaError("/demand_sigma", "number > 0", repr(demand_sigma))
-
     demand_delta = None
     if "demand_delta" in doc:
         values = _number_array(doc["demand_delta"], "/demand_delta")
@@ -183,32 +185,25 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
             raise SchemaError(
                 "/demand_delta", f"{net.n_demand} entries", f"{len(values)}"
             )
-        for i, v in enumerate(values):
-            if v < 0:
-                raise SchemaError(f"/demand_delta/{i}", "number >= 0", repr(v))
         demand_delta = tuple(values)
 
     measurements = []
-    for k, raw in enumerate(_as_array(_get(doc, "measurements", ""), "/measurements")):
-        path = f"/measurements/{k}"
-        obj = _as_object(raw, path)
-        kind = _string(obj, "kind", path)
-        if kind not in ("pipe-flow", "node-head"):
-            raise SchemaError(f"{path}/kind", "'pipe-flow' or 'node-head'", repr(kind))
-        target = _string(obj, "target", path)
-        if kind == "pipe-flow" and not net.has_pipe(target):
-            raise SchemaError(f"{path}/target", "existing pipe id", repr(target))
-        if kind == "node-head" and not net.has_demand_node(target):
-            raise SchemaError(f"{path}/target", "existing demand node id", repr(target))
-        sigma = _number_field(obj, "sigma", path)
-        if sigma <= 0:
-            raise SchemaError(f"{path}/sigma", "number > 0", repr(sigma))
-        delta = _number_field(obj, "delta", path) if "delta" in obj else 0.0
-        if delta < 0:
-            raise SchemaError(f"{path}/delta", "number >= 0", repr(delta))
-        measurements.append(
-            Measurement(kind, target, _number_field(obj, "value", path), sigma, delta)
-        )
+    try:
+        for k, raw in enumerate(_as_array(_get(doc, "measurements", ""), "/measurements")):
+            path = f"/measurements/{k}"
+            obj = _as_object(raw, path)
+            kind = _string(obj, "kind", path)
+            target = _string(obj, "target", path)
+            if kind == "pipe-flow" and not net.has_pipe(target):
+                raise SchemaError(f"{path}/target", "existing pipe id", repr(target))
+            if kind == "node-head" and not net.has_demand_node(target):
+                raise SchemaError(f"{path}/target", "existing demand node id", repr(target))
+            sigma = _number_field(obj, "sigma", path)
+            delta = _number_field(obj, "delta", path) if "delta" in obj else 0.0
+            value = _number_field(obj, "value", path)
+            measurements.append(Measurement(kind, target, value, sigma, delta))
+    except ValidationError as exc:
+        raise exc.within(path) from exc
     return MeasurementSet(tuple(measurements), demand_sigma, demand_delta)
 
 
@@ -261,8 +256,6 @@ def decode_interval_state(text: str, net: Network) -> IntervalState:
     _check_version(doc)
     center = _decode_state_doc(_get(doc, "center", ""), net, "/center")
     halfwidth = _decode_state_doc(_get(doc, "halfwidth", ""), net, "/halfwidth")
-    if (halfwidth < 0).any():
-        raise SchemaError("/halfwidth", "entries >= 0", "negative entry")
     interval = IntervalState(StateVector.from_vector(net, center), halfwidth)
     for key, expected in (("lower", interval.lower), ("upper", interval.upper)):
         if key in doc:
@@ -311,23 +304,24 @@ def decode_patterns(text: str):
 
     entries = []
     n_dims = None
-    for i, raw in enumerate(items):
-        path = f"{base}/{i}"
-        obj = _as_object(raw, path)
-        inf = _number_array(_get(obj, "inf", path), f"{path}/inf")
-        sup = _number_array(_get(obj, "sup", path), f"{path}/sup")
-        if len(inf) != len(sup):
-            raise SchemaError(f"{path}/sup", f"{len(inf)} entries", f"{len(sup)}")
-        if n_dims is None:
-            n_dims = len(inf)
-        elif len(inf) != n_dims:
-            raise SchemaError(f"{path}/inf", f"{n_dims} entries", f"{len(inf)}")
-        if any(a > b for a, b in zip(inf, sup)):
-            raise SchemaError(f"{path}/inf", "inf <= sup", "crossed bounds")
-        label = None
-        if "label" in obj:
-            label = _string(obj, "label", path)
-        entries.append((Pattern(np.array(inf), np.array(sup)), label))
+    try:
+        for i, raw in enumerate(items):
+            path = f"{base}/{i}"
+            obj = _as_object(raw, path)
+            inf = _number_array(_get(obj, "inf", path), f"{path}/inf")
+            sup = _number_array(_get(obj, "sup", path), f"{path}/sup")
+            if len(inf) != len(sup):
+                raise SchemaError(f"{path}/sup", f"{len(inf)} entries", f"{len(sup)}")
+            if n_dims is None:
+                n_dims = len(inf)
+            elif len(inf) != n_dims:
+                raise SchemaError(f"{path}/inf", f"{n_dims} entries", f"{len(inf)}")
+            label = None
+            if "label" in obj:
+                label = _string(obj, "label", path)
+            entries.append((Pattern(np.array(inf), np.array(sup)), label))
+    except ValidationError as exc:
+        raise exc.within(path) from exc
     return entries, manifest
 
 
@@ -355,31 +349,24 @@ def encode_model(model: ClassifierModel) -> str:
     )
 
 
+def decode_ranges(value, path: str) -> np.ndarray:
+    """A normalization, an array of [lo, hi] number pairs at `path`, as an
+    (n, 2) array; an empty array gives shape (0, 2)."""
+    ranges = []
+    for i, raw in enumerate(_as_array(value, path)):
+        pair = _number_array(raw, f"{path}/{i}")
+        if len(pair) != 2:
+            raise SchemaError(f"{path}/{i}", "[lo, hi] pair", f"{len(pair)} entries")
+        ranges.append(pair)
+    return np.array(ranges).reshape(-1, 2)
+
+
 def decode_model(text: str) -> ClassifierModel:
     doc = _as_object(_loads(text), "")
     _check_version(doc)
     theta = _number_field(doc, "theta", "")
-    if not 0 < theta <= 1:
-        raise SchemaError("/theta", "number in (0, 1]", repr(theta))
-
     gamma = _number_array(_get(doc, "gamma", ""), "/gamma")
-    n_dims = len(gamma)
-    if n_dims == 0:
-        raise SchemaError("/gamma", "at least one entry", "empty array")
-    for i, g in enumerate(gamma):
-        if g <= 0:
-            raise SchemaError(f"/gamma/{i}", "number > 0", repr(g))
-
-    ranges = []
-    for i, raw in enumerate(_as_array(_get(doc, "normalization", ""), "/normalization")):
-        pair = _number_array(raw, f"/normalization/{i}")
-        if len(pair) != 2:
-            raise SchemaError(f"/normalization/{i}", "[lo, hi] pair", f"{len(pair)} entries")
-        if not pair[1] > pair[0]:
-            raise SchemaError(f"/normalization/{i}", "hi > lo", f"[{pair[0]}, {pair[1]}]")
-        ranges.append(pair)
-    if len(ranges) != n_dims:
-        raise SchemaError("/normalization", f"{n_dims} ranges", f"{len(ranges)}")
+    normalization = decode_ranges(_get(doc, "normalization", ""), "/normalization")
 
     labels = []
     for i, raw in enumerate(_as_array(_get(doc, "labels", ""), "/labels")):
@@ -388,21 +375,17 @@ def decode_model(text: str) -> ClassifierModel:
         labels.append(raw)
 
     cells = []
-    for i, raw in enumerate(_as_array(_get(doc, "cells", ""), "/cells")):
-        path = f"/cells/{i}"
-        obj = _as_object(raw, path)
-        m = _number_array(_get(obj, "m", path), f"{path}/m")
-        mx = _number_array(_get(obj, "M", path), f"{path}/M")
-        if len(m) != n_dims or len(mx) != n_dims:
-            raise SchemaError(path, f"{n_dims}-dimensional cell", f"({len(m)}, {len(mx)})")
-        if any(a > b for a, b in zip(m, mx)):
-            raise SchemaError(f"{path}/m", "m <= M", "crossed min/max points")
-        label = _string(obj, "label", path)
-        if label not in labels:
-            raise SchemaError(f"{path}/label", "label from /labels", repr(label))
-        cells.append(Cell(np.array(m), np.array(mx), label))
+    try:
+        for i, raw in enumerate(_as_array(_get(doc, "cells", ""), "/cells")):
+            path = f"/cells/{i}"
+            obj = _as_object(raw, path)
+            m = _number_array(_get(obj, "m", path), f"{path}/m")
+            mx = _number_array(_get(obj, "M", path), f"{path}/M")
+            cells.append(Cell(np.array(m), np.array(mx), _string(obj, "label", path)))
+    except ValidationError as exc:
+        raise exc.within(path) from exc
 
-    return ClassifierModel(theta, np.array(gamma), np.array(ranges), cells, labels)
+    return ClassifierModel(theta, np.array(gamma), normalization, cells, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -436,54 +419,35 @@ def decode_scenario_spec(text: str) -> ScenarioSpec:
     _check_version(doc)
 
     counts_doc = _as_object(_get(doc, "counts", ""), "/counts")
-    counts = []
-    for label, raw in counts_doc.items():
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise SchemaError(f"/counts/{label}", "integer", type(raw).__name__)
-        if raw < 1:
-            raise SchemaError(f"/counts/{label}", "count >= 1", repr(raw))
-        counts.append((label, raw))
+    counts = tuple((label, _integer_field(counts_doc, label, "/counts")) for label in counts_doc)
 
     magnitude = _number_array(_get(doc, "leak_magnitude", ""), "/leak_magnitude")
     if len(magnitude) != 2:
         raise SchemaError("/leak_magnitude", "[lo, hi] pair", f"{len(magnitude)} entries")
-    if magnitude[0] < 0 or magnitude[1] < magnitude[0]:
-        raise SchemaError("/leak_magnitude", "0 <= lo <= hi", repr(magnitude))
-
     demand_noise = _number_field(doc, "demand_noise", "")
-    if demand_noise < 0:
-        raise SchemaError("/demand_noise", "number >= 0", repr(demand_noise))
     demand_sigma = _number_field(doc, "demand_sigma", "")
-    if demand_sigma <= 0:
-        raise SchemaError("/demand_sigma", "number > 0", repr(demand_sigma))
 
     meters = []
-    for k, raw in enumerate(_as_array(_get(doc, "meters", ""), "/meters")):
-        path = f"/meters/{k}"
-        obj = _as_object(raw, path)
-        kind = _string(obj, "kind", path)
-        if kind not in ("pipe-flow", "node-head"):
-            raise SchemaError(f"{path}/kind", "'pipe-flow' or 'node-head'", repr(kind))
-        sigma = _number_field(obj, "sigma", path)
-        if sigma <= 0:
-            raise SchemaError(f"{path}/sigma", "number > 0", repr(sigma))
-        delta = _number_field(obj, "delta", path)
-        if delta < 0:
-            raise SchemaError(f"{path}/delta", "number >= 0", repr(delta))
-        meters.append(MeterSpec(kind, _string(obj, "target", path), sigma, delta))
-
-    seed = _integer_field(doc, "seed", "")
     try:
-        return ScenarioSpec(
-            tuple(counts),
-            (magnitude[0], magnitude[1]),
-            demand_noise,
-            demand_sigma,
-            tuple(meters),
-            seed,
-        )
-    except ValueError as exc:
-        raise SchemaError("/counts", "valid scenario classes", str(exc)) from exc
+        for k, raw in enumerate(_as_array(_get(doc, "meters", ""), "/meters")):
+            path = f"/meters/{k}"
+            obj = _as_object(raw, path)
+            kind = _string(obj, "kind", path)
+            target = _string(obj, "target", path)
+            sigma = _number_field(obj, "sigma", path)
+            delta = _number_field(obj, "delta", path)
+            meters.append(MeterSpec(kind, target, sigma, delta))
+    except ValidationError as exc:
+        raise exc.within(path) from exc
+
+    return ScenarioSpec(
+        counts,
+        (magnitude[0], magnitude[1]),
+        demand_noise,
+        demand_sigma,
+        tuple(meters),
+        _integer_field(doc, "seed", ""),
+    )
 
 
 # ---------------------------------------------------------------------------

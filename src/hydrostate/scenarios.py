@@ -24,6 +24,7 @@ import numpy as np
 from .errorlimits import block_columns, bound_from_matrix, uncertainty_vector
 from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
+from .estimator import check_meter, check_sigma
 from .fuzzy import Pattern, unit_bounds
 from .hydraulics import jacobian_coefficients, solve_members
 from .linearization import drop_failed
@@ -47,6 +48,9 @@ class MeterSpec:
     target: str
     sigma: float
     delta: float
+
+    def __post_init__(self):
+        check_meter(self.kind, self.sigma, self.delta)
 
 
 @dataclass(frozen=True)
@@ -76,16 +80,21 @@ class ScenarioSpec:
             tuple(sorted((str(k), int(v)) for k, v in self.counts)),
         )
         object.__setattr__(self, "meters", tuple(self.meters))
+        for label, count in self.counts:
+            if label != NORMAL_LABEL and not label.startswith(LEAK_PREFIX):
+                raise ValidationError(
+                    "/counts", "valid scenario classes", f"unknown class label {label!r}"
+                )
+            if count < 1:
+                raise ValidationError(f"/counts/{label}", "count >= 1", str(count))
         lo, hi = self.leak_magnitude
         if not 0 <= lo <= hi:
-            raise ValueError(f"leak magnitude range must satisfy 0 <= lo <= hi, got {self.leak_magnitude}")
-        if any(count < 1 for _, count in self.counts):
-            raise ValueError("per-class counts must be >= 1")
+            raise ValidationError("/leak_magnitude", "0 <= lo <= hi", f"[{lo}, {hi}]")
         if not self.demand_noise >= 0:
-            raise ValueError("demand_noise must be >= 0")
-        for label, _ in self.counts:
-            if label != NORMAL_LABEL and not label.startswith(LEAK_PREFIX):
-                raise ValueError(f"unknown class label {label!r}")
+            raise ValidationError("/demand_noise", "number >= 0", str(self.demand_noise))
+        check_sigma(self.demand_sigma, "/demand_sigma")
+        if not self.seed >= 0:
+            raise ValidationError("/seed", "integer >= 0", str(self.seed))
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,14 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         if label.startswith(LEAK_PREFIX):
             node = label[len(LEAK_PREFIX):]
             if not net.has_demand_node(node):
-                raise ValueError(f"leak class {label!r} names unknown demand node {node!r}")
-    for meter in spec.meters:
+                raise ValidationError(f"/counts/{label}", "existing demand node id", repr(node))
+    for k, meter in enumerate(spec.meters):
         if meter.kind == "pipe-flow" and not net.has_pipe(meter.target):
-            raise ValueError(f"metered pipe {meter.target!r} not in network")
+            raise ValidationError(f"/meters/{k}/target", "existing pipe id", repr(meter.target))
         if meter.kind == "node-head" and not net.has_demand_node(meter.target):
-            raise ValueError(f"metered node {meter.target!r} not in network")
+            raise ValidationError(
+                f"/meters/{k}/target", "existing demand node id", repr(meter.target)
+            )
 
     schedule = [
         label for label, count in spec.counts for _ in range(count)
@@ -158,7 +169,7 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         halfwidths.append(halfwidth)
 
     if not sum(part.size for part in indices):
-        raise ValueError("every scenario failed; nothing to normalize")
+        raise ValidationError("/counts", "a scenario that succeeds", "every scenario failed")
     # Chunks follow the schedule and keep their order, so the survivors
     # come out in scenario order.
     indices = np.concatenate(indices)

@@ -211,7 +211,7 @@ def test_cross_file_validation_is_json_error(capsys, tmp_path):
     code, out = run(capsys, "gen", TRIANGLE, str(spec), "--out", str(tmp_path / "p.json"))
     assert code == 1
     doc = json.loads(out)
-    assert doc["error"] == "ValueError"
+    assert doc["error"] == "ValidationError"
     assert "nope" in doc["detail"]
 
 
@@ -221,3 +221,90 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_file.read_text())["q"]["p1"] == pytest.approx(2.0)
+
+
+def _write(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _demo(name, edit):
+    doc = json.loads((DEMO_DIR / name).read_text())
+    edit(doc)
+    return doc
+
+
+def _gen(tmp_path, **spec_fields):
+    spec = _demo("scenario.json", lambda doc: doc.update(spec_fields))
+    return ["gen", TRIANGLE, _write(tmp_path, "spec.json", spec), "--out", str(tmp_path / "p.json")]
+
+
+def _patterns(tmp_path, normalization):
+    entries = [{"inf": [0.1, 0.2, 0.3], "sup": [0.1, 0.2, 0.3], "label": "a"}]
+    doc = {"manifest": {"normalization": normalization}, "patterns": entries}
+    return _write(tmp_path, "patterns.json", doc)
+
+
+def _train(tmp_path, normalization):
+    return ["train", _patterns(tmp_path, normalization), "--out", str(tmp_path / "model.json")]
+
+
+def _estimate_tiny_sigma(tmp_path):
+    meas = _demo("triangle_meas.json", lambda doc: doc["measurements"][0].update(sigma=1e-200))
+    return ["estimate", TRIANGLE, _write(tmp_path, "meas.json", meas)]
+
+
+def _solve_huge_integer(tmp_path):
+    net = _demo("triangle.json", lambda doc: doc["pipes"][0].update(resistance=10**400))
+    return ["solve", _write(tmp_path, "net.json", net)]
+
+
+def _classify_other_dimension(tmp_path):
+    model = {
+        "theta": 0.3,
+        "gamma": [4.0, 4.0],
+        "normalization": [[0.0, 1.0], [0.0, 1.0]],
+        "labels": ["a"],
+        "cells": [{"m": [0.1, 0.1], "M": [0.2, 0.2], "label": "a"}],
+    }
+    patterns = _patterns(tmp_path, [[0.0, 1.0]] * 3)
+    return ["classify", _write(tmp_path, "classifier.json", model), patterns]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: _gen(tmp, counts={"leak@nope": 1}),
+        lambda tmp: _gen(
+            tmp, meters=[{"kind": "pipe-flow", "target": "p9", "sigma": 0.01, "delta": 0.0}]
+        ),
+        _estimate_tiny_sigma,
+        _classify_other_dimension,
+        lambda tmp: _train(tmp, [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        lambda tmp: _train(tmp, [[float("nan"), 1.0], [0.0, 1.0], [0.0, 1.0]]),
+        _solve_huge_integer,
+        lambda tmp: _gen(tmp, seed=-1),
+    ],
+    ids=[
+        "unknown leak node", "unknown meter target", "sigma 1e-200", "dimension mismatch",
+        "degenerate normalization", "NaN normalization", "huge integer", "negative seed",
+    ],
+)
+def test_input_errors_are_located_json_errors(capsys, tmp_path, argv):
+    code = main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert set(doc) == {"error", "detail"}
+    assert doc["detail"].startswith("/"), doc
+    assert captured.err == ""
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_negative_seed_flag_is_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", TRIANGLE, SCENARIO, "--out", str(tmp_path / "p.json"), "--seed", "-3"])
+    assert excinfo.value.code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from hydrostate import (
+    Cell,
     ClassifierModel,
     Measurement,
+    MeterSpec,
     Pattern,
     ParseError,
+    ScenarioSpec,
     SchemaError,
+    ValidationError,
     estimate_state,
     sensitivity_bound,
     train,
@@ -168,6 +172,141 @@ def test_scenario_spec_decode(demo_dir):
     assert dict(spec.counts)["normal"] == 50
     assert spec.seed == 7
     assert len(spec.meters) == 5
+
+
+# Each range or domain check that the types own, with one document
+# violating it. The rejection text is the decoders' own, unchanged.
+_MODEL = {
+    "theta": 0.3,
+    "gamma": [4.0, 4.0],
+    "normalization": [[0.0, 1.0], [0.0, 2.0]],
+    "labels": ["ok", "bad"],
+    "cells": [{"m": [0.1, 0.1], "M": [0.2, 0.2], "label": "ok"}],
+}
+_PATTERNS = {"patterns": [{"inf": [0.1, 0.2], "sup": [0.3, 0.4], "label": "a"}] * 2}
+_STATE = {"q": {"p1": 2.0, "p2": 1.5, "p3": 0.1}, "H": {"n1": 60.0, "n2": 59.0}}
+_INTERVAL = {"center": _STATE, "halfwidth": {"q": _STATE["q"], "H": _STATE["H"]}}
+_RANGE_CHECKS = [
+    ("meas", ("demand_sigma",), 0, "/demand_sigma: expected number > 0, found 0.0"),
+    ("meas", ("demand_delta", 1), -0.5, "/demand_delta/1: expected number >= 0, found -0.5"),
+    ("meas", ("measurements", 2, "kind"), "volts",
+     "/measurements/2/kind: expected 'pipe-flow' or 'node-head', found 'volts'"),
+    ("meas", ("measurements", 1, "sigma"), -1,
+     "/measurements/1/sigma: expected number > 0, found -1.0"),
+    ("meas", ("measurements", 3, "delta"), -0.25,
+     "/measurements/3/delta: expected number >= 0, found -0.25"),
+    ("interval", ("halfwidth", "H", "n2"), -1e-3,
+     "/halfwidth: expected entries >= 0, found negative entry"),
+    ("patterns", ("patterns", 1, "inf"), [0.5, 0.2],
+     "/patterns/1/inf: expected inf <= sup, found crossed bounds"),
+    ("model", ("theta",), 1.5, "/theta: expected number in (0, 1], found 1.5"),
+    ("model", ("gamma",), [], "/gamma: expected at least one entry, found empty array"),
+    ("model", ("gamma", 1), 0, "/gamma/1: expected number > 0, found 0.0"),
+    ("model", ("normalization", 1), [2, 2], "/normalization/1: expected hi > lo, found [2.0, 2.0]"),
+    ("model", ("normalization",), [[0, 1]], "/normalization: expected 2 ranges, found 1"),
+    ("model", ("normalization",), [], "/normalization: expected 2 ranges, found 0"),
+    ("model", ("cells", 0, "M"), [0.2, 0.2, 0.2],
+     "/cells/0: expected 2-dimensional cell, found (2, 3)"),
+    ("model", ("cells", 0, "m"), [0.1, 0.1, 0.1],
+     "/cells/0: expected 2-dimensional cell, found (3, 2)"),
+    ("model", ("cells", 0, "m"), [0.1, 0.9],
+     "/cells/0/m: expected m <= M, found crossed min/max points"),
+    ("model", ("cells", 0, "label"), "ugly",
+     "/cells/0/label: expected label from /labels, found 'ugly'"),
+    ("spec", ("counts", "leak@n1"), 0, "/counts/leak@n1: expected count >= 1, found 0"),
+    ("spec", ("counts",), {"normal": 5, "burst": 2},
+     "/counts: expected valid scenario classes, found unknown class label 'burst'"),
+    ("spec", ("leak_magnitude",), [1, 0.5],
+     "/leak_magnitude: expected 0 <= lo <= hi, found [1.0, 0.5]"),
+    ("spec", ("leak_magnitude",), [-1, 0.5],
+     "/leak_magnitude: expected 0 <= lo <= hi, found [-1.0, 0.5]"),
+    ("spec", ("demand_noise",), -0.1, "/demand_noise: expected number >= 0, found -0.1"),
+    ("spec", ("demand_sigma",), 0, "/demand_sigma: expected number > 0, found 0.0"),
+    ("spec", ("meters", 3, "kind"), "volts",
+     "/meters/3/kind: expected 'pipe-flow' or 'node-head', found 'volts'"),
+    ("spec", ("meters", 0, "sigma"), 0, "/meters/0/sigma: expected number > 0, found 0.0"),
+    ("spec", ("meters", 4, "delta"), -1, "/meters/4/delta: expected number >= 0, found -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "corpus, pointer, value, expected",
+    _RANGE_CHECKS,
+    ids=[f"{c[0]}:/{'/'.join(map(str, c[1]))}={c[2]}" for c in _RANGE_CHECKS],
+)
+def test_range_rejections_keep_their_text(demo_dir, triangle, corpus, pointer, value, expected):
+    docs = {
+        "meas": json.loads((demo_dir / "triangle_meas.json").read_text()),
+        "spec": json.loads((demo_dir / "scenario.json").read_text()),
+        "model": json.loads(json.dumps(_MODEL)),
+        "patterns": json.loads(json.dumps(_PATTERNS)),
+        "interval": json.loads(json.dumps(_INTERVAL)),
+    }
+    decoders = {
+        "meas": lambda t: report_io.decode_measurement_set(t, triangle),
+        "spec": report_io.decode_scenario_spec,
+        "model": report_io.decode_model,
+        "patterns": report_io.decode_patterns,
+        "interval": lambda t: report_io.decode_interval_state(t, triangle),
+    }
+    doc = docs[corpus]
+    decoders[corpus](json.dumps(doc))  # the document is valid before the change
+    node = doc
+    for key in pointer[:-1]:
+        node = node[key]
+    node[pointer[-1]] = value
+    with pytest.raises(SchemaError) as excinfo:
+        decoders[corpus](json.dumps(doc))
+    assert str(excinfo.value) == expected
+
+
+_SPEC_FIELDS = dict(
+    counts=(("normal", 1),), leak_magnitude=(0.0, 1.0), demand_noise=0.05,
+    demand_sigma=0.1, meters=(), seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "build, path",
+    [
+        (lambda: ScenarioSpec(**dict(_SPEC_FIELDS, demand_sigma=-1.0)), "/demand_sigma"),
+        (lambda: MeterSpec("pipe-flow", "p1", 0.0, 0.0), "/sigma"),
+        (lambda: MeterSpec("volts", "p1", 0.01, 0.0), "/kind"),
+        (
+            lambda: ClassifierModel(
+                0.3, [4.0, 4.0], [[0.0, 1.0]] * 2, [Cell([0.1] * 3, [0.2] * 3, "a")], ["a"]
+            ),
+            "/cells/0",
+        ),
+        (lambda: ClassifierModel.create(0), "/gamma"),
+        (lambda: ClassifierModel.create(2, normalization=[[1.0, 1.0]] * 2), "/normalization/0"),
+        (
+            lambda: ClassifierModel.create(2, normalization=[[float("nan"), 1.0]] * 2),
+            "/normalization/0",
+        ),
+    ],
+    ids=[
+        "spec demand_sigma -1", "meter sigma 0", "meter kind volts", "3-d cell in 2-d model",
+        "0-d model", "degenerate normalization", "NaN normalization",
+    ],
+)
+def test_objects_the_decoders_reject_cannot_be_built(build, path):
+    """Every object the library builds either round-trips through its
+    codec or is rejected where it is built; these are rejected."""
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert excinfo.value.path == path
+
+
+def test_integer_beyond_float_range_is_located(demo_dir):
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    doc["pipes"][1]["resistance"] = 10**400
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_network(json.dumps(doc))
+    assert (excinfo.value.path, excinfo.value.expected) == ("/pipes/1/resistance", "finite number")
+    # Past Python's digit limit the literal cannot even be parsed.
+    with pytest.raises(ParseError):
+        report_io.decode_network(json.dumps(doc).replace("1" + "0" * 400, "9" * 5000))
 
 
 def test_state_csv_shape(triangle):

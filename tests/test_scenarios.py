@@ -9,6 +9,7 @@ import hydrostate.scenarios
 from hydrostate import (
     HydrostateError,
     RankDeficient,
+    ValidationError,
     Measurement,
     MeasurementSet,
     MeterSpec,
@@ -178,6 +179,9 @@ def test_spec_validation():
         _spec(counts=(("weird-label", 1),))
     with pytest.raises(ValueError):
         _spec(demand_noise=-0.1)
+    with pytest.raises(ValidationError) as excinfo:
+        _spec(seed=-1)
+    assert excinfo.value.path == "/seed"
 
 
 def _single_case_chain(net, spec):
