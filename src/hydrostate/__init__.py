@@ -2,7 +2,6 @@
 growing fuzzy min-max anomaly classifier."""
 
 from .errors import (
-    DegenerateRange,
     EmptyModel,
     HydrostateError,
     NonConvergence,
@@ -12,7 +11,6 @@ from .errors import (
     RankDeficient,
     SchemaError,
     SingularSystem,
-    UnknownTarget,
     ValidationError,
 )
 from .errorlimits import (
@@ -58,7 +56,6 @@ __all__ = [
     "Cell",
     "ClassificationResult",
     "ClassifierModel",
-    "DegenerateRange",
     "EmptyModel",
     "EstimateReport",
     "HydrostateError",
@@ -81,7 +78,6 @@ __all__ = [
     "SingularSystem",
     "SolveReport",
     "StateVector",
-    "UnknownTarget",
     "ValidationError",
     "build_augmented",
     "classify",

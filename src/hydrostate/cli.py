@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from . import report_io
 from .errors import HydrostateError
 from .errorlimits import sensitivity_bound, uncertainty_vector
@@ -255,7 +257,7 @@ def _cmd_train(args, cfg: RunConfig) -> None:
 
 def _cmd_classify(args, cfg: RunConfig) -> None:
     model = report_io.decode_model(_read(args.model))
-    entries, _ = report_io.decode_patterns(_read(args.patterns))
+    entries, _ = report_io.decode_patterns(_read(args.patterns), model.n_dims)
     results = []
     for pattern, _label in entries:
         outcome = classify_pattern(model, pattern)
@@ -287,13 +289,16 @@ def dispatch(argv) -> int:
     """Run one subcommand; returns the process exit status.
 
     0 on success, 1 on domain errors (with a JSON error object on stdout),
-    2 on usage errors (argparse reports those itself).
+    2 on usage errors (argparse reports those itself). Floating-point
+    warnings are silenced: the stages check their own results, so a failure
+    report is the JSON object alone.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _resolve_config(parser, args)
     try:
-        _COMMANDS[args.command](args, cfg)
+        with np.errstate(all="ignore"):
+            _COMMANDS[args.command](args, cfg)
     except HydrostateError as exc:
         sys.stdout.write(
             report_io.dumps({"error": type(exc).__name__, "detail": str(exc)})

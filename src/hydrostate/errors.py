@@ -2,9 +2,11 @@
 
 Every failure an input can cause derives from HydrostateError, which the CLI
 reports as a JSON error with exit status 1. Each invariant of a value a file
-can carry is checked once, by its type, and a violation is a ValidationError
-located by a JSON pointer. Misused library arguments (a wrong array shape,
-`samples < 1`) raise a plain ValueError instead.
+can carry is checked once, by its type or by the one function that owns it
+(`estimator.meter_column` for a meter's target, `fuzzy.check_ranges` for
+normalization ranges, `network.Forest` for connectivity), and a violation
+is a ValidationError located by a JSON pointer. Misused library arguments
+(a wrong array shape, `samples < 1`) raise a plain ValueError instead.
 """
 
 
@@ -42,14 +44,6 @@ class ValidationError(SchemaError, ValueError):
         return ValidationError(prefix + self.path, self.expected, self.found)
 
 
-class UnknownTarget(HydrostateError):
-    """A measurement names a pipe or node that does not exist."""
-
-    def __init__(self, target: str):
-        self.target = target
-        super().__init__(f"unknown measurement target {target!r}")
-
-
 class NonConvergence(HydrostateError):
     """Iteration budget exhausted before meeting the tolerance."""
 
@@ -62,11 +56,14 @@ class NonConvergence(HydrostateError):
 
 
 class SingularSystem(HydrostateError):
-    """The linearized block system is rank-deficient."""
+    """The solver could not take a Newton step: the loop matrix of the
+    Newton matrix did not factor, or the step is not finite."""
 
 
 class RankDeficient(HydrostateError):
-    """The weighted normal equations are not positive definite."""
+    """The estimator or the bound could not solve its weighted system: the
+    loop matrix of the Newton matrix did not factor, the telemetry update
+    is singular, or an estimator step is not finite."""
 
 
 class PatternOutOfRange(HydrostateError):
@@ -80,10 +77,3 @@ class PatternTooWide(HydrostateError):
 class EmptyModel(HydrostateError):
     """Classification requested on a model with no cells."""
 
-
-class DegenerateRange(HydrostateError):
-    """A normalization range has hi <= lo."""
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        super().__init__(f"degenerate normalization range in dimension {dimension}")

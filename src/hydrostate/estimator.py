@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HydrostateError, NonConvergence, RankDeficient, UnknownTarget, ValidationError
+from .errors import HydrostateError, NonConvergence, RankDeficient, ValidationError
 from .hydraulics import (
     DEFAULT_MAX_ITER,
     StateVector,
@@ -66,6 +66,19 @@ def check_meter(kind: str, sigma, delta) -> None:
     check_sigma(sigma, "/sigma")
     if not delta >= 0:
         raise ValidationError("/delta", "number >= 0", str(delta))
+
+
+def meter_column(net: Network, kind: str, target: str) -> int:
+    """The unknown a meter selects, as a position in x = (q, H): q_j for a
+    pipe-flow meter on pipe j, H_i for a node-head meter on demand node i.
+    A target the network does not have is a ValidationError at /target."""
+    if kind == KIND_PIPE_FLOW:
+        if not net.has_pipe(target):
+            raise ValidationError("/target", "existing pipe id", repr(target))
+        return net.pipe_index(target)
+    if not net.has_demand_node(target):
+        raise ValidationError("/target", "existing demand node id", repr(target))
+    return net.n_pipes + net.demand_index(target)
 
 
 @dataclass(frozen=True)
@@ -122,22 +135,18 @@ def build_augmented(
     """The augmented system of a measurement set: its telemetry columns,
     values and row weights.
 
-    A pipe-flow measurement on pipe j selects q_j; a node-head measurement
-    on node i selects H_i.
+    Each measurement selects the unknown of its `meter_column`; an unknown
+    target is a ValidationError at /measurements/k/target.
     """
     m = len(meas.measurements)
     values = np.zeros(m)
     sigmas = np.zeros(m)
     columns = np.zeros(m, dtype=np.intp)
     for k, measurement in enumerate(meas.measurements):
-        if measurement.kind == KIND_PIPE_FLOW:
-            if not net.has_pipe(measurement.target):
-                raise UnknownTarget(measurement.target)
-            columns[k] = net.pipe_index(measurement.target)
-        else:
-            if not net.has_demand_node(measurement.target):
-                raise UnknownTarget(measurement.target)
-            columns[k] = net.n_pipes + net.demand_index(measurement.target)
+        try:
+            columns[k] = meter_column(net, measurement.kind, measurement.target)
+        except ValidationError as exc:
+            raise exc.within(f"/measurements/{k}") from exc
         values[k] = measurement.value
         sigmas[k] = measurement.sigma
 

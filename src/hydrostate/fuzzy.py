@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateRange, EmptyModel, PatternOutOfRange, PatternTooWide, ValidationError
+from .errors import EmptyModel, PatternOutOfRange, PatternTooWide, ValidationError
 
 DEFAULT_THETA = 0.3
 DEFAULT_GAMMA = 4.0
@@ -43,6 +43,8 @@ class Pattern:
         object.__setattr__(self, "sup", np.asarray(self.sup, dtype=float))
         if self.inf.shape != self.sup.shape or self.inf.ndim != 1:
             raise ValueError("inf and sup must be 1-d vectors of equal length")
+        if not self.inf.size:
+            raise ValidationError("/inf", "at least one entry", "empty array")
         if (self.inf > self.sup).any():
             raise ValidationError("/inf", "inf <= sup", "crossed bounds")
 
@@ -96,11 +98,7 @@ class ClassifierModel:
                 raise ValidationError(f"/gamma/{i}", "number > 0", str(g))
         if self.normalization.shape != (n, 2):
             raise ValidationError("/normalization", f"{n} ranges", f"{len(self.normalization)}")
-        for i, (lo, hi) in enumerate(self.normalization.tolist()):
-            if not hi > lo:
-                raise ValidationError(f"/normalization/{i}", "hi > lo", f"[{lo}, {hi}]")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError(f"/normalization/{i}", "finite bounds", f"[{lo}, {hi}]")
+        check_ranges(self.normalization)
         for i, cell in enumerate(self.cells):
             if cell.m.shape != (n,) or cell.M.shape != (n,):
                 raise ValidationError(
@@ -265,25 +263,29 @@ def unit_bounds(lower, upper, normalization) -> tuple[np.ndarray, np.ndarray]:
     """The map of `normalize` on raw (lower, upper) bounds, returned as
     (inf, sup) arrays. It maps the last axis, so bounds stacked along
     leading axes are normalized at once."""
-    lo, hi = _check_ranges(normalization)
+    lo, hi = check_ranges(normalization)
     span = hi - lo
     return np.clip((lower - lo) / span, 0.0, 1.0), np.clip((upper - lo) / span, 0.0, 1.0)
 
 
 def denormalize(pattern: Pattern, normalization) -> tuple[np.ndarray, np.ndarray]:
     """Inverse affine map; returns the (lower, upper) raw-space bounds."""
-    lo, hi = _check_ranges(normalization)
+    lo, hi = check_ranges(normalization)
     span = hi - lo
     return lo + pattern.inf * span, lo + pattern.sup * span
 
 
-def _check_ranges(normalization):
+def check_ranges(normalization) -> tuple[np.ndarray, np.ndarray]:
+    """The lo and hi columns of a normalization, an (n, 2) array of [lo, hi]
+    ranges; a range that is not finite with hi > lo is a ValidationError at
+    /normalization/i."""
     ranges = np.asarray(normalization, dtype=float)
-    lo, hi = ranges[:, 0], ranges[:, 1]
-    for dim in range(ranges.shape[0]):
-        if not hi[dim] > lo[dim]:
-            raise DegenerateRange(dim)
-    return lo, hi
+    for i, (lo, hi) in enumerate(ranges.tolist()):
+        if not hi > lo:
+            raise ValidationError(f"/normalization/{i}", "hi > lo", f"[{lo}, {hi}]")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"/normalization/{i}", "finite bounds", f"[{lo}, {hi}]")
+    return ranges[:, 0], ranges[:, 1]
 
 
 def _raw_bounds(raw) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,6 @@ leaves, which makes the continuity rows read A12^T q = Q directly.
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,14 +52,16 @@ class Network:
     Node and pipe ordering is the construction order; it defines the
     canonical ordering of the unknowns (q in pipe order, H in demand-node
     order). `a12` and `a10` hold the signed incidence on the demand and on
-    the fixed-head nodes in sparse form, and `fixed_head_term` is
-    A10 @ fixed_heads; they are built once per topology.
+    the fixed-head nodes in sparse form, `fixed_head_term` is
+    A10 @ fixed_heads, and `forest` is the breadth-first spanning tree cut
+    at the fixed-head nodes with the loop basis of its co-tree (see
+    `Forest`); they are built once per topology.
     """
 
     def __init__(self, nodes: list[Node], pipes: list[Pipe]):
         self.nodes = tuple(nodes)
         self.pipes = tuple(pipes)
-        _validate(self.nodes, self.pipes)
+        position = _validate(self.nodes, self.pipes)
 
         self.demand_nodes = tuple(n for n in self.nodes if n.kind == KIND_DEMAND)
         self.fixed_nodes = tuple(n for n in self.nodes if n.kind == KIND_FIXED)
@@ -82,6 +83,7 @@ class Network:
             self.fixed_head_term,
         ):
             arr.setflags(write=False)
+        self.forest = Forest(self, position)
 
     @property
     def n_pipes(self) -> int:
@@ -106,12 +108,6 @@ class Network:
 
     def has_demand_node(self, node_id: str) -> bool:
         return node_id in self._demand_index
-
-    @cached_property
-    def forest(self) -> "Forest":
-        """The breadth-first spanning tree cut at the fixed-head nodes, and
-        the loop basis of its co-tree (see `Forest`)."""
-        return Forest(self)
 
     def with_demands(self, demands: np.ndarray) -> "Network":
         """Copy of the network with the demand vector replaced.
@@ -190,6 +186,11 @@ class Incidence:
         self.sign = np.array([e[2] for e in entries], dtype=float)
         for arr in (self.pipe, self.node, self.sign):
             arr.setflags(write=False)
+        # `_slots` tables of the entries by pipe (at most two rows, one per
+        # pipe end in the set) and by node (one row per incident pipe, up
+        # to the largest node degree), for the products.
+        self._by_pipe = _slots(self.pipe, self.node, self.sign, self.shape[0])
+        self._by_node = _slots(self.node, self.pipe, self.sign, self.shape[1])
 
     def dense(self) -> np.ndarray:
         """The incidence as a read-only dense n_pipes x n_nodes array."""
@@ -212,24 +213,13 @@ class Incidence:
         along `axis` as for `dot`."""
         return _gather_sum(*self._by_node, u, axis)
 
-    @cached_property
-    def _by_pipe(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node and sign of each pipe's entries, as `_slots` tables: at
-        most two rows, one per pipe end in the set."""
-        return _slots(self.pipe, self.node, self.sign, self.shape[0])
-
-    @cached_property
-    def _by_node(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pipe and sign of each node's entries, as `_slots` tables: one
-        row per incident pipe, up to the largest node degree."""
-        return _slots(self.node, self.pipe, self.sign, self.shape[1])
-
 
 class Forest:
     """The network's breadth-first spanning tree, rooted at the first
     fixed-head node, cut at the fixed-head nodes: a spanning forest of the
     demand nodes, with a root at every fixed-head node it touches, and the
-    loop basis of the pipes left out of it.
+    loop basis of the pipes left out of it. A network with a node that the
+    tree cannot reach is rejected here, at /pipes.
 
     Each demand node has one tree pipe that joins it to its parent, so the
     incidence of the tree pipes on the demand nodes, A12_T, is square. The
@@ -254,12 +244,12 @@ class Forest:
     (`loop_gram`).
     """
 
-    def __init__(self, net: Network):
+    def __init__(self, net: Network, position: dict[str, int]):
         # Breadth-first spanning tree from the first fixed-head node, each
         # node's pipes taken in pipe order: one (node, parent, pipe, sign)
-        # per tree pipe in visiting order, nodes as positions in `nodes` and
-        # sign +1 where the pipe leaves the parent; and each node's depth.
-        position = {n.id: i for i, n in enumerate(net.nodes)}
+        # per tree pipe in visiting order, nodes as positions in `nodes`
+        # (`position` maps ids to them) and sign +1 where the pipe leaves
+        # the parent; and each node's depth.
         adjacency: list[list[tuple[int, int, float]]] = [[] for _ in net.nodes]
         for j, pipe in enumerate(net.pipes):
             a, b = position[pipe.from_node], position[pipe.to_node]
@@ -273,6 +263,12 @@ class Forest:
                     depth_of[node] = depth_of[up] + 1
                     visit.append(node)
                     tree.append((node, up, j, sign))
+        if len(visit) < len(net.nodes):
+            missing = sorted(n.id for i, n in enumerate(net.nodes) if i not in depth_of)
+            raise ValidationError(
+                "/pipes", "connected graph",
+                f"unreachable node(s) {', '.join(repr(m) for m in missing)}",
+            )
 
         # The demand nodes' tree pipes; `sweep` maps each demand node to its
         # position in `order`, and parents that are fixed-head nodes map to
@@ -436,14 +432,16 @@ def _validate_demand(i, node):
         )
 
 
-def _validate(nodes, pipes):
-    seen = set()
+def _validate(nodes, pipes) -> dict[str, int]:
+    """Checks the nodes and pipes, all but connectivity (see `Forest`), and
+    returns the map from node id to position."""
+    position: dict[str, int] = {}
     for i, node in enumerate(nodes):
-        if node.id in seen:
+        if node.id in position:
             raise ValidationError(
                 f"/nodes/{i}/id", "unique node id", f"duplicate id {node.id!r}"
             )
-        seen.add(node.id)
+        position[node.id] = i
         if node.kind == KIND_DEMAND:
             if node.demand is None or node.head is not None:
                 raise ValidationError(
@@ -462,7 +460,6 @@ def _validate(nodes, pipes):
                 f"/nodes/{i}/kind", "'demand' or 'fixed-head'", repr(node.kind)
             )
 
-    ids = {n.id for n in nodes}
     seen_pipes = set()
     for j, pipe in enumerate(pipes):
         if pipe.id in seen_pipes:
@@ -471,7 +468,7 @@ def _validate(nodes, pipes):
             )
         seen_pipes.add(pipe.id)
         for key, endpoint in (("from", pipe.from_node), ("to", pipe.to_node)):
-            if endpoint not in ids:
+            if endpoint not in position:
                 raise ValidationError(
                     f"/pipes/{j}/{key}", "existing node id",
                     f"unknown node {endpoint!r} on pipe {pipe.id!r}",
@@ -496,23 +493,4 @@ def _validate(nodes, pipes):
         raise ValidationError("/nodes", "at least one fixed-head node", "none")
     if not any(n.kind == KIND_DEMAND for n in nodes):
         raise ValidationError("/nodes", "at least one demand node", "none")
-
-    # Connectivity over the undirected graph.
-    adjacency: dict[str, set[str]] = {n.id: set() for n in nodes}
-    for pipe in pipes:
-        adjacency[pipe.from_node].add(pipe.to_node)
-        adjacency[pipe.to_node].add(pipe.from_node)
-    start = nodes[0].id
-    reached = {start}
-    stack = [start]
-    while stack:
-        for neighbour in adjacency[stack.pop()]:
-            if neighbour not in reached:
-                reached.add(neighbour)
-                stack.append(neighbour)
-    if len(reached) < len(nodes):
-        missing = sorted(ids - reached)
-        raise ValidationError(
-            "/pipes", "connected graph",
-            f"unreachable node(s) {', '.join(repr(m) for m in missing)}",
-        )
+    return position

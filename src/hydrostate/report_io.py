@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
-from .estimator import Measurement, MeasurementSet
+from .estimator import Measurement, MeasurementSet, meter_column
 from .errorlimits import IntervalState
 from .fuzzy import Cell, ClassifierModel, Pattern
 from .hydraulics import StateVector
@@ -194,14 +194,11 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
             obj = _as_object(raw, path)
             kind = _string(obj, "kind", path)
             target = _string(obj, "target", path)
-            if kind == "pipe-flow" and not net.has_pipe(target):
-                raise SchemaError(f"{path}/target", "existing pipe id", repr(target))
-            if kind == "node-head" and not net.has_demand_node(target):
-                raise SchemaError(f"{path}/target", "existing demand node id", repr(target))
             sigma = _number_field(obj, "sigma", path)
             delta = _number_field(obj, "delta", path) if "delta" in obj else 0.0
             value = _number_field(obj, "value", path)
             measurements.append(Measurement(kind, target, value, sigma, delta))
+            meter_column(net, kind, target)
     except ValidationError as exc:
         raise exc.within(path) from exc
     return MeasurementSet(tuple(measurements), demand_sigma, demand_delta)
@@ -288,8 +285,10 @@ def encode_patterns(entries, manifest: dict | None = None) -> str:
     return dumps({"version": VERSION, "manifest": manifest, "patterns": items})
 
 
-def decode_patterns(text: str):
-    """Returns ([(Pattern, label-or-None), ...], manifest-or-None)."""
+def decode_patterns(text: str, n_dims: int | None = None):
+    """Returns ([(Pattern, label-or-None), ...], manifest-or-None). Every
+    pattern has `n_dims` entries when given (a model's dimension), else as
+    many as the first."""
     doc = _loads(text)
     manifest = None
     if isinstance(doc, dict):
@@ -303,7 +302,6 @@ def decode_patterns(text: str):
         base = ""
 
     entries = []
-    n_dims = None
     try:
         for i, raw in enumerate(items):
             path = f"{base}/{i}"

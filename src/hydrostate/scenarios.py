@@ -24,7 +24,7 @@ import numpy as np
 from .errorlimits import block_columns, bound_from_matrix, uncertainty_vector
 from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
-from .estimator import check_meter, check_sigma
+from .estimator import check_meter, check_sigma, meter_column
 from .fuzzy import Pattern, unit_bounds
 from .hydraulics import jacobian_coefficients, solve_members
 from .linearization import drop_failed
@@ -117,12 +117,10 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
             if not net.has_demand_node(node):
                 raise ValidationError(f"/counts/{label}", "existing demand node id", repr(node))
     for k, meter in enumerate(spec.meters):
-        if meter.kind == "pipe-flow" and not net.has_pipe(meter.target):
-            raise ValidationError(f"/meters/{k}/target", "existing pipe id", repr(meter.target))
-        if meter.kind == "node-head" and not net.has_demand_node(meter.target):
-            raise ValidationError(
-                f"/meters/{k}/target", "existing demand node id", repr(meter.target)
-            )
+        try:
+            meter_column(net, meter.kind, meter.target)
+        except ValidationError as exc:
+            raise exc.within(f"/meters/{k}") from exc
 
     schedule = [
         label for label, count in spec.counts for _ in range(count)

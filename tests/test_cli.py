@@ -260,6 +260,16 @@ def _solve_huge_integer(tmp_path):
     return ["solve", _write(tmp_path, "net.json", net)]
 
 
+def _bounds_overflowing_bound(tmp_path):
+    def edit(doc):
+        for meter in doc["measurements"]:
+            meter["delta"] = 1.7e308
+        doc["demand_delta"] = [1.7e308] * len(doc["demand_delta"])
+
+    meas = _demo("triangle_meas.json", edit)
+    return ["bounds", TRIANGLE, _write(tmp_path, "meas.json", meas)]
+
+
 def _classify_other_dimension(tmp_path):
     model = {
         "theta": 0.3,
@@ -285,10 +295,12 @@ def _classify_other_dimension(tmp_path):
         lambda tmp: _train(tmp, [[float("nan"), 1.0], [0.0, 1.0], [0.0, 1.0]]),
         _solve_huge_integer,
         lambda tmp: _gen(tmp, seed=-1),
+        _bounds_overflowing_bound,
     ],
     ids=[
         "unknown leak node", "unknown meter target", "sigma 1e-200", "dimension mismatch",
         "degenerate normalization", "NaN normalization", "huge integer", "negative seed",
+        "overflowing bound",
     ],
 )
 def test_input_errors_are_located_json_errors(capsys, tmp_path, argv):
@@ -308,3 +320,42 @@ def test_negative_seed_flag_is_usage_error(capsys, tmp_path):
     assert excinfo.value.code == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize(
+    "k, kind, target, expected",
+    [
+        (0, "pipe-flow", "zz", "existing pipe id"),
+        (2, "node-head", "r1", "existing demand node id"),
+    ],
+)
+def test_unknown_measurement_target_is_located(capsys, tmp_path, k, kind, target, expected):
+    meas = _demo(
+        "triangle_meas.json", lambda doc: doc["measurements"][k].update(kind=kind, target=target)
+    )
+    code, out = run(capsys, "estimate", TRIANGLE, _write(tmp_path, "meas.json", meas))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValidationError",
+        "detail": f"/measurements/{k}/target: expected {expected}, found {target!r}",
+    }
+
+
+def _train_empty_box(tmp_path):
+    patterns = _write(tmp_path, "patterns.json", [{"inf": [], "sup": [], "label": "a"}])
+    return ["train", patterns, "--out", str(tmp_path / "model.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, error, detail",
+    [
+        (_classify_other_dimension, "SchemaError", "/patterns/0/inf: expected 2 entries, found 3"),
+        (_train_empty_box, "ValidationError",
+         "/0/inf: expected at least one entry, found empty array"),
+    ],
+    ids=["model dimension", "empty box"],
+)
+def test_pattern_file_errors_point_into_the_pattern_file(capsys, tmp_path, argv, error, detail):
+    code, out = run(capsys, *argv(tmp_path))
+    assert code == 1
+    assert json.loads(out) == {"error": error, "detail": detail}

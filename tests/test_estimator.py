@@ -9,7 +9,7 @@ from hydrostate import (
     NonConvergence,
     Pipe,
     RankDeficient,
-    UnknownTarget,
+    ValidationError,
     build_augmented,
     estimate_state,
     solve_steady_state,
@@ -48,8 +48,24 @@ def test_empty_measurements_reduce_to_model_rows(triangle):
 
 def test_unknown_target(triangle):
     meas = MeasurementSet((Measurement("pipe-flow", "nope", 1.0, 0.1),))
-    with pytest.raises(UnknownTarget):
+    with pytest.raises(ValidationError) as excinfo:
         build_augmented(triangle, meas)
+    assert excinfo.value.path == "/measurements/0/target"
+
+
+@pytest.mark.parametrize(
+    "k, kind, target, expected",
+    [
+        (0, "pipe-flow", "n1", "existing pipe id"),
+        (1, "node-head", "r1", "existing demand node id"),
+    ],
+)
+def test_unknown_targets_located(triangle, k, kind, target, expected):
+    meters = [Measurement("node-head", "n1", 60.0, 0.1)] * 2
+    meters[k] = Measurement(kind, target, 1.0, 0.1)
+    with pytest.raises(ValidationError) as excinfo:
+        build_augmented(triangle, MeasurementSet(tuple(meters)))
+    assert str(excinfo.value) == f"/measurements/{k}/target: expected {expected}, found {target!r}"
 
 
 def test_consistent_data_fixed_point(triangle):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from hydrostate import (
     Cell,
     ClassifierModel,
-    DegenerateRange,
     EmptyModel,
     Pattern,
     PatternOutOfRange,
     PatternTooWide,
+    ValidationError,
     classify,
     denormalize,
     membership,
@@ -324,9 +324,9 @@ def test_normalize_round_trip():
 
 
 def test_degenerate_range_rejected():
-    with pytest.raises(DegenerateRange) as excinfo:
+    with pytest.raises(ValidationError) as excinfo:
         normalize(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [3.0, 3.0]]))
-    assert excinfo.value.dimension == 1
+    assert excinfo.value.path == "/normalization/1"
 
 
 def test_normalize_clamps():

@@ -194,6 +194,29 @@ def test_with_demands(triangle):
         triangle.with_demands(np.array([1.0]))
 
 
+def test_with_demands_shares_the_forest(triangle):
+    # The network was never solved: the forest is built with it, once.
+    assert triangle.with_demands(np.array([0.5, 3.0])).forest is triangle.forest
+
+
+def test_unreachable_nodes_are_those_the_tree_misses():
+    # The tree grows from the first fixed-head node, r1; nodes[0] lies in
+    # the other component.
+    with pytest.raises(ValidationError) as excinfo:
+        Network(
+            [
+                Node("n0", "demand", demand=1.0),
+                Node("r1", "fixed-head", head=10.0),
+                Node("n2", "demand", demand=1.0),
+                Node("n3", "demand", demand=1.0),
+            ],
+            [Pipe("p", "r1", "n2", 1.0), Pipe("q", "n0", "n3", 1.0)],
+        )
+    assert str(excinfo.value) == (
+        "/pipes: expected connected graph, found unreachable node(s) 'n0', 'n3'"
+    )
+
+
 def test_network_arrays_read_only(triangle):
     a12, _ = incidence_matrices(triangle)
     with pytest.raises(ValueError):
