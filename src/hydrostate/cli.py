@@ -27,31 +27,22 @@ from .scenarios import generate
 
 CONFIG_ENV = "HYDROSTATE_CONFIG"
 
-DEFAULTS = {
-    "tol_r": DEFAULT_TOL_R,
-    "tol_x": DEFAULT_TOL_X,
-    "max_iter": DEFAULT_MAX_ITER,
-    "omega": DEFAULT_OMEGA,
-    "theta": DEFAULT_THETA,
-    "gamma": DEFAULT_GAMMA,
-    "seed": None,
-    "format": "json",
-}
-
 
 @dataclass
 class RunConfig:
-    tol_r: float
-    tol_x: float
-    max_iter: int
-    omega: float
-    theta: float
-    gamma: float
-    seed: int | None
-    format: str
+    """The options a flag or the config file may set, with their defaults."""
+
+    tol_r: float = DEFAULT_TOL_R
+    tol_x: float = DEFAULT_TOL_X
+    max_iter: int = DEFAULT_MAX_ITER
+    omega: float = DEFAULT_OMEGA
+    theta: float = DEFAULT_THETA
+    gamma: float = DEFAULT_GAMMA
+    seed: int | None = None
+    format: str = "json"
 
     def validate(self) -> str | None:
-        if self.tol_r <= 0 or self.tol_x <= 0:
+        if not self.tol_r > 0 or not self.tol_x > 0:
             return "tolerances must be > 0"
         if self.max_iter < 1:
             return "max-iter must be >= 1"
@@ -124,24 +115,22 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not isinstance(file_values, dict):
             parser.error(f"config file {config_path} must hold a JSON object")
 
-    types = {f.name: f.type for f in fields(RunConfig)}
     merged = {}
-    for key, default in DEFAULTS.items():
+    for f in fields(RunConfig):
+        key = f.name
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in file_values:
             value = file_values[key]
             # A JSON integer may stand for a float; a boolean stands for neither.
-            expected = (int, float) if types[key] is float else types[key]
+            expected = (int, float) if f.type is float else f.type
             if isinstance(value, bool) or not isinstance(value, expected):
-                name = getattr(types[key], "__name__", types[key])
+                name = getattr(f.type, "__name__", f.type)
                 parser.error(
                     f"config file {config_path}: {key} must be {name}, got {json.dumps(value)}"
                 )
             merged[key] = value
-        else:
-            merged[key] = default
     cfg = RunConfig(**merged)
     problem = cfg.validate()
     if problem:

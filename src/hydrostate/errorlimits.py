@@ -7,12 +7,11 @@ componentwise bound on the estimate's deviation is
 
 with entrywise absolute values, evaluated at the converged estimate. The
 sensitivity matrix (A^T W A)^-1 A^T W is the linear map from the
-right-hand side to the estimator's step, and it is evaluated the same way
-as the step: through the Newton matrix and a telemetry update, without
-forming A^T W A (see `bound_from_matrix`). The bound is symmetric, so the
-state is reported as the interval [x - e, x + e]. A seeded Monte Carlo
-harness measures how often resampled estimations actually stay inside the
-box.
+right-hand side to the estimator's step, evaluated through the same
+blocks as the step (see `linearization.AugmentedSystem`). The bound is
+symmetric, so the state is reported as the interval [x - e, x + e]. A
+seeded Monte Carlo harness measures how often resampled estimations
+actually stay inside the box.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
 from .estimator import DEFAULT_TOL_X, MeasurementSet, build_augmented, estimate_state
 from .hydraulics import DEFAULT_MAX_ITER, StateVector, jacobian_coefficients
-from .linearization import AugmentedSystem, NewtonFactor
+from .linearization import AugmentedSystem
 from .network import Network
 
 # Values per member in one block of the bound's continuity columns: the
@@ -89,42 +88,39 @@ def bound_from_matrix(system: AugmentedSystem, jac: np.ndarray, delta_y: np.ndar
     derivative diagonals `jac` (members x n_pipes), without forming
     A^T W A.
 
-    The sensitivity matrix (A^T W A)^-1 A^T W is the map from the
-    right-hand side r = (r_j | r_t) to the step of `estimator.weighted_step`
-    (see `AugmentedSystem`). With Z = J^-1 S^T, Y = J^-1 Wj^-1 Z and the
-    telemetry update C, its telemetry columns are Y C^-1 and its model
-    columns are J^-1 - Y C^-1 Z^T. Only the columns of rows with
-    delta_y > 0 contribute, and energy rows carry none; so of J^-1 the
-    bound needs only the columns of those continuity rows: Newton solves of
-    unit continuity columns with zero energy rows, `block_columns` at a
-    time, each block added into the bound as |columns| delta_y before the
-    next. `delta_y` is shared by all members. Returns the bounds (members x
-    unknowns) and a dict from member position to RankDeficient for the
-    members whose factorization or update failed.
+    The sensitivity matrix is the map from the right-hand side to the step
+    of `estimator.weighted_step`, in the blocks of
+    `AugmentedSystem.linearize`: its telemetry columns are Y C^-1 and its
+    model columns J^-1 - Y C^-1 Z^T (see `AugmentedSystem`). Only the
+    columns of rows with delta_y > 0 contribute, and energy rows carry
+    none; so of J^-1 the bound needs only the columns of those continuity
+    rows: Newton solves of unit columns with zero energy rows,
+    `block_columns` at a time, each block added into the bound as
+    |columns| delta_y before the next. `delta_y` is shared by all members.
+    Returns the bounds (members x unknowns) and a dict from member position
+    to RankDeficient for the members whose factorization or update failed.
     """
     delta_y = np.abs(np.asarray(delta_y, dtype=float))
     n_pipes, n = system.net.n_pipes, system.shape[1]
     nodes = np.flatnonzero(delta_y[n_pipes:n])
     meters = np.flatnonzero(delta_y[n:])
 
-    newton = NewtonFactor(system.net, jac)
-    z = newton.solve(system.selectors[:n_pipes], system.selectors[n_pipes:])
-    scaled = system.model_variance * z
-    inverse, failures = system.telemetry_solve(z, scaled)
+    newton, z, scaled, coupling = system.linearize(jac)
+    inverse, failures = system.telemetry_solve(coupling)
     failures.update(newton.failed)
     # Y C^-1: the sensitivity to the telemetry rows.
-    telemetry = newton.solve(scaled[:, :n_pipes], scaled[:, n_pipes:]) @ inverse
+    telemetry = newton.solve(scaled) @ inverse
 
     # J^-1 - Y C^-1 Z^T on the continuity columns, a block at a time.
     bound = np.abs(telemetry[:, :, meters]) @ delta_y[n + meters]
     block = block_columns(system.net)
     for start in range(0, nodes.size, block):
-        rows = nodes[start : start + block]
-        unit = np.zeros((system.net.n_demand, rows.size))
+        rows = n_pipes + nodes[start : start + block]
+        unit = np.zeros((n, rows.size))
         unit[rows, np.arange(rows.size)] = 1.0
-        columns = newton.solve(0.0, unit)
-        columns -= telemetry @ z[:, n_pipes + rows].swapaxes(1, 2)
-        bound += np.abs(columns, out=columns) @ delta_y[n_pipes + rows]
+        columns = newton.solve(unit)
+        columns -= telemetry @ z[:, rows].swapaxes(1, 2)
+        bound += np.abs(columns, out=columns) @ delta_y[rows]
     return bound, failures
 
 

@@ -12,12 +12,9 @@ the negated augmented residual. Row weights are 1/sigma^2 per row class:
 energy rows use a small near-exact sigma, continuity rows the demand sigma,
 telemetry rows their per-measurement sigma.
 
-The correction is the solution of the normal equations A_k^T W A_k dx =
-A_k^T W rhs_k, but it is evaluated without them: as the Newton step of the
-square model rows plus a telemetry correction of order m, the number of
-meters (see `linearization.AugmentedSystem`). This keeps the accuracy of
-the square solve, where the normal equations would square its condition
-number.
+The correction solves the normal equations
+A_k^T W A_k dx = A_k^T W rhs_k without forming them (see
+`linearization.AugmentedSystem`).
 
 `estimate_members` runs the iteration in lockstep for members that share
 the network and the meters and differ in their telemetry values;
@@ -36,7 +33,7 @@ from .hydraulics import (
     jacobian_coefficients,
     member_residuals,
 )
-from .linearization import AugmentedSystem, NewtonFactor, drop_failed, non_finite_members
+from .linearization import AugmentedSystem, drop_failed, non_finite_members
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -185,30 +182,24 @@ def _augmented_residuals(
 
 def weighted_step(system: AugmentedSystem, jac: np.ndarray, rhs: np.ndarray):
     """Solve the weighted normal equations (A^T W A) dx = A^T W rhs per
-    member (rows of `jac` and `rhs`), without forming A^T W A.
+    member (rows of `jac` and `rhs`), without forming A^T W A, by the
+    Woodbury step of `AugmentedSystem`.
 
-    `system` holds the weights and the telemetry rows of A (see
-    `AugmentedSystem`), whose `shape` is that of A; `jac` holds the
-    derivative diagonals. One factorization of the Newton matrix J (of its
-    loop matrix, see `NewtonFactor`) serves two rounds of solves: J^-1
-    against the telemetry columns S^T, then J^-1 against r_j plus the
-    telemetry correction. The Cholesky factor of the loop matrix is the
-    positive-definiteness gate. Returns
-    the corrections and a dict from member position to RankDeficient for
-    the members whose factorization or update failed or whose correction is
+    `system` holds the weights and the telemetry rows of A, whose `shape`
+    is that of A; `jac` holds the derivative diagonals. The factor of J
+    from `AugmentedSystem.linearize` serves two rounds of solves: Z, then
+    J^-1 against r_j plus the telemetry correction. Returns the
+    corrections and a dict from member position to RankDeficient for the
+    members whose factorization or update failed or whose correction is
     not finite.
     """
-    newton = NewtonFactor(system.net, jac)
-    n_pipes, n = system.net.n_pipes, system.shape[1]
+    newton, z, scaled, coupling = system.linearize(jac)
+    n = system.shape[1]
     r_model = rhs[:, :n, None]
-    z = newton.solve(system.selectors[:n_pipes], system.selectors[n_pipes:])
-    scaled = system.model_variance * z
-    # S J^-1 r_j = Z^T r_j, since J is symmetric.
     gain, failures = system.telemetry_solve(
-        z, scaled, rhs[:, n:, None] - (z * r_model).sum(axis=1)[:, :, None]
+        coupling, rhs[:, n:, None] - (z * r_model).sum(axis=1)[:, :, None]
     )
-    b = r_model + scaled @ gain
-    dx = newton.solve(b[:, :n_pipes], b[:, n_pipes:])[:, :, 0]
+    dx = newton.solve(r_model + scaled @ gain)[:, :, 0]
     failures.update(newton.failed)
     for member in non_finite_members(dx):
         failures.setdefault(
@@ -261,14 +252,14 @@ def estimate_members(
     shared by all members; the demand rows use the network's demands.
     Every member follows the single-case iteration on its own. Returns the
     final iterates x = (q, H) (members x (L + N_p)), each member's
-    iteration count, the correction max-norms (max_iter x members; NaN past
-    a member's count), and a dict from the position of each failed member
-    to its NonConvergence or RankDeficient error.
+    iteration count, the correction max-norms (one row per iteration run,
+    by members; NaN past a member's count), and a dict from the position of
+    each failed member to its NonConvergence or RankDeficient error.
     """
     net = system.net
     members = values.shape[0]
     x = np.repeat(initial_state(net).vector[None], members, axis=0)
-    step_norms = np.full((max_iter, members), np.nan)
+    step_norms = []
     iterations = np.zeros(members, dtype=int)
     failures: dict[int, HydrostateError] = {}
     active = np.arange(members)
@@ -284,14 +275,16 @@ def estimate_members(
         active, current, dx = drop_failed(active, failed, failures, current, dx)
         x[active] = current + omega * dx
         norm = np.max(np.abs(dx), axis=1)
-        step_norms[iteration - 1, active] = norm
+        step_norms.append(np.full(members, np.nan))
+        step_norms[-1][active] = norm
         iterations[active] = iteration
         active = active[~(norm <= tol_x)]
 
     # With max_iter = 0 no step is taken, and there is no norm to report.
-    last = step_norms[-1] if max_iter > 0 else np.full(members, np.nan)
+    last = step_norms[-1] if step_norms else np.full(members, np.nan)
     for member in active:
         failures[int(member)] = NonConvergence(max_iter, float(last[member]))
+    step_norms = np.array(step_norms).reshape(len(step_norms), members)
     return x, iterations, step_norms, dict(sorted(failures.items()))
 
 

@@ -153,16 +153,16 @@ def solve_members(
     Every member follows the single-case iteration on its own: its own
     line search, convergence test and failures. Returns the final iterates
     x = (q, H) (members x (L + N_p)), each member's iteration count, the
-    residual max-norm history (max_iter + 1 x members; entries past a
-    member's count are NaN), and a dict from the position of each failed
-    member to its NonConvergence or SingularSystem error.
+    residual max-norm history (one row for the start and one per iteration
+    run, by members; entries past a member's count are NaN), and a dict
+    from the position of each failed member to its NonConvergence or
+    SingularSystem error.
     """
     members = demand.shape[0]
     x = initial_states(net, demand)
     r = member_residuals(net, x, demand)
     merit = _squared_norms(r)
-    history = np.full((max_iter + 1, members), np.nan)
-    history[0] = np.max(np.abs(r), axis=1)
+    history = [np.max(np.abs(r), axis=1)]
     iterations = np.zeros(members, dtype=int)
     failures: dict[int, HydrostateError] = {}
     active = np.flatnonzero(~(history[0] <= tol_r))
@@ -192,13 +192,14 @@ def solve_members(
             alpha[searching] *= 0.5
 
         norm = np.max(np.abs(r[active]), axis=1)
-        history[iteration, active] = norm
+        history.append(np.full(members, np.nan))
+        history[-1][active] = norm
         iterations[active] = iteration
         active = active[~(norm <= tol_r)]
 
     for member in active:
-        failures[int(member)] = NonConvergence(max_iter, float(history[max_iter, member]))
-    return x, iterations, history, dict(sorted(failures.items()))
+        failures[int(member)] = NonConvergence(max_iter, float(history[-1][member]))
+    return x, iterations, np.stack(history), dict(sorted(failures.items()))
 
 
 def _squared_norms(r: np.ndarray) -> np.ndarray:

@@ -26,19 +26,10 @@ as SingularSystem and by `NewtonFactor` as RankDeficient. The stages use
 the solve as follows.
 
 - The Newton step is one such solve (`newton_step`).
-- The weighted least-squares step is defined by the normal equations
-  A^T W A dx = A^T W r of order L + N_p, which are never formed. J is
-  symmetric and invertible, so the Woodbury identity turns the step into a
-  Newton step plus a telemetry correction through an m x m matrix, for m
-  telemetry rows (`AugmentedSystem`). The loop matrix is factored once per
-  step, and the factor serves both rounds of solves.
-- The error bound applies the same map to the right-hand-side columns
-  whose rows carry data uncertainty.
-
-Avoiding A^T W A also avoids squaring the condition number: on 150- to
-200-node random networks with 30 meters, cond(A^T W A) is about 1e21, and
-steps solved through it were off by 2e-4 to 3.6e-3 relative, against 1e-9
-to 1e-8 through J.
+- The weighted least-squares step and the error bound both apply the map
+  of the normal equations A^T W A, which are never formed: one factor of J
+  and an m x m telemetry update per linearization serve both
+  (`AugmentedSystem`, which derives them).
 
 Every routine here is batch-native: it takes members stacked along a
 leading axis, all on one network topology, which differ only in their
@@ -115,17 +106,14 @@ class GramFactor:
             self._inverses.append(inverse)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L L^T) x = rhs per member, for one vector per member
-        (members x n) or a matrix of columns per member (members x n x k).
+        """Solve (L L^T) x = rhs per member, for a block of columns per
+        member (members x n x k).
 
         Both triangular sweeps apply the stored diagonal-block inverses, so
         they are matrix products only.
         """
         lower, n = self._lower, self._lower.shape[-1]
         x = np.array(rhs, dtype=float)
-        vectors = x.ndim == 2
-        if vectors:
-            x = x[:, :, None]
         starts = range(0, n, _BLOCK)
         for start, inverse in zip(starts, self._inverses):
             stop = start + inverse.shape[-1]
@@ -137,7 +125,7 @@ class GramFactor:
             if stop < n:
                 x[:, start:stop] -= lower[:, stop:, start:stop].swapaxes(1, 2) @ x[:, stop:]
             x[:, start:stop] = inverse.swapaxes(1, 2) @ x[:, start:stop]
-        return x[:, :, 0] if vectors else x
+        return x
 
 
 def _by_member(function, *stacks: np.ndarray):
@@ -203,12 +191,10 @@ class NewtonFactor:
         self.loops = GramFactor(net.forest.loop_gram(jac))
         self.failed = self.loops.failed
 
-    def solve(self, energy, continuity) -> np.ndarray:
-        """J^-1 B per member for blocks of right-hand-side columns B =
-        (energy; continuity), members x n_pipes x k over members x n_demand
-        x k; blocks shared by all members may drop the leading axis, and
-        `energy` may be 0.0. Returns the columns of x = (dq; dH),
-        members x n x k.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """J^-1 b per member, for a block of right-hand-side columns b =
+        (energy; continuity), members x n x k, or n x k shared by all
+        members. Returns the columns of x = (dq; dH), members x n x k.
 
         The tree flows of the continuity columns are a particular solution
         dq_p; then w = (Z^T F Z)^-1 Z^T (energy - F dq_p), dq = dq_p + Z w,
@@ -216,21 +202,17 @@ class NewtonFactor:
         applied by the sweeps: Z^T r = r_C - A12_C A12_T^-1 r_T, and the
         tree part of Z w is -(A12_T^T)^-1 A12_C^T w.
         """
-        forest = self.net.forest
-        if np.ndim(energy):
-            tree_energy = energy[..., forest.tree_pipe, :]
-            loop_energy = energy[..., forest.cotree, :]
-        else:
-            tree_energy = loop_energy = energy
-        continuity = continuity[..., forest.order, :]
+        forest, n_pipes = self.net.forest, self.net.n_pipes
+        tree_energy = b[..., forest.tree_pipe, :]
+        continuity = b[..., n_pipes + forest.order, :]
         flows = forest.tree_flows(continuity)
         heads = forest.path_sums(tree_energy - self.tree_jac * flows)
         loop_flows = 0.0  # a tree network has no loops to correct
         if forest.cotree.size:
+            loop_energy = b[..., forest.cotree, :]
             loop_flows = self.loops.solve(loop_energy - forest.chords.dot(heads, axis=-2))
             flows = forest.tree_flows(continuity - forest.chords.tdot(loop_flows, axis=-2))
             heads = forest.path_sums(tree_energy - self.tree_jac * flows)
-        n_pipes = self.net.n_pipes
         members, n_demand, k = heads.shape
         x = np.empty((members, n_pipes + n_demand, k))
         x[:, forest.tree_pipe] = flows
@@ -253,8 +235,7 @@ def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
     for member, exc in newton.failed.items():
         failures[member] = SingularSystem(str(exc))
         failures[member].__cause__ = exc
-    b = -residual[:, :, None]
-    step = newton.solve(b[:, : net.n_pipes], b[:, net.n_pipes :])[:, :, 0]
+    step = newton.solve(-residual[:, :, None])[:, :, 0]
     for member in non_finite_members(step):
         failures.setdefault(
             int(member), SingularSystem("linear solve produced non-finite entries")
@@ -271,18 +252,24 @@ class AugmentedSystem:
     `weights` holds the diagonal of W, and `shape` is that of A.
 
     The weighted least-squares step solves the normal equations
-    A^T W A dx = A^T W r, but A^T W A is never formed. J is symmetric and
-    invertible (see `NewtonFactor`), so by the Woodbury identity (Hager,
-    SIAM Review 31, 1989) the step is a Newton step plus a Kalman-style
-    telemetry correction:
+    A^T W A dx = A^T W r for r = (r_j | r_t), but A^T W A is never formed.
+    J is symmetric and invertible (see `NewtonFactor`), so by the Woodbury
+    identity (Hager, SIAM Review 31, 1989) the step is a Newton step plus a
+    Kalman-style telemetry correction:
 
         Z = J^-1 S^T                     (m columns)
         C = Z^T Wj^-1 Z + Wt^-1          (symmetric positive definite, m x m)
-        dx = J^-1 (r_j + Wj^-1 Z g),     g = C^-1 (r_t - S J^-1 r_j).
+        dx = J^-1 (r_j + Wj^-1 Z g),     g = C^-1 (r_t - Z^T r_j),
+
+    where Z^T r_j = S J^-1 r_j because J is symmetric. The error bound
+    needs the whole map (A^T W A)^-1 A^T W from r to dx. With
+    Y = J^-1 Wj^-1 Z, its telemetry columns are Y C^-1 and its model
+    columns J^-1 - Y C^-1 Z^T.
 
     This holds what all members share: the columns of S^T (`selectors`),
     the variances Wj^-1 (`model_variance`, a column) and Wt^-1. Members
-    differ in their derivative diagonals.
+    differ in their derivative diagonals, and `linearize` forms the
+    blocks of one set of them.
     """
 
     def __init__(self, net: Network, telemetry_columns: np.ndarray, values: np.ndarray,
@@ -303,13 +290,22 @@ class AugmentedSystem:
     def n_telemetry(self) -> int:
         return self.telemetry_columns.size
 
-    def telemetry_solve(self, z: np.ndarray, scaled: np.ndarray, rhs: np.ndarray | None = None):
-        """C^-1 rhs per member, or C^-1 itself when `rhs` is None, with
-        C = Z^T Wj^-1 Z + Wt^-1 from Z (`z`) and Wj^-1 Z (`scaled`),
-        members x n x m, in one stacked LAPACK call. Returns the result and
-        a dict from member position to RankDeficient for the members whose
-        solve failed."""
+    def linearize(self, jac: np.ndarray):
+        """The blocks of the step and the bound at derivative diagonals
+        `jac` (members x n_pipes): J's `NewtonFactor`, Z and Wj^-1 Z
+        (members x n x m) and C (members x m x m)."""
+        newton = NewtonFactor(self.net, jac)
+        z = newton.solve(self.selectors)
+        scaled = self.model_variance * z
         coupling = z.swapaxes(1, 2) @ scaled + self._telemetry_covariance
+        return newton, z, scaled, coupling
+
+    @staticmethod
+    def telemetry_solve(coupling: np.ndarray, rhs: np.ndarray | None = None):
+        """C^-1 rhs per member, or C^-1 itself when `rhs` is None, for C
+        (`coupling`, from `linearize`) in one stacked LAPACK call. Returns
+        the result and a dict from member position to RankDeficient for
+        the members whose solve failed."""
         if rhs is None:
             out, failed = _by_member(np.linalg.inv, coupling)
         else:

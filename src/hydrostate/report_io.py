@@ -9,6 +9,8 @@ keys sorted, entities in canonical (file) order, numbers as shortest
 round-trip decimals. decode(encode(value)) reproduces the value exactly.
 """
 
+import csv
+import io
 import json
 import sys
 
@@ -452,47 +454,52 @@ def decode_scenario_spec(text: str) -> ScenarioSpec:
 # CSV report rows
 # ---------------------------------------------------------------------------
 
+def _csv(header: tuple[str, ...], rows) -> str:
+    """The header and the rows, one line each, a field quoted only when it
+    holds a comma, a quote or a line break."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def state_csv(doc: dict) -> str:
-    lines = ["kind,id,value"]
-    for kind in ("q", "H"):
-        for key, value in doc[kind].items():
-            lines.append(f"{kind},{key},{value!r}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (kind, key, repr(value)) for kind in ("q", "H") for key, value in doc[kind].items()
+    )
+    return _csv(("kind", "id", "value"), rows)
 
 
 def interval_csv(net: Network, interval: IntervalState) -> str:
     lower, center, upper = interval.lower, interval.center.vector, interval.upper
     names = [("q", p.id) for p in net.pipes] + [("H", n.id) for n in net.demand_nodes]
-    lines = ["kind,id,lower,center,upper"]
-    for i, (kind, key) in enumerate(names):
-        lines.append(
-            f"{kind},{key},{float(lower[i])!r},{float(center[i])!r},{float(upper[i])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (kind, key, repr(float(lower[i])), repr(float(center[i])), repr(float(upper[i])))
+        for i, (kind, key) in enumerate(names)
+    )
+    return _csv(("kind", "id", "lower", "center", "upper"), rows)
 
 
 def classify_csv(results: list[dict]) -> str:
-    lines = ["pattern,label,membership,winner"]
-    for i, result in enumerate(results):
-        for label, degree in result["memberships"].items():
-            winner = "true" if label == result["winner"] else "false"
-            lines.append(f"{i},{label},{degree!r},{winner}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (i, label, repr(degree), "true" if label == result["winner"] else "false")
+        for i, result in enumerate(results)
+        for label, degree in result["memberships"].items()
+    )
+    return _csv(("pattern", "label", "membership", "winner"), rows)
 
 
 def gen_csv(manifest: dict) -> str:
-    lines = ["label,requested,generated"]
-    for label, requested in manifest["requested"].items():
-        generated = manifest["classes"].get(label, 0)
-        lines.append(f"{label},{requested},{generated}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (label, requested, manifest["classes"].get(label, 0))
+        for label, requested in manifest["requested"].items()
+    )
+    return _csv(("label", "requested", "generated"), rows)
 
 
 def train_csv(model: ClassifierModel) -> str:
     counts: dict[str, int] = {label: 0 for label in model.labels}
     for cell in model.cells:
         counts[cell.label] += 1
-    lines = ["label,cells"]
-    for label, count in counts.items():
-        lines.append(f"{label},{count}")
-    return "\n".join(lines) + "\n"
+    return _csv(("label", "cells"), counts.items())

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -126,6 +128,28 @@ def test_gen_train_classify_pipeline(capsys, tmp_path):
     assert out.splitlines()[0] == "label,cells"
 
 
+@pytest.mark.parametrize("command", ["solve", "estimate", "bounds"])
+def test_csv_quotes_ids_that_need_it(capsys, tmp_path, command):
+    """Ids holding a comma or a quote are quoted, so every row parses to
+    the header's width and gives the ids back."""
+    rename = {"p1": "p,1", "n1": "a,b", "n2": 'c"d'}
+    text = (DEMO_DIR / "triangle.json").read_text()
+    meas_text = (DEMO_DIR / "triangle_meas.json").read_text()
+    for old, new in rename.items():
+        text = text.replace(f'"{old}"', json.dumps(new))
+        meas_text = meas_text.replace(f'"{old}"', json.dumps(new))
+    net = tmp_path / "net.json"
+    net.write_text(text)
+    meas = tmp_path / "meas.json"
+    meas.write_text(meas_text)
+    inputs = [str(net)] if command == "solve" else [str(net), str(meas)]
+    code, out = run(capsys, command, *inputs, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[1] for row in rows} == {"p,1", "p2", "p3", "a,b", 'c"d'}
+
+
 def test_gen_deterministic_given_seed(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -192,6 +216,26 @@ def test_invalid_omega_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["estimate", TRIANGLE, TRIANGLE_MEAS, "--omega", "9"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["solve", TRIANGLE, "--tol-r", "nan"], None),
+        (["solve", TRIANGLE], '{"tol_r": NaN}'),
+        (["estimate", TRIANGLE, TRIANGLE_MEAS, "--tol-x", "nan"], None),
+    ],
+    ids=["tol-r flag", "tol_r config", "tol-x flag"],
+)
+def test_nan_tolerance_is_usage_error(capsys, tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "tolerances must be > 0" in capsys.readouterr().err
 
 
 def test_cross_file_validation_is_json_error(capsys, tmp_path):

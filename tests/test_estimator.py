@@ -319,6 +319,19 @@ def test_step_norm_convergence_flag(triangle):
     assert report.step_norms[-1] <= 1e-8
 
 
+def test_step_norms_have_a_row_per_iteration_run(triangle):
+    """The correction norms hold the iterations that ran, not a row per
+    iteration of the budget."""
+    meas, _ = exact_measurements(triangle, seed=2)
+    system = build_augmented(triangle, meas)
+    x, iterations, step_norms, failures = estimate_members(
+        system, system.values[None], max_iter=10**7
+    )
+    assert not failures
+    assert step_norms.shape == (iterations[0], 1)
+    assert step_norms[-1, 0] <= 1e-8
+
+
 @pytest.mark.parametrize("max_iter", [50, 25])
 def test_lockstep_estimate_matches_single_estimates(max_iter):
     """Each member of a lockstep estimate ends bit for bit where its own

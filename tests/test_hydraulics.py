@@ -262,6 +262,17 @@ def test_deterministic_repeat(triangle):
     assert first.iterations == second.iterations
 
 
+def test_history_has_a_row_per_iteration_run(triangle):
+    """The residual history holds the start and the iterations that ran,
+    not a row per iteration of the budget."""
+    x, iterations, history, failures = solve_members(
+        triangle, triangle.demand[None], max_iter=10**7
+    )
+    assert not failures
+    assert history.shape == (iterations[0] + 1, 1)
+    assert history[-1, 0] <= 1e-8
+
+
 @pytest.mark.parametrize("max_iter", [50, 8])
 def test_lockstep_solve_matches_single_solves(max_iter):
     """Each member of a lockstep solve ends bit for bit where its own solve

@@ -89,7 +89,7 @@ def test_gram_factor_solve(order, columns):
     matrix = _spd(order)
     rng = np.random.default_rng((29, order))
     rhs = rng.standard_normal(order if columns is None else (order, columns))
-    x = GramFactor(matrix[None].copy()).solve(rhs[None])[0]
+    x = GramFactor(matrix[None].copy()).solve(rhs.reshape(1, order, -1))[0].reshape(rhs.shape)
     assert x.shape == rhs.shape
     assert scaled_backward_error(matrix, x, rhs) <= 1e-10
 
@@ -126,7 +126,7 @@ def test_stacked_factor_matches_single_member_factor():
     larger stack, across several blocks."""
     order = 305
     stack = np.stack([_spd(order, seed=seed) for seed in (3, 4, 5)])
-    rhs = np.random.default_rng(37).standard_normal((3, order))
+    rhs = np.random.default_rng(37).standard_normal((3, order, 1))
     together = GramFactor(stack.copy())
     x = together.solve(rhs)
     for member in range(3):
@@ -137,8 +137,8 @@ def test_stacked_factor_matches_single_member_factor():
 @pytest.mark.parametrize("seed, n_nodes", [(3, 30), (5, 150)])
 def test_newton_factor_solves_dense_system(seed, n_nodes):
     """J^-1 B through the loop factor, for stacked column blocks, and for
-    blocks with zero energy rows (passed as 0.0), against the dense Newton
-    matrix at the steady state, to a tiny scaled backward error."""
+    blocks with zero energy rows, against the dense Newton matrix at the
+    steady state, to a tiny scaled backward error."""
     net = random_network(seed, n_nodes=n_nodes)
     q = solve_steady_state(net).state.q
     jac = jacobian_coefficients(net, q)
@@ -146,14 +146,15 @@ def test_newton_factor_solves_dense_system(seed, n_nodes):
     assert not newton.failed
     n_pipes = net.n_pipes
     b = np.random.default_rng((211, seed)).standard_normal((2, n_pipes + net.n_demand, 4))
-    x = newton.solve(b[:, :n_pipes], b[:, n_pipes:])
-    heads_only = newton.solve(0.0, b[:, n_pipes:])
+    zero_energy = b.copy()
+    zero_energy[:, :n_pipes] = 0.0
+    x = newton.solve(b)
+    heads_only = newton.solve(zero_energy)
     for member, scale in enumerate((1.0, 2.0)):
         matrix = dense_newton_matrix(net, q)
         matrix[:n_pipes, :n_pipes] *= scale
         assert scaled_backward_error(matrix, x[member], b[member]) <= 1e-10
-        zero_energy = np.concatenate([np.zeros((n_pipes, 4)), b[member, n_pipes:]])
-        assert scaled_backward_error(matrix, heads_only[member], zero_energy) <= 1e-10
+        assert scaled_backward_error(matrix, heads_only[member], zero_energy[member]) <= 1e-10
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -167,7 +168,7 @@ def test_newton_factor_solves_dense_system_on_topologies(topology):
     b = rng.standard_normal((2, net.n_pipes + net.n_demand, 3))
     newton = NewtonFactor(net, jac)
     assert not newton.failed
-    x = newton.solve(b[:, : net.n_pipes], b[:, net.n_pipes :])
+    x = newton.solve(b)
     a12, _ = incidence_matrices(net)
     zeros = np.zeros((net.n_demand, net.n_demand))
     for member in range(2):
@@ -196,10 +197,11 @@ def test_stacked_products_match_single_members(members, columns):
     Pinned here for the products of the loop path on 1, m and N_p
     columns: J^-1 against stacked column blocks and against blocks shared
     by all members (the sweeps, Z^T and Z w through the chords,
-    `GramFactor.solve`), the loop factor's solve alone, and the telemetry
-    update C (its product, its inverse and its solve)."""
+    `GramFactor.solve`), the loop factor's solve alone, and the blocks of
+    `AugmentedSystem.linearize` (Z, Wj^-1 Z and the product C) with C's
+    inverse and solve."""
     net, system, jac, rng = _parity_case(members, (337, members))
-    n_pipes, n = net.n_pipes, net.n_pipes + net.n_demand
+    n = net.n_pipes + net.n_demand
     m = system.telemetry_columns.size
     k = {"1": 1, "m": m, "N_p": net.n_demand}[columns]
     b = rng.standard_normal((members, n, k))
@@ -207,29 +209,26 @@ def test_stacked_products_match_single_members(members, columns):
     loop_rhs = rng.standard_normal((members, net.forest.cotree.size, k))
     telemetry_rhs = rng.standard_normal((members, m, k))
 
-    newton = NewtonFactor(net, jac)
-    stacked = newton.solve(b[:, :n_pipes], b[:, n_pipes:])
-    broadcast = newton.solve(shared[:n_pipes], shared[n_pipes:])
+    newton, *blocks = system.linearize(jac)
+    stacked = newton.solve(b)
+    broadcast = newton.solve(shared)
     loops = newton.loops.solve(loop_rhs)
-    z = newton.solve(system.selectors[:n_pipes], system.selectors[n_pipes:])
-    scaled = system.model_variance * z
-    inverse, _ = system.telemetry_solve(z, scaled)
-    solved, _ = system.telemetry_solve(z, scaled, telemetry_rhs)
+    coupling = blocks[-1]
+    inverse, _ = system.telemetry_solve(coupling)
+    solved, _ = system.telemetry_solve(coupling, telemetry_rhs)
     for member in range(members):
         one = slice(member, member + 1)
-        alone = NewtonFactor(net, jac[one])
-        np.testing.assert_array_equal(
-            alone.solve(b[one, :n_pipes], b[one, n_pipes:])[0], stacked[member]
-        )
-        np.testing.assert_array_equal(
-            alone.solve(shared[:n_pipes], shared[n_pipes:])[0], broadcast[member]
-        )
+        alone, *alone_blocks = system.linearize(jac[one])
+        np.testing.assert_array_equal(alone.solve(b[one])[0], stacked[member])
+        np.testing.assert_array_equal(alone.solve(shared)[0], broadcast[member])
         np.testing.assert_array_equal(alone.loops.solve(loop_rhs[one])[0], loops[member])
+        for block, alone_block in zip(blocks, alone_blocks):
+            np.testing.assert_array_equal(alone_block[0], block[member])
         np.testing.assert_array_equal(
-            system.telemetry_solve(z[one], scaled[one])[0][0], inverse[member]
+            system.telemetry_solve(alone_blocks[-1])[0][0], inverse[member]
         )
         np.testing.assert_array_equal(
-            system.telemetry_solve(z[one], scaled[one], telemetry_rhs[one])[0][0], solved[member]
+            system.telemetry_solve(alone_blocks[-1], telemetry_rhs[one])[0][0], solved[member]
         )
 
 
