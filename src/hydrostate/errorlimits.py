@@ -133,7 +133,9 @@ def sensitivity_bound(
     """Interval state centered at the converged estimate x_star.
 
     The linearized augmented system is evaluated at x_star itself, i.e. at
-    the final iterate of the estimation.
+    the final iterate of the estimation. `delta_y` is laid out as by
+    `uncertainty_vector`: its energy rows are model equations and must be
+    zero, since the bound carries no sensitivity to them.
     """
     aug = build_augmented(net, meas)
     delta_y = np.asarray(delta_y, dtype=float)
@@ -141,6 +143,8 @@ def sensitivity_bound(
         raise ValueError(f"delta_y must have length {aug.shape[0]}, got {delta_y.shape}")
     if not (delta_y >= 0).all():
         raise ValueError("delta_y entries must be >= 0")
+    if delta_y[: net.n_pipes].any():
+        raise ValueError("delta_y entries on energy rows must be 0")
     halfwidth, failures = bound_from_matrix(aug, jacobian_coefficients(net, x_star.q)[None], delta_y)
     if failures:
         raise failures[0]

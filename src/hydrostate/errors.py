@@ -6,7 +6,9 @@ can carry is checked once, by its type or by the one function that owns it
 (`estimator.meter_column` for a meter's target, `fuzzy.check_ranges` for
 normalization ranges, `network.Forest` for connectivity), and a violation
 is a ValidationError located by a JSON pointer. Misused library arguments
-(a wrong array shape, `samples < 1`) raise a plain ValueError instead.
+raise a plain ValueError instead: a wrong array shape, `samples < 1`, a
+solver or estimator tolerance that is not > 0, a negative `max_iter`, or a
+half-width on an energy row of the bound's `delta_y`.
 """
 
 

@@ -21,6 +21,7 @@ the network and the meters and differ in their telemetry values;
 `estimate_state` is its single-member case.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +49,15 @@ DEFAULT_OMEGA = 1.0
 
 
 def check_sigma(sigma, path: str) -> None:
-    """A standard deviation is > 0, with a finite row weight 1/sigma^2."""
+    """A standard deviation is a finite number > 0, with a finite row
+    weight 1/sigma^2."""
     if not sigma > 0:
         raise ValidationError(path, "number > 0", str(sigma))
     square = float(sigma) * float(sigma)
     if not square or 1.0 / square == np.inf:
         raise ValidationError(path, "sigma with a finite weight 1/sigma^2", str(sigma))
+    if not math.isfinite(sigma):
+        raise ValidationError(path, "finite number", str(sigma))
 
 
 def check_meter(kind: str, sigma, delta) -> None:
@@ -63,6 +67,8 @@ def check_meter(kind: str, sigma, delta) -> None:
     check_sigma(sigma, "/sigma")
     if not delta >= 0:
         raise ValidationError("/delta", "number >= 0", str(delta))
+    if not math.isfinite(delta):
+        raise ValidationError("/delta", "finite number", str(delta))
 
 
 def meter_column(net: Network, kind: str, target: str) -> int:
@@ -88,6 +94,8 @@ class Measurement:
 
     def __post_init__(self):
         check_meter(self.kind, self.sigma, self.delta)
+        if not math.isfinite(self.value):
+            raise ValidationError("/value", "finite number", str(self.value))
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,8 @@ class MeasurementSet:
             for i, v in enumerate(dd):
                 if not v >= 0:
                     raise ValidationError(f"/demand_delta/{i}", "number >= 0", str(v))
+                if not math.isfinite(v):
+                    raise ValidationError(f"/demand_delta/{i}", "finite number", str(v))
             object.__setattr__(self, "demand_delta", dd)
 
     def demand_delta_vector(self, net: Network) -> np.ndarray:
@@ -254,8 +264,13 @@ def estimate_members(
     final iterates x = (q, H) (members x (L + N_p)), each member's
     iteration count, the correction max-norms (one row per iteration run,
     by members; NaN past a member's count), and a dict from the position of
-    each failed member to its NonConvergence or RankDeficient error.
+    each failed member to its NonConvergence or RankDeficient error. A
+    tolerance that is not > 0 or a negative max_iter is a ValueError.
     """
+    if not tol_x > 0:
+        raise ValueError(f"tol_x must be > 0, got {tol_x}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     net = system.net
     members = values.shape[0]
     x = np.repeat(initial_state(net).vector[None], members, axis=0)

@@ -47,6 +47,7 @@ class Pattern:
             raise ValidationError("/inf", "at least one entry", "empty array")
         if (self.inf > self.sup).any():
             raise ValidationError("/inf", "inf <= sup", "crossed bounds")
+        _check_finite(self, "inf", "sup")
 
     @classmethod
     def crisp(cls, values) -> "Pattern":
@@ -72,6 +73,7 @@ class Cell:
         # The model that holds the cell checks its dimension.
         if self.m.shape == self.M.shape and (self.m > self.M).any():
             raise ValidationError("/m", "m <= M", "crossed min/max points")
+        _check_finite(self, "m", "M")
 
     def volume(self) -> float:
         return float(np.prod(self.M - self.m))
@@ -99,6 +101,9 @@ class ClassifierModel:
         if self.normalization.shape != (n, 2):
             raise ValidationError("/normalization", f"{n} ranges", f"{len(self.normalization)}")
         check_ranges(self.normalization)
+        for i, label in enumerate(self.labels):
+            if not isinstance(label, str):
+                raise ValidationError(f"/labels/{i}", "string", type(label).__name__)
         for i, cell in enumerate(self.cells):
             if cell.m.shape != (n,) or cell.M.shape != (n,):
                 raise ValidationError(
@@ -187,11 +192,8 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
                 pattern.sup,
                 theta,
             )
-            best_cost = None
-            for pos, k in enumerate(same):
-                if feasible[pos] and (best_cost is None or cost[pos] < best_cost):
-                    best_cost = cost[pos]
-                    target = k
+            if feasible.any():
+                target = same[int(np.argmin(np.where(feasible, cost, np.inf)))]
 
         if target is not None:
             cell = cells[target]
@@ -209,9 +211,10 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
 def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     """Per-label membership degrees and the winning diagnosis.
 
-    Each label's degree is the maximum membership over its cells (binary
-    hidden-to-output weights, max aggregation). Ties go to the label whose
-    best cell has the smaller volume, then the lower creation index.
+    The winner is the label of the cell with the largest membership, ties
+    going to the smaller `volume()`, then the lower creation index. Each
+    label's degree is the largest membership among its cells, 0.0 if it
+    has none (binary hidden-to-output weights, max aggregation).
     """
     if not model.cells:
         raise EmptyModel("model has no cells")
@@ -223,26 +226,14 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
         pattern.sup,
         model.gamma,
     )
-    memberships = 1.0 - viol
-
-    per_label: dict[str, float] = {}
-    tie_key: dict[str, tuple[float, int]] = {}
-    for label in model.labels:
-        per_label[label] = 0.0
-        tie_key[label] = (float("inf"), len(model.cells))
-    for idx, cell in enumerate(model.cells):
-        degree = float(memberships[idx])
-        key = (cell.volume(), idx)
-        label = cell.label
-        if degree > per_label[label] or (
-            degree == per_label[label] and key < tie_key[label]
-        ):
-            per_label[label] = degree
-            tie_key[label] = key
-
-    winner = min(
-        model.labels, key=lambda lb: (-per_label[lb], tie_key[lb][0], tie_key[lb][1])
+    degrees = (1.0 - viol).tolist()
+    per_label = dict.fromkeys(model.labels, 0.0)
+    for cell, degree in zip(model.cells, degrees):
+        per_label[cell.label] = max(per_label[cell.label], degree)
+    best = min(
+        range(len(degrees)), key=lambda k: (-degrees[k], model.cells[k].volume(), k)
     )
+    winner = model.cells[best].label
     return ClassificationResult(per_label, winner, per_label[winner])
 
 
@@ -288,6 +279,12 @@ def check_ranges(normalization) -> tuple[np.ndarray, np.ndarray]:
     return ranges[:, 0], ranges[:, 1]
 
 
+def _check_finite(box, *names) -> None:
+    for name in names:
+        if not np.isfinite(getattr(box, name)).all():
+            raise ValidationError(f"/{name}", "finite entries", "non-finite entry")
+
+
 def _raw_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(raw, tuple):
         lower, upper = raw
@@ -319,23 +316,14 @@ def _resolve_overlaps(cells: list[Cell], changed: int) -> None:
         if (widths <= 0).any():
             continue
         t = int(np.argmin(widths))
-        m1, mx1 = box.m[t], box.M[t]
-        m2, mx2 = other.m[t], other.M[t]
-        if m1 < m2 and mx1 < mx2:
-            mid = 0.5 * (m2 + mx1)
-            box.M[t] = mid
-            other.m[t] = mid
-        elif m2 < m1 and mx2 < mx1:
-            mid = 0.5 * (m1 + mx2)
-            other.M[t] = mid
-            box.m[t] = mid
-        elif m1 <= m2 and mx2 <= mx1:
-            if mx2 - m1 < mx1 - m2:
-                box.m[t] = mx2
-            else:
-                box.M[t] = m2
+        for lower, upper in ((box, other), (other, box)):
+            if lower.m[t] < upper.m[t] and lower.M[t] < upper.M[t]:
+                lower.M[t] = upper.m[t] = 0.5 * (upper.m[t] + lower.M[t])
+                break
         else:
-            if mx1 - m2 < mx2 - m1:
-                other.m[t] = mx1
+            contains = box.m[t] <= other.m[t] and other.M[t] <= box.M[t]
+            outer, inner = (box, other) if contains else (other, box)
+            if inner.M[t] - outer.m[t] < outer.M[t] - inner.m[t]:
+                outer.m[t] = inner.M[t]
             else:
-                other.M[t] = m1
+                outer.M[t] = inner.m[t]

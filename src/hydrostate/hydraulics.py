@@ -156,8 +156,13 @@ def solve_members(
     residual max-norm history (one row for the start and one per iteration
     run, by members; entries past a member's count are NaN), and a dict
     from the position of each failed member to its NonConvergence or
-    SingularSystem error.
+    SingularSystem error. A tolerance that is not > 0 or a negative
+    max_iter is a ValueError.
     """
+    if not tol_r > 0:
+        raise ValueError(f"tol_r must be > 0, got {tol_r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     members = demand.shape[0]
     x = initial_states(net, demand)
     r = member_residuals(net, x, demand)

@@ -12,6 +12,7 @@ leaves, which makes the continuity rows read A12^T q = Q directly.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,6 +431,10 @@ def _validate_demand(i, node):
         raise ValidationError(
             f"/nodes/{i}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
         )
+    if not math.isfinite(node.demand):
+        raise ValidationError(
+            f"/nodes/{i}/demand", "finite demand", f"{node.demand} on node {node.id!r}"
+        )
 
 
 def _validate(nodes, pipes) -> dict[str, int]:
@@ -454,6 +459,10 @@ def _validate(nodes, pipes) -> dict[str, int]:
                 raise ValidationError(
                     f"/nodes/{i}", "fixed-head node with head only",
                     f"node {node.id!r} fields do not match kind",
+                )
+            if not math.isfinite(node.head):
+                raise ValidationError(
+                    f"/nodes/{i}/head", "finite head", f"{node.head} on node {node.id!r}"
                 )
         else:
             raise ValidationError(
@@ -488,6 +497,11 @@ def _validate(nodes, pipes) -> dict[str, int]:
                 f"/pipes/{j}/exponent", "exponent > 1",
                 f"{pipe.exponent} on pipe {pipe.id!r}",
             )
+        for key, value in (("resistance", pipe.resistance), ("exponent", pipe.exponent)):
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"/pipes/{j}/{key}", f"finite {key}", f"{value} on pipe {pipe.id!r}"
+                )
 
     if not any(n.kind == KIND_FIXED for n in nodes):
         raise ValidationError("/nodes", "at least one fixed-head node", "none")

@@ -17,6 +17,7 @@ own, and a scenario that fails is recorded and dropped without holding up
 the others.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,12 @@ class ScenarioSpec:
         lo, hi = self.leak_magnitude
         if not 0 <= lo <= hi:
             raise ValidationError("/leak_magnitude", "0 <= lo <= hi", f"[{lo}, {hi}]")
+        if not math.isfinite(hi):
+            raise ValidationError("/leak_magnitude", "finite bounds", f"[{lo}, {hi}]")
         if not self.demand_noise >= 0:
             raise ValidationError("/demand_noise", "number >= 0", str(self.demand_noise))
+        if not math.isfinite(self.demand_noise):
+            raise ValidationError("/demand_noise", "finite number", str(self.demand_noise))
         check_sigma(self.demand_sigma, "/demand_sigma")
         if not self.seed >= 0:
             raise ValidationError("/seed", "integer >= 0", str(self.seed))

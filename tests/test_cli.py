@@ -403,3 +403,42 @@ def test_pattern_file_errors_point_into_the_pattern_file(capsys, tmp_path, argv,
     code, out = run(capsys, *argv(tmp_path))
     assert code == 1
     assert json.loads(out) == {"error": error, "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (None, "cannot read config file {path}: [Errno 2] No such file or directory"),
+        ("{not json", "cannot read config file {path}: Expecting property name"),
+        ("[1]", "config file {path} must hold a JSON object"),
+    ],
+    ids=["missing file", "invalid JSON", "non-object"],
+)
+def test_unusable_config_file_is_usage_error(capsys, tmp_path, text, error):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", SINGLE, "--config", str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("hydrostate: error: " + error.format(path=path)), last
+
+
+@pytest.mark.parametrize(
+    "entries, detail",
+    [
+        ([], "pattern file holds no patterns"),
+        ([{"inf": [0.1], "sup": [0.2]}], "training requires a label on every pattern"),
+    ],
+    ids=["no patterns", "unlabeled pattern"],
+)
+def test_train_needs_labeled_patterns(capsys, tmp_path, entries, detail):
+    patterns = _write(tmp_path, "patterns.json", entries)
+    model = tmp_path / "model.json"
+    code, out = run(capsys, "train", patterns, "--out", str(model))
+    assert code == 1
+    assert json.loads(out) == {"error": "HydrostateError", "detail": detail}
+    assert not model.exists()

@@ -13,6 +13,7 @@ from hydrostate import (
     estimate_state,
     monte_carlo_containment,
     sensitivity_bound,
+    solve_steady_state,
     uncertainty_vector,
 )
 from helpers import (
@@ -159,6 +160,30 @@ def test_interval_state_validation(triangle):
         IntervalState(x_star, np.ones(4))
     with pytest.raises(ValueError):
         sensitivity_bound(triangle, meas, x_star, np.zeros(3))
+
+
+def test_energy_row_halfwidth_is_rejected(triangle):
+    # The bound carries no sensitivity to the model equations, so a
+    # half-width there would be dropped without a word.
+    meas, x_star = _triangle_setup(triangle)
+    delta = uncertainty_vector(triangle, meas)
+    delta[0] = 1.0
+    with pytest.raises(ValueError, match="energy rows"):
+        sensitivity_bound(triangle, meas, x_star, delta)
+
+
+def test_singular_telemetry_update_is_rank_deficient(triangle):
+    """Two head meters on one node with a tiny sigma make the telemetry
+    update C = Z^T Wj^-1 Z + Wt^-1 singular in floats, for the estimator
+    and for the bound alike."""
+    x_true = solve_steady_state(triangle).state
+    head = float(x_true.H[0])
+    meter = Measurement("node-head", "n1", head, 1e-150)
+    meas = MeasurementSet((meter, meter), demand_sigma=0.1)
+    with pytest.raises(RankDeficient, match="telemetry update is singular"):
+        estimate_state(triangle, meas)
+    with pytest.raises(RankDeficient, match="telemetry update is singular"):
+        sensitivity_bound(triangle, meas, x_true, uncertainty_vector(triangle, meas))
 
 
 NAN = float("nan")

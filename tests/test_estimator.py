@@ -283,6 +283,21 @@ def test_zero_iterations_raise_non_convergence(triangle):
     assert info.value.iterations == 0
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(tol_x=float("nan")), "tol_x must be > 0"),
+        (dict(tol_x=-1.0), "tol_x must be > 0"),
+        (dict(max_iter=-3), "max_iter must be >= 0"),
+    ],
+    ids=["tol_x nan", "tol_x negative", "max_iter negative"],
+)
+def test_misused_iteration_arguments_are_value_errors(triangle, options, message):
+    meas, _ = exact_measurements(triangle, seed=0)
+    with pytest.raises(ValueError, match=message):
+        estimate_state(triangle, meas, **options)
+
+
 def test_omega_range_checked(triangle):
     with pytest.raises(ValueError):
         estimate_state(triangle, MeasurementSet(), omega=2.0)

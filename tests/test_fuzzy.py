@@ -7,6 +7,7 @@ from hydrostate import (
     Cell,
     ClassifierModel,
     EmptyModel,
+    IntervalState,
     Pattern,
     PatternOutOfRange,
     PatternTooWide,
@@ -15,6 +16,7 @@ from hydrostate import (
     denormalize,
     membership,
     normalize,
+    solve_steady_state,
     train,
     violation,
 )
@@ -148,19 +150,53 @@ def test_pattern_wider_than_theta():
         train(model, [(Pattern(np.array([0.1]), np.array([0.9])), "x")])
 
 
-def test_contraction_splits_partial_overlap_evenly():
-    model = ClassifierModel.create(1, theta=0.5)
+@pytest.mark.parametrize(
+    "first, second, want_first, want_second",
+    [
+        # Partial overlap: both boxes meet at the middle of the shared slab,
+        # with the changed (second) cell as the upper or the lower box.
+        (("A", 0.125, 0.375), ("B", 0.25, 0.5), (0.125, 0.3125), (0.3125, 0.5)),
+        (("B", 0.25, 0.5), ("A", 0.125, 0.375), (0.3125, 0.5), (0.125, 0.3125)),
+        # Containment: only the containing box is trimmed, on the side
+        # needing the smaller cut; an equal cut trims its upper side.
+        (("B", 0.5, 0.625), ("A", 0.375, 0.875), (0.5, 0.625), (0.625, 0.875)),
+        (("B", 0.5, 0.625), ("A", 0.25, 0.75), (0.5, 0.625), (0.25, 0.5)),
+        (("B", 0.25, 0.5), ("A", 0.125, 0.625), (0.25, 0.5), (0.125, 0.25)),
+        (("B", 0.25, 0.75), ("A", 0.375, 0.5), (0.5, 0.75), (0.375, 0.5)),
+        (("B", 0.25, 0.75), ("A", 0.5, 0.625), (0.25, 0.5), (0.5, 0.625)),
+        (("B", 0.25, 0.5), ("A", 0.375, 0.5), (0.25, 0.375), (0.375, 0.5)),
+    ],
+    ids=[
+        "changed upper", "changed lower", "changed containing trims low",
+        "changed containing trims high", "changed containing equal cut",
+        "changed contained trims low", "changed contained trims high",
+        "changed contained shared max",
+    ],
+)
+def test_contraction_repairs_each_overlap_case(first, second, want_first, want_second):
+    # Dyadic endpoints keep every midpoint and cut exact in floats.
+    model = ClassifierModel.create(1, theta=1.0)
+    trained = train(
+        model,
+        [(Pattern(np.array([lo]), np.array([hi])), label) for label, lo, hi in (first, second)],
+    )
+    cell_first, cell_second = trained.cells
+    assert (cell_first.label, cell_second.label) == (first[0], second[0])
+    assert (cell_first.m[0], cell_first.M[0]) == want_first
+    assert (cell_second.m[0], cell_second.M[0]) == want_second
+
+
+def test_equal_cost_expansion_goes_to_earliest_cell():
+    model = ClassifierModel.create(1, theta=0.3)
     trained = train(
         model,
         [
-            (Pattern(np.array([0.1]), np.array([0.3])), "A"),
-            (Pattern(np.array([0.2]), np.array([0.4])), "B"),
+            (Pattern.crisp([0.25]), "x"),
+            (Pattern.crisp([0.75]), "x"),
+            (Pattern.crisp([0.5]), "x"),
         ],
     )
-    cell_a, cell_b = trained.cells
-    assert cell_a.label == "A" and cell_b.label == "B"
-    np.testing.assert_allclose([cell_a.m[0], cell_a.M[0]], [0.1, 0.25])
-    np.testing.assert_allclose([cell_b.m[0], cell_b.M[0]], [0.25, 0.4])
+    assert [(c.m[0], c.M[0]) for c in trained.cells] == [(0.25, 0.5), (0.75, 0.75)]
 
 
 def test_no_cross_label_overlap_after_training():
@@ -321,6 +357,22 @@ def test_normalize_round_trip():
     back = normalize((lower, upper), ranges)
     np.testing.assert_allclose(back.inf, pattern.inf, atol=1e-12)
     np.testing.assert_allclose(back.sup, pattern.sup, atol=1e-12)
+
+
+def test_normalize_states_as_their_bounds(triangle):
+    """The bound -> normalize -> classify path: an interval state maps as
+    its (lower, upper) pair, a crisp state as (vector, vector)."""
+    state = solve_steady_state(triangle).state
+    interval = IntervalState(state, np.array([0.1, 0.2, 0.05, 1.0, 2.0]))
+    ranges = np.column_stack([state.vector - 5.0, state.vector + 5.0])
+    for raw, bounds in [
+        (interval, (interval.lower, interval.upper)),
+        (state, (state.vector, state.vector)),
+    ]:
+        pattern, reference = normalize(raw, ranges), normalize(bounds, ranges)
+        np.testing.assert_array_equal(pattern.inf, reference.inf)
+        np.testing.assert_array_equal(pattern.sup, reference.sup)
+    assert (normalize(interval, ranges).sup > normalize(interval, ranges).inf).all()
 
 
 def test_degenerate_range_rejected():

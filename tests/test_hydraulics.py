@@ -110,6 +110,27 @@ def test_non_convergence_reports_iterations(triangle):
     assert excinfo.value.residual > 0
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(tol_r=float("nan")), "tol_r must be > 0"),
+        (dict(tol_r=-1.0), "tol_r must be > 0"),
+        (dict(tol_r=0.0), "tol_r must be > 0"),
+        (dict(max_iter=-3), "max_iter must be >= 0"),
+    ],
+    ids=["tol_r nan", "tol_r negative", "tol_r zero", "max_iter negative"],
+)
+def test_misused_iteration_arguments_are_value_errors(triangle, options, message):
+    with pytest.raises(ValueError, match=message):
+        solve_steady_state(triangle, **options)
+
+
+def test_zero_iterations_are_legal(triangle):
+    with pytest.raises(NonConvergence) as excinfo:
+        solve_steady_state(triangle, max_iter=0)
+    assert excinfo.value.iterations == 0
+
+
 def _theta_behind_reservoir() -> Network:
     """Reservoir r feeding demand node a, joined to demand node b by three
     parallel pipes: two loops, which share the tree pipe ab."""

@@ -7,8 +7,12 @@ from hydrostate import (
     Cell,
     ClassifierModel,
     Measurement,
+    MeasurementSet,
     MeterSpec,
+    Network,
+    Node,
     Pattern,
+    Pipe,
     ParseError,
     ScenarioSpec,
     SchemaError,
@@ -293,6 +297,66 @@ _SPEC_FIELDS = dict(
 def test_objects_the_decoders_reject_cannot_be_built(build, path):
     """Every object the library builds either round-trips through its
     codec or is rejected where it is built; these are rejected."""
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert excinfo.value.path == path
+
+
+INF = float("inf")
+NAN = float("nan")
+
+
+def _triangle_with(node=None, pipe=None) -> Network:
+    """The demo triangle with fields of its reservoir r1 or pipe p1 replaced."""
+    r1 = dict(id="r1", kind="fixed-head", head=100.0)
+    p1 = dict(id="p1", from_node="r1", to_node="n1", resistance=10.0)
+    return Network(
+        [
+            Node(**{**r1, **(node or {})}),
+            Node("n1", "demand", demand=2.0),
+            Node("n2", "demand", demand=1.5),
+        ],
+        [
+            Pipe(**{**p1, **(pipe or {})}),
+            Pipe("p2", "r1", "n2", 20.0),
+            Pipe("p3", "n1", "n2", 15.0),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "build, path",
+    [
+        (lambda: _triangle_with(node=dict(head=NAN)), "/nodes/0/head"),
+        (lambda: _triangle_with(node=dict(head=INF)), "/nodes/0/head"),
+        (lambda: _triangle_with(node=dict(kind="demand", head=None, demand=INF)),
+         "/nodes/0/demand"),
+        (lambda: _triangle_with(pipe=dict(resistance=INF)), "/pipes/0/resistance"),
+        (lambda: _triangle_with(pipe=dict(exponent=INF)), "/pipes/0/exponent"),
+        (lambda: Measurement("pipe-flow", "p1", NAN, 0.1), "/value"),
+        (lambda: Measurement("pipe-flow", "p1", 1.0, 0.1, delta=INF), "/delta"),
+        (lambda: Measurement("pipe-flow", "p1", 1.0, INF), "/sigma"),
+        (lambda: MeasurementSet(demand_delta=(0.1, INF)), "/demand_delta/1"),
+        (lambda: ScenarioSpec(**dict(_SPEC_FIELDS, leak_magnitude=(0.0, INF))),
+         "/leak_magnitude"),
+        (lambda: ScenarioSpec(**dict(_SPEC_FIELDS, demand_noise=INF)), "/demand_noise"),
+        (lambda: Pattern([NAN], [NAN]), "/inf"),
+        (lambda: Pattern([0.1], [INF]), "/sup"),
+        (lambda: Cell([0.1, NAN], [0.2, 0.2], "a"), "/m"),
+        (lambda: train(ClassifierModel.create(1), [(Pattern.crisp([0.5]), None)]),
+         "/labels/0"),
+    ],
+    ids=[
+        "NaN head", "inf head", "inf demand", "inf resistance", "inf exponent",
+        "NaN measurement value", "inf measurement delta", "inf measurement sigma",
+        "inf demand_delta", "inf leak magnitude", "inf demand_noise", "NaN pattern",
+        "inf pattern sup", "NaN cell bound", "unlabeled training example",
+    ],
+)
+def test_values_the_decoders_reject_cannot_be_built(build, path):
+    """The decoders reject non-finite numbers and a non-string label; the
+    constructors reject them too, located, instead of failing later with
+    the wrong cause."""
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert excinfo.value.path == path
