@@ -49,15 +49,15 @@ DEFAULT_OMEGA = 1.0
 
 
 def check_sigma(sigma, path: str) -> None:
-    """A standard deviation is a finite number > 0, with a finite row
-    weight 1/sigma^2."""
+    """A standard deviation is a finite number > 0 whose row weight
+    1/sigma^2 is finite and > 0."""
     if not sigma > 0:
         raise ValidationError(path, "number > 0", str(sigma))
-    square = float(sigma) * float(sigma)
-    if not square or 1.0 / square == np.inf:
-        raise ValidationError(path, "sigma with a finite weight 1/sigma^2", str(sigma))
     if not math.isfinite(sigma):
         raise ValidationError(path, "finite number", str(sigma))
+    square = float(sigma) * float(sigma)
+    if not square or not 0.0 < 1.0 / square < math.inf:
+        raise ValidationError(path, "sigma with a finite weight 1/sigma^2", str(sigma))
 
 
 def check_meter(kind: str, sigma, delta) -> None:

@@ -39,15 +39,54 @@ class Pattern:
     sup: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inf", np.asarray(self.inf, dtype=float))
-        object.__setattr__(self, "sup", np.asarray(self.sup, dtype=float))
-        if self.inf.shape != self.sup.shape or self.inf.ndim != 1:
+        inf = np.asarray(self.inf, dtype=float)
+        sup = np.asarray(self.sup, dtype=float)
+        if inf.shape != sup.shape or inf.ndim != 1:
             raise ValueError("inf and sup must be 1-d vectors of equal length")
-        if not self.inf.size:
+        self.check(inf, sup)
+        object.__setattr__(self, "inf", inf)
+        object.__setattr__(self, "sup", sup)
+
+    @staticmethod
+    def check(inf: np.ndarray, sup: np.ndarray) -> None:
+        """The box invariants of patterns stacked along the leading axes of
+        inf and sup, two float arrays of one shape: at least one entry,
+        inf <= sup and finite entries, tested in that order over the whole
+        stack."""
+        if not inf.shape[-1]:
             raise ValidationError("/inf", "at least one entry", "empty array")
-        if (self.inf > self.sup).any():
+        if (inf > sup).any():
             raise ValidationError("/inf", "inf <= sup", "crossed bounds")
-        _check_finite(self, "inf", "sup")
+        _check_finite(inf=inf, sup=sup)
+
+    @classmethod
+    def stack(cls, inf, sup) -> list["Pattern"]:
+        """One pattern per row of the (N, d) arrays inf and sup, which are
+        checked once, as a whole. A stack that fails raises the error of its
+        first bad row k, the one `Pattern(inf[k], sup[k])` raises, located
+        at /k. Each pattern holds views of the rows."""
+        inf = np.asarray(inf, dtype=float)
+        sup = np.asarray(sup, dtype=float)
+        if inf.shape != sup.shape or inf.ndim != 2:
+            raise ValueError("inf and sup must be (N, d) stacks of equal shape")
+        if not len(inf):
+            return []
+        try:
+            cls.check(inf, sup)
+        except ValidationError:
+            for k, (row_inf, row_sup) in enumerate(zip(inf, sup)):
+                try:
+                    cls.check(row_inf, row_sup)
+                except ValidationError as exc:
+                    raise exc.within(f"/{k}") from None
+            raise
+        patterns = []
+        for row_inf, row_sup in zip(inf, sup):
+            pattern = object.__new__(cls)
+            object.__setattr__(pattern, "inf", row_inf)
+            object.__setattr__(pattern, "sup", row_sup)
+            patterns.append(pattern)
+        return patterns
 
     @classmethod
     def crisp(cls, values) -> "Pattern":
@@ -73,7 +112,7 @@ class Cell:
         # The model that holds the cell checks its dimension.
         if self.m.shape == self.M.shape and (self.m > self.M).any():
             raise ValidationError("/m", "m <= M", "crossed min/max points")
-        _check_finite(self, "m", "M")
+        _check_finite(m=self.m, M=self.M)
 
     def volume(self) -> float:
         return float(np.prod(self.M - self.m))
@@ -165,9 +204,15 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     pattern's box; then repair any overlap with differently-labeled cells
     by contraction. Deterministic for a given example order.
     """
-    cells = [Cell(c.m.copy(), c.M.copy(), c.label) for c in model.cells]
+    n, theta = len(model.cells), model.theta
     labels = list(model.labels)
-    theta = model.theta
+    # The cells as stacked boxes [lo[k], hi[k]] with label labels[ids[k]],
+    # k < n; the arrays double in length when full.
+    lo = np.empty((max(2 * n, 16), model.n_dims))
+    hi = np.empty_like(lo)
+    ids = np.empty(len(lo), dtype=np.intp)
+    for k, cell in enumerate(model.cells):
+        lo[k], hi[k], ids[k] = cell.m, cell.M, labels.index(cell.label)
 
     for pattern, label in examples:
         _check_dimension(model, pattern)
@@ -181,30 +226,30 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
             )
         if label not in labels:
             labels.append(label)
+        label_id = labels.index(label)
 
-        same = [k for k, c in enumerate(cells) if c.label == label]
+        same = np.flatnonzero(ids[:n] == label_id)
         target = None
-        if same:
+        if same.size:
             cost, feasible = _kernels.expansion_metrics(
-                np.stack([cells[k].m for k in same]),
-                np.stack([cells[k].M for k in same]),
-                pattern.inf,
-                pattern.sup,
-                theta,
+                lo[same], hi[same], pattern.inf, pattern.sup, theta
             )
             if feasible.any():
-                target = same[int(np.argmin(np.where(feasible, cost, np.inf)))]
+                target = int(same[np.argmin(np.where(feasible, cost, np.inf))])
 
         if target is not None:
-            cell = cells[target]
-            cell.m = np.minimum(cell.m, pattern.inf)
-            cell.M = np.maximum(cell.M, pattern.sup)
+            np.minimum(lo[target], pattern.inf, out=lo[target])
+            np.maximum(hi[target], pattern.sup, out=hi[target])
         else:
-            target = len(cells)
-            cells.append(Cell(pattern.inf.copy(), pattern.sup.copy(), label))
+            if n == len(ids):
+                lo, hi, ids = (np.concatenate([a, np.empty_like(a)]) for a in (lo, hi, ids))
+            target = n
+            lo[n], hi[n], ids[n] = pattern.inf, pattern.sup, label_id
+            n += 1
 
-        _resolve_overlaps(cells, target)
+        _resolve_overlaps(lo[:n], hi[:n], ids[:n], target)
 
+    cells = [Cell(m, M, labels[k]) for m, M, k in zip(lo[:n], hi[:n], ids[:n].tolist())]
     return ClassifierModel(theta, model.gamma.copy(), model.normalization.copy(), cells, labels)
 
 
@@ -219,20 +264,14 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     if not model.cells:
         raise EmptyModel("model has no cells")
     _check_dimension(model, pattern)
-    viol = _kernels.box_violations(
-        np.stack([c.m for c in model.cells]),
-        np.stack([c.M for c in model.cells]),
-        pattern.inf,
-        pattern.sup,
-        model.gamma,
-    )
-    degrees = (1.0 - viol).tolist()
+    lo = np.stack([c.m for c in model.cells])
+    hi = np.stack([c.M for c in model.cells])
+    degrees = 1.0 - _kernels.box_violations(lo, hi, pattern.inf, pattern.sup, model.gamma)
     per_label = dict.fromkeys(model.labels, 0.0)
-    for cell, degree in zip(model.cells, degrees):
+    for cell, degree in zip(model.cells, degrees.tolist()):
         per_label[cell.label] = max(per_label[cell.label], degree)
-    best = min(
-        range(len(degrees)), key=lambda k: (-degrees[k], model.cells[k].volume(), k)
-    )
+    top = np.flatnonzero(degrees == degrees.max())
+    best = top[np.argmin(np.prod(hi - lo, axis=1)[top])]
     winner = model.cells[best].label
     return ClassificationResult(per_label, winner, per_label[winner])
 
@@ -279,9 +318,9 @@ def check_ranges(normalization) -> tuple[np.ndarray, np.ndarray]:
     return ranges[:, 0], ranges[:, 1]
 
 
-def _check_finite(box, *names) -> None:
-    for name in names:
-        if not np.isfinite(getattr(box, name)).all():
+def _check_finite(**arrays) -> None:
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
             raise ValidationError(f"/{name}", "finite entries", "non-finite entry")
 
 
@@ -298,32 +337,34 @@ def _raw_bounds(raw) -> tuple[np.ndarray, np.ndarray]:
     return vec, vec.copy()
 
 
-def _resolve_overlaps(cells: list[Cell], changed: int) -> None:
+def _resolve_overlaps(lo: np.ndarray, hi: np.ndarray, ids: np.ndarray, changed: int) -> None:
     """Contract away overlaps between the changed cell and every
-    differently-labeled cell.
+    differently-labeled cell, in the stacked boxes [lo[k], hi[k]] with
+    label ids ids[k].
 
-    Boxes only shrink here, so one ordered pass cannot create new overlaps.
-    The repair happens along the single dimension of minimal overlap: in
-    partial overlap both boxes meet at the midpoint of the shared slab; when
-    one box contains the other along that dimension only the containing box
-    is trimmed, on the side needing the smaller cut.
+    Boxes only shrink here, so one ordered pass cannot create new overlaps,
+    and a cell that misses the changed box before the pass cannot overlap
+    it later: one vectorised test picks the candidates. The repair happens
+    along the single dimension of minimal overlap: in partial overlap both
+    boxes meet at the midpoint of the shared slab; when one box contains
+    the other along that dimension only the containing box is trimmed, on
+    the side needing the smaller cut.
     """
-    box = cells[changed]
-    for other in cells:
-        if other is box or other.label == box.label:
-            continue
-        widths = np.minimum(box.M, other.M) - np.maximum(box.m, other.m)
+    widths = np.minimum(hi, hi[changed]) - np.maximum(lo, lo[changed])
+    candidates = np.flatnonzero((ids != ids[changed]) & ~(widths <= 0).any(axis=1))
+    for other in candidates.tolist():
+        widths = np.minimum(hi[changed], hi[other]) - np.maximum(lo[changed], lo[other])
         if (widths <= 0).any():
             continue
         t = int(np.argmin(widths))
-        for lower, upper in ((box, other), (other, box)):
-            if lower.m[t] < upper.m[t] and lower.M[t] < upper.M[t]:
-                lower.M[t] = upper.m[t] = 0.5 * (upper.m[t] + lower.M[t])
+        for lower, upper in ((changed, other), (other, changed)):
+            if lo[lower, t] < lo[upper, t] and hi[lower, t] < hi[upper, t]:
+                hi[lower, t] = lo[upper, t] = 0.5 * (lo[upper, t] + hi[lower, t])
                 break
         else:
-            contains = box.m[t] <= other.m[t] and other.M[t] <= box.M[t]
-            outer, inner = (box, other) if contains else (other, box)
-            if inner.M[t] - outer.m[t] < outer.M[t] - inner.m[t]:
-                outer.m[t] = inner.M[t]
+            contains = lo[changed, t] <= lo[other, t] and hi[other, t] <= hi[changed, t]
+            outer, inner = (changed, other) if contains else (other, changed)
+            if hi[inner, t] - lo[outer, t] < hi[outer, t] - lo[inner, t]:
+                lo[outer, t] = hi[inner, t]
             else:
-                outer.M[t] = inner.m[t]
+                hi[outer, t] = lo[inner, t]

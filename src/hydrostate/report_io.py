@@ -12,6 +12,7 @@ round-trip decimals. decode(encode(value)) reproduces the value exactly.
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,6 +26,8 @@ from .network import DEFAULT_EXPONENT, Network, Node, Pipe
 from .scenarios import MeterSpec, ScenarioSpec
 
 VERSION = 1
+
+_FLOAT = frozenset((float,))
 
 
 def dumps(doc) -> str:
@@ -85,7 +88,18 @@ def _integer_field(obj: dict, key: str, path: str) -> int:
 
 
 def _number_array(value, path: str) -> list[float]:
-    return [_number(v, f"{path}/{i}") for i, v in enumerate(_as_array(value, path))]
+    """The array at `path` as floats. A list of floats, which is what the
+    encoders write, is tested at once by the finiteness of its exact sum.
+    Any other list, or one that fails that test, is checked element by
+    element, which locates a rejection (and accepts integers, and finite
+    floats whose sum overflows)."""
+    values = _as_array(value, path)
+    try:
+        if _FLOAT.issuperset(map(type, values)) and math.isfinite(math.fsum(values)):
+            return values
+    except (OverflowError, ValueError):  # a sum that overflows, or inf - inf
+        pass
+    return [_number(v, f"{path}/{i}") for i, v in enumerate(values)]
 
 
 def _check_version(obj: dict, path: str = "") -> None:
@@ -275,10 +289,7 @@ def encode_patterns(entries, manifest: dict | None = None) -> str:
     dataset manifest is attached."""
     items = []
     for pattern, label in entries:
-        entry = {
-            "inf": [float(v) for v in pattern.inf],
-            "sup": [float(v) for v in pattern.sup],
-        }
+        entry = {"inf": pattern.inf.tolist(), "sup": pattern.sup.tolist()}
         if label is not None:
             entry["label"] = label
         items.append(entry)
@@ -303,7 +314,7 @@ def decode_patterns(text: str, n_dims: int | None = None):
         items = _as_array(doc, "")
         base = ""
 
-    entries = []
+    infs, sups, labels = [], [], []
     try:
         for i, raw in enumerate(items):
             path = f"{base}/{i}"
@@ -319,10 +330,24 @@ def decode_patterns(text: str, n_dims: int | None = None):
             label = None
             if "label" in obj:
                 label = _string(obj, "label", path)
-            entries.append((Pattern(np.array(inf), np.array(sup)), label))
+            infs.append(inf)
+            sups.append(sup)
+            labels.append(label)
+    except SchemaError:
+        # A bad box in an earlier pattern comes first in the file.
+        _pattern_stack(infs, sups, base)
+        raise
+    return list(zip(_pattern_stack(infs, sups, base), labels)), manifest
+
+
+def _pattern_stack(infs: list, sups: list, base: str) -> list[Pattern]:
+    """The decoded rows as patterns, checked as one stack; a bad box is
+    located at its pattern under `base`."""
+    shape = (len(infs), len(infs[0]) if infs else 0)
+    try:
+        return Pattern.stack(np.array(infs).reshape(shape), np.array(sups).reshape(shape))
     except ValidationError as exc:
-        raise exc.within(path) from exc
-    return entries, manifest
+        raise exc.within(base) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +359,11 @@ def encode_model(model: ClassifierModel) -> str:
         {
             "version": VERSION,
             "theta": float(model.theta),
-            "gamma": [float(g) for g in model.gamma],
-            "normalization": [[float(lo), float(hi)] for lo, hi in model.normalization],
+            "gamma": model.gamma.tolist(),
+            "normalization": model.normalization.tolist(),
             "labels": list(model.labels),
             "cells": [
-                {
-                    "m": [float(v) for v in cell.m],
-                    "M": [float(v) for v in cell.M],
-                    "label": cell.label,
-                }
+                {"m": cell.m.tolist(), "M": cell.M.tolist(), "label": cell.label}
                 for cell in model.cells
             ],
         }

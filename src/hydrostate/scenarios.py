@@ -182,8 +182,8 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
 
     ranges = _dataset_ranges(lowers, uppers)
     patterns = [
-        LabeledPattern(Pattern(inf, sup), label)
-        for inf, sup, label in zip(*unit_bounds(lowers, uppers, ranges), labels)
+        LabeledPattern(pattern, label)
+        for pattern, label in zip(Pattern.stack(*unit_bounds(lowers, uppers, ranges)), labels)
     ]
     failures = [
         {"index": index, "label": schedule[index], "error": type(error).__name__}

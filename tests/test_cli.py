@@ -358,6 +358,31 @@ def test_input_errors_are_located_json_errors(capsys, tmp_path, argv):
     assert not (tmp_path / "model.json").exists()
 
 
+def _estimate_demand_sigma(tmp_path, sigma):
+    meas = _demo("triangle_meas.json", lambda doc: doc.update(demand_sigma=sigma))
+    return ["estimate", TRIANGLE, _write(tmp_path, "meas.json", meas)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: _estimate_demand_sigma(tmp, 1e200),
+        lambda tmp: _gen(tmp, demand_sigma=1e200),
+    ],
+    ids=["estimate", "gen"],
+)
+def test_sigma_whose_square_overflows_is_located(capsys, tmp_path, argv):
+    """1/sigma^2 rounds to 0 here; such a sigma used to reach the estimator
+    as a zero row weight (RankDeficient, or every scenario failing)."""
+    code, out = run(capsys, *argv(tmp_path))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValidationError",
+        "detail": "/demand_sigma: expected sigma with a finite weight 1/sigma^2, found 1e+200",
+    }
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_negative_seed_flag_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["gen", TRIANGLE, SCENARIO, "--out", str(tmp_path / "p.json"), "--seed", "-3"])

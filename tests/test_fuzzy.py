@@ -387,3 +387,186 @@ def test_normalize_clamps():
     assert pattern.inf[0] == 0.0
     pattern = normalize(np.array([25.0]), ranges)
     assert pattern.sup[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the list-of-Cell classifier that the stacked-array one replaced
+# ---------------------------------------------------------------------------
+
+def _reference_train(model, examples, events):
+    """`train` as it was written over a list of `Cell`s, one Python loop per
+    decision; `events` collects the named cases a stream exercises."""
+    cells = [Cell(c.m.copy(), c.M.copy(), c.label) for c in model.cells]
+    labels = list(model.labels)
+    for pattern, label in examples:
+        if label not in labels:
+            if cells:
+                events.add("new label mid-stream")
+            labels.append(label)
+        same = [k for k, c in enumerate(cells) if c.label == label]
+        target = None
+        if same:
+            grown = [
+                (np.maximum(cells[k].M, pattern.sup) - np.minimum(cells[k].m, pattern.inf))
+                for k in same
+            ]
+            feasible = [bool((side <= model.theta).all()) for side in grown]
+            cost = [
+                float((side - (cells[k].M - cells[k].m)).sum()) for side, k in zip(grown, same)
+            ]
+            best = None
+            for j, k in enumerate(same):
+                if not feasible[j]:
+                    continue
+                if best is None or cost[j] < cost[best]:
+                    best = j
+                elif cost[j] == cost[best]:
+                    events.add("equal-cost expansion")
+            if best is not None:
+                target = same[best]
+        if target is not None:
+            cell = cells[target]
+            cell.m = np.minimum(cell.m, pattern.inf)
+            cell.M = np.maximum(cell.M, pattern.sup)
+        else:
+            target = len(cells)
+            cells.append(Cell(pattern.inf.copy(), pattern.sup.copy(), label))
+        _reference_resolve_overlaps(cells, target, events)
+    return ClassifierModel(model.theta, model.gamma.copy(), model.normalization.copy(),
+                           cells, labels)
+
+
+def _reference_resolve_overlaps(cells, changed, events):
+    box = cells[changed]
+    for other in cells:
+        if other is box or other.label == box.label:
+            continue
+        widths = np.minimum(box.M, other.M) - np.maximum(box.m, other.m)
+        if (widths <= 0).any():
+            continue
+        t = int(np.argmin(widths))
+        for lower, upper in ((box, other), (other, box)):
+            if lower.m[t] < upper.m[t] and lower.M[t] < upper.M[t]:
+                events.add("partial overlap, changed " + ("lower" if lower is box else "upper"))
+                lower.M[t] = upper.m[t] = 0.5 * (upper.m[t] + lower.M[t])
+                break
+        else:
+            contains = box.m[t] <= other.m[t] and other.M[t] <= box.M[t]
+            outer, inner = (box, other) if contains else (other, box)
+            cut_low = inner.M[t] - outer.m[t] < outer.M[t] - inner.m[t]
+            events.add(f"changed {'containing' if contains else 'contained'}, "
+                       f"trims {'low' if cut_low else 'high'}")
+            if cut_low:
+                outer.m[t] = inner.M[t]
+            else:
+                outer.M[t] = inner.m[t]
+
+
+def _reference_classify(model, pattern, events):
+    degrees = [membership(cell, pattern, model.gamma) for cell in model.cells]
+    per_label = {label: 0.0 for label in model.labels}
+    for cell, degree in zip(model.cells, degrees):
+        per_label[cell.label] = max(per_label[cell.label], degree)
+    top = [k for k, d in enumerate(degrees) if d == max(degrees)]
+    if len({model.cells[k].volume() for k in top}) > 1:
+        events.add("equal-degree winners broken by volume")
+    best = min(top, key=lambda k: (model.cells[k].volume(), k))
+    winner = model.cells[best].label
+    return per_label, winner, per_label[winner]
+
+
+ALL_CASES = {
+    "new label mid-stream",
+    "equal-cost expansion",
+    "partial overlap, changed lower",
+    "partial overlap, changed upper",
+    "changed containing, trims low",
+    "changed containing, trims high",
+    "changed contained, trims low",
+    "changed contained, trims high",
+    "equal-degree winners broken by volume",
+}
+
+
+def _assert_matches_reference(theta, stream, probes, events):
+    """Train in two rounds (the second grows the first's model) and classify
+    every example and probe: boxes, labels, per-label memberships, winners
+    and winning memberships agree bit for bit with the reference."""
+    examples = [(Pattern(np.array(inf), np.array(sup)), label) for inf, sup, label in stream]
+    n_dims = len(stream[0][0])
+    half = len(examples) // 2
+    model = ref = ClassifierModel.create(n_dims, theta=theta)
+    for part in (examples[:half], examples[half:]):
+        model = train(model, part)
+        ref = _reference_train(ref, part, events)
+        assert model.labels == ref.labels
+        assert [c.label for c in model.cells] == [c.label for c in ref.cells]
+        for cell, expected in zip(model.cells, ref.cells):
+            assert cell.m.tobytes() == expected.m.tobytes()
+            assert cell.M.tobytes() == expected.M.tobytes()
+    for pattern in [p for p, _ in examples] + [Pattern.crisp(v) for v in probes]:
+        result = classify(model, pattern)
+        per_label, winner, degree = _reference_classify(ref, pattern, events)
+        assert result.memberships == per_label
+        assert list(result.memberships) == list(per_label)
+        assert (result.winner, result.winning_membership) == (winner, degree)
+
+
+def _box(label, *sides):
+    """A stream entry from (lo, hi) pairs per dimension."""
+    return ([lo for lo, _ in sides], [hi for _, hi in sides], label)
+
+
+# Streams that between them hit every case in ALL_CASES; dyadic endpoints
+# keep each midpoint, cut, cost and volume exact.
+PINNED_STREAMS = [
+    (1.0, [_box("A", (0.125, 0.375)), _box("B", (0.25, 0.5))], [[0.3]]),
+    (1.0, [_box("B", (0.25, 0.5)), _box("A", (0.125, 0.375))], [[0.3]]),
+    (1.0, [_box("B", (0.5, 0.625)), _box("A", (0.375, 0.875))], []),
+    (1.0, [_box("B", (0.5, 0.625)), _box("A", (0.25, 0.75))], []),
+    (1.0, [_box("B", (0.25, 0.75)), _box("A", (0.375, 0.5))], []),
+    (1.0, [_box("B", (0.25, 0.75)), _box("A", (0.5, 0.625))], []),
+    (0.3, [_box("x", (0.25, 0.25)), _box("x", (0.75, 0.75)), _box("x", (0.5, 0.5))], []),
+    (0.3, [_box("A", (0.0, 0.25)), _box("B", (0.875, 1.0))], [[0.5]]),
+    (0.5, [_box("a", (0.0, 0.125), (0.5, 0.5)), _box("b", (0.25, 0.5), (0.0, 0.25)),
+           _box("a", (0.125, 0.25), (0.25, 0.5)), _box("c", (0.75, 0.75), (0.75, 1.0))],
+     [[0.2, 0.3], [0.9, 0.1]]),
+]
+
+
+def test_pinned_streams_match_reference_and_hit_every_case():
+    events = set()
+    for theta, stream, probes in PINNED_STREAMS:
+        _assert_matches_reference(theta, stream, probes, events)
+    assert events == ALL_CASES
+
+
+@st.composite
+def classifier_streams(draw):
+    """(theta, stream, probes) on a 1/8 grid, so that equal costs, equal
+    degrees and equal volumes are common and exact."""
+    n_dims = draw(st.integers(min_value=1, max_value=3))
+    theta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    side = st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=int(8 * theta)),
+    )
+    raw = draw(st.lists(
+        st.tuples(st.lists(side, min_size=n_dims, max_size=n_dims), st.sampled_from("abc")),
+        min_size=1,
+        max_size=30,
+    ))
+    stream = [
+        ([lo / 8 for lo, _ in sides], [min(lo + w, 8) / 8 for lo, w in sides], label)
+        for sides, label in raw
+    ]
+    point = st.lists(st.integers(min_value=0, max_value=16).map(lambda v: v / 16),
+                     min_size=n_dims, max_size=n_dims)
+    return theta, stream, draw(st.lists(point, max_size=5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(classifier_streams())
+def test_classifier_matches_reference_on_random_streams(case):
+    theta, stream, probes = case
+    _assert_matches_reference(theta, stream, probes, set())

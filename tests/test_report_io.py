@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,70 @@ def test_patterns_crossed_bounds_located():
     with pytest.raises(SchemaError) as excinfo:
         report_io.decode_patterns(text)
     assert excinfo.value.path == "/0/inf"
+
+
+_BIG = "1" + "0" * 400  # an integer literal beyond float range
+# Beyond float range too, though float() rounds it to the largest float.
+_NEAR_MAX = str(int(sys.float_info.max) + 1)
+
+
+@pytest.mark.parametrize(
+    "text, error, detail",
+    [
+        ('[{"inf": [0.1, NaN], "sup": [0.2, 0.3]}]', SchemaError,
+         "/0/inf/1: expected finite number, found nan"),
+        ('[{"inf": [0.1, 0.2], "sup": [0.2, Infinity]}]', SchemaError,
+         "/0/sup/1: expected finite number, found inf"),
+        ('[{"inf": [-Infinity, 0.2], "sup": [Infinity, 0.3]}]', SchemaError,
+         "/0/inf/0: expected finite number, found -inf"),
+        ('[{"inf": [0.1, 0.2], "sup": [1e400, 0.3]}]', SchemaError,
+         "/0/sup/0: expected finite number, found inf"),
+        (f'[{{"inf": [0.1, 0.2], "sup": [0.2, {_BIG}]}}]', SchemaError,
+         f"/0/sup/1: expected finite number, found {_BIG}"),
+        (f'[{{"inf": [0.1, 0.2], "sup": [{_NEAR_MAX}, 0.3]}}]', SchemaError,
+         f"/0/sup/0: expected finite number, found {_NEAR_MAX}"),
+        ('[{"inf": [true, 0.2], "sup": [0.2, 0.3]}]', SchemaError,
+         "/0/inf/0: expected number, found bool"),
+        ('[{"inf": [0.1, "0.1"], "sup": [0.2, 0.3]}]', SchemaError,
+         "/0/inf/1: expected number, found str"),
+        ('[{"inf": [0.1, 0.2], "sup": [[0.2], 0.3]}]', SchemaError,
+         "/0/sup/0: expected number, found list"),
+        ('[{"inf": [], "sup": []}]', ValidationError,
+         "/0/inf: expected at least one entry, found empty array"),
+        ('{"patterns": [{"inf": [0.1, 0.2], "sup": [0.2, 0.3]}, '
+         '{"inf": [0.1, 0.4], "sup": [0.2, 0.3]}]}', ValidationError,
+         "/patterns/1/inf: expected inf <= sup, found crossed bounds"),
+        # Two bad patterns: the first in the file is reported, whichever
+        # check finds it.
+        ('[{"inf": [0.5, 0.2], "sup": [0.2, 0.3]}, {"inf": [0.1, NaN], "sup": [0.2, 0.3]}]',
+         ValidationError, "/0/inf: expected inf <= sup, found crossed bounds"),
+        ('[{"inf": [0.1, 0.2], "sup": [0.2, 0.3], "label": 1}, '
+         '{"inf": [0.5, 0.2], "sup": [0.2, 0.3]}]', SchemaError,
+         "/0/label: expected string, found int"),
+        ('[{"inf": [0.1, 0.2], "sup": [0.2, NaN]}, {"inf": [0.5, 0.2], "sup": [0.2, 0.3]}]',
+         SchemaError, "/0/sup/1: expected finite number, found nan"),
+        ('[{"inf": [0.1, 0.2], "sup": [0.0, 0.3]}, {"inf": [0.1], "sup": [0.2]}]',
+         ValidationError, "/0/inf: expected inf <= sup, found crossed bounds"),
+    ],
+    ids=[
+        "NaN", "Infinity", "-Infinity", "1e400", "10**400", "float max + 1", "true", "string",
+        "nested list", "empty list", "crossed bounds", "crossed then NaN",
+        "bad label then crossed", "NaN then crossed", "crossed then short",
+    ],
+)
+def test_pattern_file_rejections_keep_their_text(text, error, detail):
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_patterns(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == detail
+
+
+def test_pattern_file_accepts_integers_and_sums_beyond_float_range():
+    text = '[{"inf": [0, 1.7e308, -1.7e308], "sup": [1, 1.7e308, 1.7e308], "label": "a"}]'
+    (pattern, label), = report_io.decode_patterns(text)[0]
+    assert pattern.inf.tolist() == [0.0, 1.7e308, -1.7e308]
+    assert pattern.sup.tolist() == [1.0, 1.7e308, 1.7e308]
+    assert label == "a"
 
 
 def test_model_round_trip():
