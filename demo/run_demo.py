@@ -45,7 +45,7 @@ def main() -> int:
         gamma=args.gamma,
         normalization=np.asarray(manifest["normalization"], dtype=float),
     )
-    model = train(model, [(lp.pattern, lp.label) for lp in train_set])
+    model = train(model, train_set)
 
     labels = sorted({lp.label for lp in patterns})
     confusion = {true: {pred: 0 for pred in labels} for true in labels}
@@ -59,7 +59,7 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "patterns.json").write_text(
-        report_io.encode_patterns([(lp.pattern, lp.label) for lp in patterns], manifest),
+        report_io.encode_patterns(patterns, manifest),
         encoding="utf-8",
     )
     (out_dir / "model.json").write_text(report_io.encode_model(model), encoding="utf-8")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import report_io
-from .errors import HydrostateError
+from .errors import HydrostateError, ValidationError
 from .errorlimits import sensitivity_bound, uncertainty_vector
 from .estimator import DEFAULT_OMEGA, DEFAULT_TOL_X, estimate_state
 from .fuzzy import DEFAULT_GAMMA, DEFAULT_THETA, ClassifierModel
@@ -151,37 +151,40 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _emit_state(args, cfg: RunConfig, net, report, norm: str) -> None:
+    """The report of a solve or an estimate: its state, iterations,
+    convergence and the final residual norm named `norm`."""
+    doc = report_io.state_doc(net, report.state)
+    doc["iterations"] = report.iterations
+    doc[norm] = getattr(report, norm)
+    doc["converged"] = report.converged
+    text = report_io.state_csv(doc) if cfg.format == "csv" else report_io.dumps(doc)
+    _emit(text, args.out)
+
+
+def _decode_and_estimate(args, cfg: RunConfig):
+    """The network, the measurements and the estimate from them."""
+    net = report_io.decode_network(_read(args.network))
+    meas = report_io.decode_measurement_set(_read(args.measurements), net)
+    report = estimate_state(
+        net, meas, tol_x=cfg.tol_x, max_iter=cfg.max_iter, omega=cfg.omega
+    )
+    return net, meas, report
+
+
 def _cmd_solve(args, cfg: RunConfig) -> None:
     net = report_io.decode_network(_read(args.network))
     report = solve_steady_state(net, tol_r=cfg.tol_r, max_iter=cfg.max_iter)
-    doc = report_io.state_doc(net, report.state)
-    doc["iterations"] = report.iterations
-    doc["residual_norm"] = report.residual_norm
-    doc["converged"] = report.converged
-    text = report_io.state_csv(doc) if cfg.format == "csv" else report_io.dumps(doc)
-    _emit(text, args.out)
+    _emit_state(args, cfg, net, report, "residual_norm")
 
 
 def _cmd_estimate(args, cfg: RunConfig) -> None:
-    net = report_io.decode_network(_read(args.network))
-    meas = report_io.decode_measurement_set(_read(args.measurements), net)
-    report = estimate_state(
-        net, meas, tol_x=cfg.tol_x, max_iter=cfg.max_iter, omega=cfg.omega
-    )
-    doc = report_io.state_doc(net, report.state)
-    doc["iterations"] = report.iterations
-    doc["weighted_residual_norm"] = report.weighted_residual_norm
-    doc["converged"] = report.converged
-    text = report_io.state_csv(doc) if cfg.format == "csv" else report_io.dumps(doc)
-    _emit(text, args.out)
+    net, _, report = _decode_and_estimate(args, cfg)
+    _emit_state(args, cfg, net, report, "weighted_residual_norm")
 
 
 def _cmd_bounds(args, cfg: RunConfig) -> None:
-    net = report_io.decode_network(_read(args.network))
-    meas = report_io.decode_measurement_set(_read(args.measurements), net)
-    report = estimate_state(
-        net, meas, tol_x=cfg.tol_x, max_iter=cfg.max_iter, omega=cfg.omega
-    )
+    net, meas, report = _decode_and_estimate(args, cfg)
     interval = sensitivity_bound(net, meas, report.state, uncertainty_vector(net, meas))
     if cfg.format == "csv":
         text = report_io.interval_csv(net, interval)
@@ -197,12 +200,7 @@ def _cmd_gen(args, cfg: RunConfig) -> None:
         spec = replace(spec, seed=cfg.seed)
     patterns, manifest = generate(net, spec)
     out = args.out or "patterns.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(
-            report_io.encode_patterns(
-                [(lp.pattern, lp.label) for lp in patterns], manifest
-            )
-        )
+    _emit(report_io.encode_patterns(patterns, manifest), out)
     summary = {
         "classes": manifest["classes"],
         "failures": len(manifest["failures"]),
@@ -221,19 +219,17 @@ def _cmd_train(args, cfg: RunConfig) -> None:
     if len(labeled) != len(entries):
         raise HydrostateError("training requires a label on every pattern")
 
-    n_dims = labeled[0][0].n_dims
-    normalization = None
+    model = ClassifierModel.create(labeled[0][0].n_dims, theta=cfg.theta, gamma=cfg.gamma)
     if manifest and "normalization" in manifest:
-        ranges = manifest["normalization"]
-        normalization = report_io.decode_ranges(ranges, "/manifest/normalization")
-    model = ClassifierModel.create(
-        n_dims, theta=cfg.theta, gamma=cfg.gamma, normalization=normalization
-    )
+        ranges = report_io.decode_ranges(manifest["normalization"], "/manifest/normalization")
+        try:
+            model = replace(model, normalization=ranges)
+        except ValidationError as exc:
+            raise exc.within("/manifest") from exc
     model = train_model(model, labeled)
 
     out = args.out or "model.json"
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(report_io.encode_model(model))
+    _emit(report_io.encode_model(model), out)
     summary = {
         "cells": len(model.cells),
         "labels": list(model.labels),

@@ -3,7 +3,8 @@
 Telemetry rows extend the steady-state system with unit selector rows
 picking the measured flow or head, turning it into an overdetermined
 system. Estimation iterates the linearization at the current
-iterate (assembled by `linearization`): the correction solves
+iterate, which `linearization.AugmentedSystem` keeps in blocks and never
+assembles: the correction solves
 
     min || W^(1/2) (A_k dx - rhs_k) ||_2,    x <- x + omega * dx,
 

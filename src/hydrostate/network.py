@@ -98,6 +98,14 @@ class Network:
     def n_fixed(self) -> int:
         return len(self.fixed_nodes)
 
+    @property
+    def unknowns(self) -> tuple[tuple[str, str], ...]:
+        """The names of x = (q, H) in order: ("q", pipe id) per pipe, then
+        ("H", node id) per demand node."""
+        return tuple(("q", p.id) for p in self.pipes) + tuple(
+            ("H", n.id) for n in self.demand_nodes
+        )
+
     def pipe_index(self, pipe_id: str) -> int:
         return self._pipe_index[pipe_id]
 

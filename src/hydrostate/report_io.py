@@ -102,6 +102,26 @@ def _number_array(value, path: str) -> list[float]:
     return [_number(v, f"{path}/{i}") for i, v in enumerate(values)]
 
 
+def _meter_doc(meter) -> dict:
+    """The fields a measurement and a scenario's meter spec share."""
+    return {
+        "kind": meter.kind,
+        "target": meter.target,
+        "sigma": float(meter.sigma),
+        "delta": float(meter.delta),
+    }
+
+
+def _meter_fields(obj: dict, path: str, delta_required: bool) -> tuple[str, str, float, float]:
+    """The kind, target, sigma and delta of the meter entry at `path`, read
+    in that order; an absent optional delta is 0."""
+    kind = _string(obj, "kind", path)
+    target = _string(obj, "target", path)
+    sigma = _number_field(obj, "sigma", path)
+    delta = _number_field(obj, "delta", path) if delta_required or "delta" in obj else 0.0
+    return kind, target, sigma, delta
+
+
 def _check_version(obj: dict, path: str = "") -> None:
     if "version" in obj and obj["version"] != VERSION:
         raise SchemaError(f"{path}/version", f"{VERSION}", repr(obj["version"]))
@@ -175,14 +195,7 @@ def encode_measurement_set(meas: MeasurementSet) -> str:
         "version": VERSION,
         "demand_sigma": float(meas.demand_sigma),
         "measurements": [
-            {
-                "kind": m.kind,
-                "target": m.target,
-                "value": float(m.value),
-                "sigma": float(m.sigma),
-                "delta": float(m.delta),
-            }
-            for m in meas.measurements
+            _meter_doc(m) | {"value": float(m.value)} for m in meas.measurements
         ],
     }
     if meas.demand_delta is not None:
@@ -208,10 +221,7 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
         for k, raw in enumerate(_as_array(_get(doc, "measurements", ""), "/measurements")):
             path = f"/measurements/{k}"
             obj = _as_object(raw, path)
-            kind = _string(obj, "kind", path)
-            target = _string(obj, "target", path)
-            sigma = _number_field(obj, "sigma", path)
-            delta = _number_field(obj, "delta", path) if "delta" in obj else 0.0
+            kind, target, sigma, delta = _meter_fields(obj, path, delta_required=False)
             value = _number_field(obj, "value", path)
             measurements.append(Measurement(kind, target, value, sigma, delta))
             meter_column(net, kind, target)
@@ -225,14 +235,15 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
 # ---------------------------------------------------------------------------
 
 def state_doc(net: Network, state: StateVector) -> dict:
-    return {
-        "q": {pipe.id: float(state.q[j]) for j, pipe in enumerate(net.pipes)},
-        "H": {node.id: float(state.H[i]) for i, node in enumerate(net.demand_nodes)},
-    }
+    return _vector_doc(net, state.vector)
 
 
 def _vector_doc(net: Network, vec: np.ndarray) -> dict:
-    return state_doc(net, StateVector(vec[: net.n_pipes], vec[net.n_pipes :]))
+    """x = (q, H) as {"q": {pipe id: flow}, "H": {node id: head}}."""
+    doc: dict = {"q": {}, "H": {}}
+    for (kind, key), value in zip(net.unknowns, vec.tolist()):
+        doc[kind][key] = value
+    return doc
 
 
 def encode_interval_state(net: Network, interval: IntervalState) -> str:
@@ -249,19 +260,11 @@ def encode_interval_state(net: Network, interval: IntervalState) -> str:
 
 def _decode_state_doc(obj, net: Network, path: str) -> np.ndarray:
     obj = _as_object(obj, path)
-    q_doc = _as_object(_get(obj, "q", path), f"{path}/q")
-    h_doc = _as_object(_get(obj, "H", path), f"{path}/H")
-    q = np.zeros(net.n_pipes)
-    for pipe in net.pipes:
-        if pipe.id not in q_doc:
-            raise SchemaError(f"{path}/q/{pipe.id}", "present field", "missing")
-        q[net.pipe_index(pipe.id)] = _number(q_doc[pipe.id], f"{path}/q/{pipe.id}")
-    h = np.zeros(net.n_demand)
-    for node in net.demand_nodes:
-        if node.id not in h_doc:
-            raise SchemaError(f"{path}/H/{node.id}", "present field", "missing")
-        h[net.demand_index(node.id)] = _number(h_doc[node.id], f"{path}/H/{node.id}")
-    return np.concatenate([q, h])
+    docs = {kind: _as_object(_get(obj, kind, path), f"{path}/{kind}") for kind in ("q", "H")}
+    return np.array(
+        [_number_field(docs[kind], key, f"{path}/{kind}") for kind, key in net.unknowns],
+        dtype=float,
+    )
 
 
 def decode_interval_state(text: str, net: Network) -> IntervalState:
@@ -421,15 +424,7 @@ def encode_scenario_spec(spec: ScenarioSpec) -> str:
             "leak_magnitude": [float(spec.leak_magnitude[0]), float(spec.leak_magnitude[1])],
             "demand_noise": float(spec.demand_noise),
             "demand_sigma": float(spec.demand_sigma),
-            "meters": [
-                {
-                    "kind": m.kind,
-                    "target": m.target,
-                    "sigma": float(m.sigma),
-                    "delta": float(m.delta),
-                }
-                for m in spec.meters
-            ],
+            "meters": [_meter_doc(m) for m in spec.meters],
             "seed": int(spec.seed),
         }
     )
@@ -453,11 +448,7 @@ def decode_scenario_spec(text: str) -> ScenarioSpec:
         for k, raw in enumerate(_as_array(_get(doc, "meters", ""), "/meters")):
             path = f"/meters/{k}"
             obj = _as_object(raw, path)
-            kind = _string(obj, "kind", path)
-            target = _string(obj, "target", path)
-            sigma = _number_field(obj, "sigma", path)
-            delta = _number_field(obj, "delta", path)
-            meters.append(MeterSpec(kind, target, sigma, delta))
+            meters.append(MeterSpec(*_meter_fields(obj, path, delta_required=True)))
     except ValidationError as exc:
         raise exc.within(path) from exc
 
@@ -493,11 +484,10 @@ def state_csv(doc: dict) -> str:
 
 
 def interval_csv(net: Network, interval: IntervalState) -> str:
-    lower, center, upper = interval.lower, interval.center.vector, interval.upper
-    names = [("q", p.id) for p in net.pipes] + [("H", n.id) for n in net.demand_nodes]
+    columns = interval.lower.tolist(), interval.center.vector.tolist(), interval.upper.tolist()
     rows = (
-        (kind, key, repr(float(lower[i])), repr(float(center[i])), repr(float(upper[i])))
-        for i, (kind, key) in enumerate(names)
+        (kind, key, repr(lower), repr(center), repr(upper))
+        for (kind, key), lower, center, upper in zip(net.unknowns, *columns)
     )
     return _csv(("kind", "id", "lower", "center", "upper"), rows)
 

@@ -19,6 +19,7 @@ the others.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .estimator import Measurement, MeasurementSet, build_augmented, estimate_me
 from .estimator import check_meter, check_sigma, meter_column
 from .fuzzy import Pattern, unit_bounds
 from .hydraulics import jacobian_coefficients, solve_members
-from .linearization import drop_failed
+from .linearization import drop_failed, non_finite_members
 from .network import Network
 
 NORMAL_LABEL = "normal"
@@ -102,19 +103,19 @@ class ScenarioSpec:
             raise ValidationError("/seed", "integer >= 0", str(self.seed))
 
 
-@dataclass(frozen=True)
-class LabeledPattern:
+class LabeledPattern(NamedTuple):
     pattern: Pattern
     label: str
 
 
 def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], dict]:
-    """Labeled patterns plus a dataset manifest.
+    """Labeled patterns, as (pattern, label) pairs, plus a dataset manifest.
 
     Deterministic: scenario k draws all its randomness from
-    (spec.seed, k). Scenarios that fail to solve or estimate are skipped
-    and recorded in the manifest. Normalization ranges are the min/max of
-    the generated interval bounds, padded on both sides.
+    (spec.seed, k). Scenarios that fail to solve, estimate or bound (a box
+    center -/+ halfwidth that is not finite) are skipped and recorded in the
+    manifest. Normalization ranges are the min/max of the generated interval
+    bounds, padded on both sides.
     """
     for label, _ in spec.counts:
         if label.startswith(LEAK_PREFIX):
@@ -157,7 +158,7 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         for index in np.flatnonzero(negative)
     }
     valid = np.flatnonzero(~negative)
-    indices, centers, halfwidths = [], [], []
+    indices, boxes = [], []
     for first in range(0, valid.size, chunk):
         members = valid[first : first + chunk]
         truth, _, _, failed = solve_members(net, true_demands[members])
@@ -166,25 +167,28 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         members, x_star = drop_failed(members, failed, failures, x_star)
         jac = jacobian_coefficients(net, x_star[:, : net.n_pipes])
         halfwidth, failed = bound_from_matrix(system, jac, delta_y)
-        members, x_star, halfwidth = drop_failed(members, failed, failures, x_star, halfwidth)
+        # Each scenario's box [lower | upper]; one whose ends overflow fails
+        # as it fails `IntervalState`.
+        box = np.hstack([x_star - halfwidth, x_star + halfwidth])
+        for position in non_finite_members(box):
+            overflow = ValidationError("/halfwidth", "finite center -/+ halfwidth", "overflow")
+            failed.setdefault(int(position), overflow)
+        members, box = drop_failed(members, failed, failures, box)
         indices.append(members)
-        centers.append(x_star)
-        halfwidths.append(halfwidth)
+        boxes.append(box)
 
     if not sum(part.size for part in indices):
         raise ValidationError("/counts", "a scenario that succeeds", "every scenario failed")
     # Chunks follow the schedule and keep their order, so the survivors
     # come out in scenario order.
     indices = np.concatenate(indices)
-    center, halfwidth = np.concatenate(centers), np.concatenate(halfwidths)
-    lowers, uppers = center - halfwidth, center + halfwidth
+    lowers, uppers = np.hsplit(np.concatenate(boxes), 2)
     labels = [schedule[k] for k in indices]
 
     ranges = _dataset_ranges(lowers, uppers)
-    patterns = [
-        LabeledPattern(pattern, label)
-        for pattern, label in zip(Pattern.stack(*unit_bounds(lowers, uppers, ranges)), labels)
-    ]
+    patterns = list(
+        map(LabeledPattern, Pattern.stack(*unit_bounds(lowers, uppers, ranges)), labels)
+    )
     failures = [
         {"index": index, "label": schedule[index], "error": type(error).__name__}
         for index, error in sorted(failures.items())
@@ -199,8 +203,7 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         "failures": failures,
         "normalization": [[float(lo), float(hi)] for lo, hi in ranges],
         "seed": spec.seed,
-        "features": [f"q:{p.id}" for p in net.pipes]
-        + [f"H:{n.id}" for n in net.demand_nodes],
+        "features": [f"{kind}:{key}" for kind, key in net.unknowns],
     }
     return patterns, manifest
 

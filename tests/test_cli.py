@@ -326,34 +326,51 @@ def _classify_other_dimension(tmp_path):
     return ["classify", _write(tmp_path, "classifier.json", model), patterns]
 
 
+def _gen_overflowing_bound(tmp_path):
+    meters = json.loads((DEMO_DIR / "scenario.json").read_text())["meters"]
+    return _gen(tmp_path, meters=[dict(meter, delta=1.7e308) for meter in meters])
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, pointer",
     [
-        lambda tmp: _gen(tmp, counts={"leak@nope": 1}),
-        lambda tmp: _gen(
-            tmp, meters=[{"kind": "pipe-flow", "target": "p9", "sigma": 0.01, "delta": 0.0}]
+        (lambda tmp: _gen(tmp, counts={"leak@nope": 1}), "/counts/leak@nope"),
+        (
+            lambda tmp: _gen(
+                tmp, meters=[{"kind": "pipe-flow", "target": "p9", "sigma": 0.01, "delta": 0.0}]
+            ),
+            "/meters/0/target",
         ),
-        _estimate_tiny_sigma,
-        _classify_other_dimension,
-        lambda tmp: _train(tmp, [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
-        lambda tmp: _train(tmp, [[float("nan"), 1.0], [0.0, 1.0], [0.0, 1.0]]),
-        _solve_huge_integer,
-        lambda tmp: _gen(tmp, seed=-1),
-        _bounds_overflowing_bound,
+        (_estimate_tiny_sigma, "/measurements/0/sigma"),
+        (_classify_other_dimension, "/patterns/0/inf"),
+        (lambda tmp: _train(tmp, [[0.0, 1.0], [0.0, 1.0]]), "/manifest/normalization"),
+        (
+            lambda tmp: _train(tmp, [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+            "/manifest/normalization/0",
+        ),
+        (
+            lambda tmp: _train(tmp, [[float("nan"), 1.0], [0.0, 1.0], [0.0, 1.0]]),
+            "/manifest/normalization/0/0",
+        ),
+        (_solve_huge_integer, "/pipes/0/resistance"),
+        (lambda tmp: _gen(tmp, seed=-1), "/seed"),
+        (_bounds_overflowing_bound, "/halfwidth"),
+        # Every scenario's box overflows, so every scenario fails.
+        (_gen_overflowing_bound, "/counts"),
     ],
     ids=[
         "unknown leak node", "unknown meter target", "sigma 1e-200", "dimension mismatch",
-        "degenerate normalization", "NaN normalization", "huge integer", "negative seed",
-        "overflowing bound",
+        "dropped range", "degenerate normalization", "NaN normalization", "huge integer",
+        "negative seed", "overflowing bound", "gen overflowing bound",
     ],
 )
-def test_input_errors_are_located_json_errors(capsys, tmp_path, argv):
+def test_input_errors_are_located_json_errors(capsys, tmp_path, argv, pointer):
     code = main(argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 1
     doc = json.loads(captured.out)
     assert set(doc) == {"error", "detail"}
-    assert doc["detail"].startswith("/"), doc
+    assert doc["detail"].startswith(pointer + ": "), doc
     assert captured.err == ""
     assert not (tmp_path / "model.json").exists()
 

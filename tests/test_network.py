@@ -31,6 +31,7 @@ def test_parse_triangle_counts(triangle):
     assert triangle.n_pipes == 3
     assert triangle.n_demand == 2
     assert triangle.n_fixed == 1
+    assert triangle.unknowns == (("q", "p1"), ("q", "p2"), ("q", "p3"), ("H", "n1"), ("H", "n2"))
 
 
 def test_duplicate_node_id_names_offender():

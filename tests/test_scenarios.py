@@ -159,6 +159,23 @@ def test_every_scenario_failing_raises_value_error(triangle, monkeypatch):
         generate(triangle, _spec())
 
 
+def test_overflowing_box_is_a_recorded_failure(triangle, monkeypatch):
+    """A scenario whose box center -/+ halfwidth is not finite fails, as
+    `IntervalState` rejects such a box; the others still become patterns."""
+    bound = hydrostate.scenarios.bound_from_matrix
+
+    def overflow_first_member(system, jac, delta_y):
+        halfwidth, failed = bound(system, jac, delta_y)
+        halfwidth[0, 0] = np.inf
+        return halfwidth, failed
+
+    monkeypatch.setattr(hydrostate.scenarios, "bound_from_matrix", overflow_first_member)
+    patterns, manifest = generate(triangle, _spec())
+    assert manifest["failures"] == [{"index": 0, "label": "leak@n1", "error": "ValidationError"}]
+    assert [lp.label for lp in patterns] == ["leak@n1", "normal", "normal", "normal"]
+    assert np.isfinite(manifest["normalization"]).all()
+
+
 def test_unknown_leak_node_rejected(triangle):
     with pytest.raises(ValueError):
         generate(triangle, _spec(counts=(("leak@zz", 1),)))
