@@ -2,7 +2,8 @@
 
 The per-pipe monomial loss coefficients (evaluated once per solver
 iteration, over every member of a stacked solve) and the per-cell hyperbox
-scans of the fuzzy classifier (evaluated once per training example and per
+scans of the fuzzy classifier (the expansion scan once per training
+example whose label has cells, the violation scan once per
 classification). The dense linear algebra of the solver stages, not these
 loops, dominates runtime.
 """

@@ -120,11 +120,24 @@ class Cell:
 
 @dataclass
 class ClassifierModel:
+    """A trained classifier: theta, gamma and normalization, its cells and
+    its labels.
+
+    The cells are read-only once the model is built. `cells` is a tuple of
+    the model's own copies of the given cells, whose min and max points are
+    rows of two stacked arrays flagged non-writable; `classify` reads those
+    stacks and the cell volumes taken here. To change a cell, build a new
+    model.
+    """
+
     theta: float
     gamma: np.ndarray
     normalization: np.ndarray
-    cells: list[Cell] = field(default_factory=list)
+    cells: tuple[Cell, ...] = ()
     labels: list[str] = field(default_factory=list)
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -150,6 +163,14 @@ class ClassifierModel:
                 )
             if cell.label not in self.labels:
                 raise ValidationError(f"/cells/{i}/label", "label from /labels", repr(cell.label))
+        count = len(self.cells)
+        self._lo = np.array([cell.m for cell in self.cells]).reshape(count, n)
+        self._hi = np.array([cell.M for cell in self.cells]).reshape(count, n)
+        self._lo.flags.writeable = self._hi.flags.writeable = False
+        self._volumes = np.prod(self._hi - self._lo, axis=1)
+        self.cells = tuple(
+            Cell(m, M, cell.label) for m, M, cell in zip(self._lo, self._hi, self.cells)
+        )
 
     @classmethod
     def create(
@@ -202,31 +223,42 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     smallest total expansion among those whose grown sides all stay within
     theta (ties to the earliest cell), else append a new cell at the
     pattern's box; then repair any overlap with differently-labeled cells
-    by contraction. Deterministic for a given example order.
+    by contraction. Deterministic for a given example order. The patterns
+    are checked first, all of them, for the model's dimension, the range
+    [0, 1] and a width within theta; the first bad pattern raises.
     """
+    examples = list(examples)
     n, theta = len(model.cells), model.theta
+    inf, sup = _check_examples(model, [pattern for pattern, _ in examples])
     labels = list(model.labels)
+    label_ids = {}
+    for k, label in enumerate(labels):
+        label_ids.setdefault(label, k)
     # The cells as stacked boxes [lo[k], hi[k]] with label labels[ids[k]],
     # k < n; the arrays double in length when full.
     lo = np.empty((max(2 * n, 16), model.n_dims))
     hi = np.empty_like(lo)
     ids = np.empty(len(lo), dtype=np.intp)
-    for k, cell in enumerate(model.cells):
-        lo[k], hi[k], ids[k] = cell.m, cell.M, labels.index(cell.label)
+    lo[:n], hi[:n] = model._lo, model._hi
+    ids[:n] = [label_ids[cell.label] for cell in model.cells]
+    # repaired[k]: cell k was seeded or grown in this call and repaired
+    # after it. Repair only shrinks boxes, so such a cell overlaps no
+    # differently-labeled cell until it grows again: an example that it
+    # contains and is the target of would change nothing, and is skipped.
+    # The given cells may overlap, so they start unmarked. On equal values
+    # np.minimum and np.maximum return their second argument, so growing a
+    # box by a pattern it contains flips a zero bound whose sign differs
+    # from the pattern's: with a -0.0 among the bounds, nothing is skipped.
+    repaired = [False] * n
+    may_skip = not any(
+        (np.signbit(a) & (a == 0.0)).any() for a in (inf, sup, lo[:n], hi[:n])
+    )
 
     for pattern, label in examples:
-        _check_dimension(model, pattern)
-        if (pattern.inf < 0.0).any() or (pattern.sup > 1.0).any():
-            raise PatternOutOfRange(
-                "pattern coordinates must lie in [0, 1] after normalization"
-            )
-        if ((pattern.sup - pattern.inf) > theta).any():
-            raise PatternTooWide(
-                f"pattern interval wider than theta={theta} cannot seed a valid cell"
-            )
-        if label not in labels:
+        label_id = label_ids.get(label)
+        if label_id is None:
+            label_id = label_ids[label] = len(labels)
             labels.append(label)
-        label_id = labels.index(label)
 
         same = np.flatnonzero(ids[:n] == label_id)
         target = None
@@ -237,17 +269,22 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
             if feasible.any():
                 target = int(same[np.argmin(np.where(feasible, cost, np.inf))])
 
-        if target is not None:
-            np.minimum(lo[target], pattern.inf, out=lo[target])
-            np.maximum(hi[target], pattern.sup, out=hi[target])
-        else:
+        if target is None:
             if n == len(ids):
                 lo, hi, ids = (np.concatenate([a, np.empty_like(a)]) for a in (lo, hi, ids))
             target = n
             lo[n], hi[n], ids[n] = pattern.inf, pattern.sup, label_id
+            repaired.append(False)
             n += 1
+        elif (repaired[target] and may_skip and (lo[target] <= pattern.inf).all()
+              and (pattern.sup <= hi[target]).all()):
+            continue
+        else:
+            np.minimum(lo[target], pattern.inf, out=lo[target])
+            np.maximum(hi[target], pattern.sup, out=hi[target])
 
         _resolve_overlaps(lo[:n], hi[:n], ids[:n], target)
+        repaired[target] = True
 
     cells = [Cell(m, M, labels[k]) for m, M, k in zip(lo[:n], hi[:n], ids[:n].tolist())]
     return ClassifierModel(theta, model.gamma.copy(), model.normalization.copy(), cells, labels)
@@ -264,16 +301,46 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     if not model.cells:
         raise EmptyModel("model has no cells")
     _check_dimension(model, pattern)
-    lo = np.stack([c.m for c in model.cells])
-    hi = np.stack([c.M for c in model.cells])
-    degrees = 1.0 - _kernels.box_violations(lo, hi, pattern.inf, pattern.sup, model.gamma)
+    degrees = 1.0 - _kernels.box_violations(
+        model._lo, model._hi, pattern.inf, pattern.sup, model.gamma
+    )
     per_label = dict.fromkeys(model.labels, 0.0)
     for cell, degree in zip(model.cells, degrees.tolist()):
         per_label[cell.label] = max(per_label[cell.label], degree)
     top = np.flatnonzero(degrees == degrees.max())
-    best = top[np.argmin(np.prod(hi - lo, axis=1)[top])]
+    best = top[np.argmin(model._volumes[top])]
     winner = model.cells[best].label
     return ClassificationResult(per_label, winner, per_label[winner])
+
+
+def _check_examples(model: ClassifierModel, patterns) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked (inf, sup) of the training patterns, checked at once.
+    The first bad pattern raises, and for it the dimension is tested first,
+    then the range [0, 1], then the width against theta."""
+    count = next(
+        (k for k, pattern in enumerate(patterns) if pattern.n_dims != model.n_dims),
+        len(patterns),
+    )
+    inf = np.array([pattern.inf for pattern in patterns[:count]]).reshape(count, model.n_dims)
+    sup = np.array([pattern.sup for pattern in patterns[:count]]).reshape(count, model.n_dims)
+    width = sup - inf
+    out_of_range = (inf < 0.0).any(axis=1) | (sup > 1.0).any(axis=1)
+    too_wide = (width > model.theta).any(axis=1)
+    bad = np.flatnonzero(out_of_range | too_wide)
+    if bad.size:
+        k = int(bad[0])
+        if out_of_range[k]:
+            raise PatternOutOfRange(
+                f"pattern {k}: coordinates must lie in [0, 1] after normalization"
+            )
+        i = int(np.argmax(width[k]))
+        raise PatternTooWide(
+            f"pattern {k}: interval wider than theta={model.theta} cannot seed a valid "
+            f"cell (dimension {i} has width {float(width[k, i])})"
+        )
+    if count < len(patterns):
+        _check_dimension(model, patterns[count])
+    return inf, sup
 
 
 def _check_dimension(model: ClassifierModel, pattern: Pattern) -> None:

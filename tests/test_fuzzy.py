@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,13 @@ from hydrostate import (
     denormalize,
     membership,
     normalize,
+    report_io,
     solve_steady_state,
     train,
     violation,
 )
+
+from conftest import DEMO_DIR
 
 GAMMA1 = np.array([5.0])
 
@@ -150,6 +155,36 @@ def test_pattern_wider_than_theta():
         train(model, [(Pattern(np.array([0.1]), np.array([0.9])), "x")])
 
 
+GOOD = ([0.25, 0.25], [0.25, 0.375])
+OUT_OF_RANGE = ([0.25, 0.5], [0.25, 1.5])
+TOO_WIDE = ([0.0, 0.25], [0.125, 0.75])
+BOTH = ([0.0, 0.25], [0.125, 1.25])
+WRONG_DIM = ([0.5], [0.5])
+RANGE_TEXT = "coordinates must lie in [0, 1] after normalization"
+WIDTH_TEXT = "interval wider than theta=0.3 cannot seed a valid cell (dimension 1 has width 0.5)"
+
+
+@pytest.mark.parametrize(
+    "boxes, error, text",
+    [
+        ([GOOD, OUT_OF_RANGE, TOO_WIDE], PatternOutOfRange, f"pattern 1: {RANGE_TEXT}"),
+        ([GOOD, TOO_WIDE, OUT_OF_RANGE], PatternTooWide, f"pattern 1: {WIDTH_TEXT}"),
+        ([GOOD, GOOD, BOTH], PatternOutOfRange, f"pattern 2: {RANGE_TEXT}"),
+        ([GOOD, OUT_OF_RANGE, WRONG_DIM], PatternOutOfRange, f"pattern 1: {RANGE_TEXT}"),
+        ([GOOD, WRONG_DIM, OUT_OF_RANGE], ValidationError,
+         "/inf: expected 2 entries, the model's dimension, found 1"),
+    ],
+    ids=["range first", "width first", "range before width", "range before dimension",
+         "dimension first"],
+)
+def test_first_bad_example_raises_its_first_failed_check(boxes, error, text):
+    model = ClassifierModel.create(2, theta=0.3)
+    examples = [(Pattern(np.array(inf), np.array(sup)), "x") for inf, sup in boxes]
+    with pytest.raises(error) as excinfo:
+        train(model, examples)
+    assert str(excinfo.value) == text
+
+
 @pytest.mark.parametrize(
     "first, second, want_first, want_second",
     [
@@ -247,7 +282,8 @@ def test_retrain_is_bit_identical():
         sup = np.clip(center + width, 0, 1)
         examples.append((Pattern(inf, sup), rng.choice(["a", "b", "c"])))
     first = train(ClassifierModel.create(3), examples)
-    second = train(ClassifierModel.create(3), examples)
+    # Any iterable of examples trains the same model as the list.
+    second = train(ClassifierModel.create(3), (example for example in examples))
     assert len(first.cells) == len(second.cells)
     for ca, cb in zip(first.cells, second.cells):
         assert ca.label == cb.label
@@ -337,6 +373,35 @@ def test_membership_monotone_in_overshoot():
         for t in np.linspace(0.0, 0.4, 9)
     ]
     assert all(b <= a for a, b in zip(degrees, degrees[1:]))
+
+
+def test_model_cells_are_read_only_copies():
+    """The model's boxes are its own and cannot be written, so the stacks
+    `classify` reads cannot go stale: a decoded model classifies every demo
+    pattern exactly as the trained model it encodes."""
+    entries, manifest = report_io.decode_patterns(
+        (DEMO_DIR / "out" / "patterns.json").read_text()
+    )
+    model = train(
+        ClassifierModel.create(entries[0][0].n_dims, normalization=manifest["normalization"]),
+        entries,
+    )
+    assert isinstance(model.cells, tuple)
+    for values in (model.cells[0].m, model.cells[0].M):
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    decoded = report_io.decode_model(report_io.encode_model(model))
+    for pattern, _ in entries:
+        got, want = classify(decoded, pattern), classify(model, pattern)
+        assert got.memberships == want.memberships
+        assert list(got.memberships) == list(want.memberships)
+        assert (got.winner, got.winning_membership) == (want.winner, want.winning_membership)
+
+    cell = _cell([0.25], [0.5])
+    model = ClassifierModel(1.0, [4.0], [[0.0, 1.0]], [cell], ["a"])
+    cell.m[0] = 0.0
+    assert model.cells[0].m[0] == 0.25
+    assert classify(model, Pattern.crisp([0.125])).winning_membership == 0.5
 
 
 def test_normalize_endpoints_and_midpoint():
@@ -488,14 +553,19 @@ ALL_CASES = {
 }
 
 
-def _assert_matches_reference(theta, stream, probes, events):
-    """Train in two rounds (the second grows the first's model) and classify
-    every example and probe: boxes, labels, per-label memberships, winners
-    and winning memberships agree bit for bit with the reference."""
+def _assert_matches_reference(theta, stream, probes, events, cells=()):
+    """Train in two rounds (the second grows the first's model) from a model
+    holding `cells` (stream entries), and classify every example and probe:
+    boxes, labels, per-label memberships, winners and winning memberships
+    agree bit for bit with the reference."""
     examples = [(Pattern(np.array(inf), np.array(sup)), label) for inf, sup, label in stream]
     n_dims = len(stream[0][0])
     half = len(examples) // 2
-    model = ref = ClassifierModel.create(n_dims, theta=theta)
+    model = ref = replace(
+        ClassifierModel.create(n_dims, theta=theta),
+        cells=[Cell(np.array(m), np.array(M), label) for m, M, label in cells],
+        labels=sorted({label for *_, label in cells}),
+    )
     for part in (examples[:half], examples[half:]):
         model = train(model, part)
         ref = _reference_train(ref, part, events)
@@ -539,6 +609,47 @@ def test_pinned_streams_match_reference_and_hit_every_case():
     for theta, stream, probes in PINNED_STREAMS:
         _assert_matches_reference(theta, stream, probes, events)
     assert events == ALL_CASES
+
+
+# Given models whose cells overlap across labels or hold -0.0, trained on
+# patterns inside those cells, first and again. A pattern inside a given
+# cell still grows it and repairs its overlaps, and growing a box by a
+# pattern it contains flips a zero bound of the other sign.
+GIVEN_MODEL_STREAMS = [
+    # Partial overlap; the first pattern lies in one cell, then in both.
+    (1.0, [_box("A", (0.0, 0.5)), _box("B", (0.25, 0.75))],
+     [_box("A", (0.125, 0.25))] * 2 + [_box("B", (0.375, 0.4375))] * 2, [[0.3], [0.5]]),
+    (1.0, [_box("A", (0.0, 0.5)), _box("B", (0.25, 0.75))],
+     [_box("B", (0.3125, 0.375)), _box("B", (0.3125, 0.375)), _box("A", (0.0, 0.125))] * 2,
+     [[0.3125], [0.625]]),
+    # One cell inside another, the outer one wider than theta: a pattern in
+    # the outer cell seeds a cell of its own.
+    (0.5, [_box("A", (0.0, 0.75), (0.0, 0.75)), _box("B", (0.25, 0.5), (0.25, 0.5))],
+     [_box("B", (0.375, 0.375), (0.375, 0.375)), _box("A", (0.125, 0.125), (0.125, 0.125)),
+      _box("B", (0.375, 0.375), (0.375, 0.375))] * 2,
+     [[0.375, 0.375], [0.625, 0.125]]),
+    # Three labels over one region, crisp patterns inside all three cells.
+    (1.0, [_box("a", (0.0, 0.5), (0.0, 0.5)), _box("b", (0.25, 0.75), (0.125, 0.625)),
+           _box("c", (0.125, 0.375), (0.25, 0.375))],
+     [_box(label, (0.3125, 0.3125), (0.3125, 0.3125)) for label in "cbacba"],
+     [[0.3125, 0.3125], [0.0, 0.0]]),
+    # Signed zeros: -0.0 in a pattern inside a cell seeded in this call, and
+    # +0.0 against a given -0.0 bound that survives an expansion.
+    (1.0, [], [_box("A", (0.0, 0.25)), _box("A", (-0.0, 0.125))] * 2, [[0.0]]),
+    (1.0, [_box("A", (-0.0, 0.25), (0.25, 0.5))],
+     [_box("A", (0.125, 0.125), (0.5, 0.625)), _box("A", (0.0, 0.0), (0.25, 0.25))] * 2,
+     [[0.0, 0.25]]),
+]
+
+
+@pytest.mark.parametrize(
+    "theta, cells, stream, probes",
+    GIVEN_MODEL_STREAMS,
+    ids=["partial overlap", "pattern in both cells", "containment, outer too wide",
+         "three labels", "-0.0 pattern", "-0.0 cell"],
+)
+def test_streams_from_given_models_match_reference(theta, cells, stream, probes):
+    _assert_matches_reference(theta, stream, probes, set(), cells)
 
 
 @st.composite
