@@ -14,6 +14,7 @@ import numpy as np
 
 from hydrostate import ClassifierModel, classify, train
 from hydrostate import report_io
+from hydrostate.fuzzy import DEFAULT_GAMMA, DEFAULT_THETA
 from hydrostate.scenarios import generate
 
 HERE = Path(__file__).resolve().parent
@@ -26,8 +27,8 @@ def main() -> int:
     parser.add_argument("--network", default=str(HERE / "triangle.json"))
     parser.add_argument("--spec", default=str(HERE / "scenario.json"))
     parser.add_argument("--out-dir", default=str(HERE / "out"))
-    parser.add_argument("--theta", type=float, default=0.3)
-    parser.add_argument("--gamma", type=float, default=4.0)
+    parser.add_argument("--theta", type=float, default=DEFAULT_THETA)
+    parser.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     args = parser.parse_args()
 
     net = report_io.decode_network(Path(args.network).read_text(encoding="utf-8"))

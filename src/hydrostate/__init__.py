@@ -40,13 +40,8 @@ from .fuzzy import (
     violation,
 )
 from .hydraulics import SolveReport, StateVector, residual, solve_steady_state
-from .network import (
-    Network,
-    Node,
-    Pipe,
-    incidence_matrices,
-    parse_network,
-)
+from .network import Network, Node, Pipe, incidence_matrices
+from .report_io import decode_network as parse_network
 from .scenarios import LabeledPattern, MeterSpec, ScenarioSpec, generate
 
 __version__ = "0.1.0"

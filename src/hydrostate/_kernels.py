@@ -24,12 +24,10 @@ def box_violations(cell_min, cell_max, p_inf, p_sup, gamma):
     cell_min/cell_max are (J, n); returns a (J,) vector in [0, 1], zero
     exactly when the pattern interval is contained in the cell.
     """
-    over = (p_sup[None, :] - cell_max) * gamma[None, :]
-    under = (cell_min - p_inf[None, :]) * gamma[None, :]
+    over = (p_sup[None, :] - cell_max) * gamma
+    under = (cell_min - p_inf[None, :]) * gamma
     worst = np.maximum(over, under)
     np.clip(worst, 0.0, 1.0, out=worst)
-    if worst.shape[0] == 0:
-        return np.zeros(0)
     return worst.max(axis=1)
 
 

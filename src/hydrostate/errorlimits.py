@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
 from .estimator import DEFAULT_TOL_X, MeasurementSet, build_augmented, estimate_state
 from .hydraulics import DEFAULT_MAX_ITER, StateVector, jacobian_coefficients
-from .linearization import AugmentedSystem
+from .linearization import AugmentedSystem, non_finite_members
 from .network import Network
 
 # Values per member in one block of the bound's continuity columns: the
@@ -44,8 +44,8 @@ class IntervalState:
             raise ValueError("halfwidth length must match the state dimension")
         if not (self.halfwidth >= 0).all():
             raise ValidationError("/halfwidth", "entries >= 0", "negative entry")
-        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
-            raise ValidationError("/halfwidth", "finite center -/+ halfwidth", "overflow")
+        if overflow := overflowing_boxes(np.hstack([self.lower, self.upper])[None]):
+            raise overflow[0]
 
     @property
     def lower(self) -> np.ndarray:
@@ -54,6 +54,16 @@ class IntervalState:
     @property
     def upper(self) -> np.ndarray:
         return self.center.vector + self.halfwidth
+
+
+def overflowing_boxes(boxes: np.ndarray) -> dict[int, ValidationError]:
+    """The rows of `boxes`, stacked box ends [lower | upper], that hold a
+    non-finite end, each with its error: an `IntervalState` whose center
+    -/+ halfwidth overflows."""
+    return {
+        int(k): ValidationError("/halfwidth", "finite center -/+ halfwidth", "overflow")
+        for k in non_finite_members(boxes)
+    }
 
 
 def uncertainty_vector(net: Network, meas: MeasurementSet) -> np.ndarray:

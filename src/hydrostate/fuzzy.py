@@ -203,12 +203,7 @@ class ClassificationResult:
 def violation(cell: Cell, pattern: Pattern, gamma) -> float:
     """Degree in [0, 1] by which the pattern sticks out of the cell; zero
     exactly when the pattern interval is contained."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim == 0:
-        gamma = np.full(pattern.n_dims, float(gamma))
-    out = _kernels.box_violations(
-        cell.m[None, :], cell.M[None, :], pattern.inf, pattern.sup, gamma
-    )
+    out = _kernels.box_violations(cell.m[None], cell.M[None], pattern.inf, pattern.sup, gamma)
     return float(out[0])
 
 
@@ -243,18 +238,12 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     ids[:n] = [label_ids[cell.label] for cell in model.cells]
     # repaired[k]: cell k was seeded or grown in this call and repaired
     # after it. Repair only shrinks boxes, so such a cell overlaps no
-    # differently-labeled cell until it grows again: an example that it
-    # contains and is the target of would change nothing, and is skipped.
-    # The given cells may overlap, so they start unmarked. On equal values
-    # np.minimum and np.maximum return their second argument, so growing a
-    # box by a pattern it contains flips a zero bound whose sign differs
-    # from the pattern's: with a -0.0 among the bounds, nothing is skipped.
+    # differently-labeled cell until it grows again: an example whose growth
+    # of its target would change no bit of the box changes nothing, and is
+    # skipped. The given cells may overlap, so they start unmarked.
     repaired = [False] * n
-    may_skip = not any(
-        (np.signbit(a) & (a == 0.0)).any() for a in (inf, sup, lo[:n], hi[:n])
-    )
 
-    for pattern, label in examples:
+    for (_, label), p_inf, p_sup in zip(examples, inf, sup):
         label_id = label_ids.get(label)
         if label_id is None:
             label_id = label_ids[label] = len(labels)
@@ -263,9 +252,7 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
         same = np.flatnonzero(ids[:n] == label_id)
         target = None
         if same.size:
-            cost, feasible = _kernels.expansion_metrics(
-                lo[same], hi[same], pattern.inf, pattern.sup, theta
-            )
+            cost, feasible = _kernels.expansion_metrics(lo[same], hi[same], p_inf, p_sup, theta)
             if feasible.any():
                 target = int(same[np.argmin(np.where(feasible, cost, np.inf))])
 
@@ -273,15 +260,16 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
             if n == len(ids):
                 lo, hi, ids = (np.concatenate([a, np.empty_like(a)]) for a in (lo, hi, ids))
             target = n
-            lo[n], hi[n], ids[n] = pattern.inf, pattern.sup, label_id
+            lo[n], hi[n], ids[n] = p_inf, p_sup, label_id
             repaired.append(False)
             n += 1
-        elif (repaired[target] and may_skip and (lo[target] <= pattern.inf).all()
-              and (pattern.sup <= hi[target]).all()):
-            continue
         else:
-            np.minimum(lo[target], pattern.inf, out=lo[target])
-            np.maximum(hi[target], pattern.sup, out=hi[target])
+            grown_lo = np.minimum(lo[target], p_inf)
+            grown_hi = np.maximum(hi[target], p_sup)
+            if (repaired[target] and grown_lo.tobytes() == lo[target].tobytes()
+                    and grown_hi.tobytes() == hi[target].tobytes()):
+                continue
+            lo[target], hi[target] = grown_lo, grown_hi
 
         _resolve_overlaps(lo[:n], hi[:n], ids[:n], target)
         repaired[target] = True

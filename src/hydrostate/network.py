@@ -144,13 +144,6 @@ class Network:
         return new
 
 
-def parse_network(text: str) -> Network:
-    """Build a validated Network from network-file JSON text."""
-    from .report_io import decode_network
-
-    return decode_network(text)
-
-
 def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Signed incidence blocks (A12 over demand nodes, A10 over fixed), as
     dense reference matrices for checks and measurements.

@@ -154,6 +154,7 @@ def encode_network(net: Network) -> str:
 
 
 def decode_network(text: str) -> Network:
+    """Build a validated Network from network-file JSON text."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
     nodes = []

@@ -23,13 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errorlimits import block_columns, bound_from_matrix, uncertainty_vector
+from .errorlimits import block_columns, bound_from_matrix, overflowing_boxes, uncertainty_vector
 from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
 from .estimator import check_meter, check_sigma, meter_column
 from .fuzzy import Pattern, unit_bounds
 from .hydraulics import jacobian_coefficients, solve_members
-from .linearization import drop_failed, non_finite_members
+from .linearization import drop_failed
 from .network import Network
 
 NORMAL_LABEL = "normal"
@@ -168,11 +168,9 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
         jac = jacobian_coefficients(net, x_star[:, : net.n_pipes])
         halfwidth, failed = bound_from_matrix(system, jac, delta_y)
         # Each scenario's box [lower | upper]; one whose ends overflow fails
-        # as it fails `IntervalState`.
+        # as it fails `IntervalState`, unless it failed before.
         box = np.hstack([x_star - halfwidth, x_star + halfwidth])
-        for position in non_finite_members(box):
-            overflow = ValidationError("/halfwidth", "finite center -/+ halfwidth", "overflow")
-            failed.setdefault(int(position), overflow)
+        failed = overflowing_boxes(box) | failed
         members, box = drop_failed(members, failed, failures, box)
         indices.append(members)
         boxes.append(box)

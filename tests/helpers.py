@@ -44,6 +44,24 @@ def random_network(seed: int, n_nodes: int | None = None) -> Network:
     return Network(nodes, pipes)
 
 
+def theta_behind_reservoir() -> Network:
+    """Reservoir r feeding demand node a, joined to demand node b by three
+    parallel pipes: two loops, which share the tree pipe ab."""
+    return Network(
+        [
+            Node("r", "fixed-head", head=100.0),
+            Node("a", "demand", demand=1.0),
+            Node("b", "demand", demand=1.0),
+        ],
+        [
+            Pipe("ra", "r", "a", 1.0),
+            Pipe("ab", "a", "b", 1.0),
+            Pipe("ab2", "a", "b", 1.0),
+            Pipe("ab3", "a", "b", 1.0),
+        ],
+    )
+
+
 def with_reservoirs(net: Network, count: int) -> Network:
     """`net` with its first `count` nodes fixed-head and the others demand
     nodes (demand 1.0 where a node had none)."""

@@ -4,10 +4,7 @@ import pytest
 from hydrostate import (
     Measurement,
     MeasurementSet,
-    Network,
-    Node,
     NonConvergence,
-    Pipe,
     RankDeficient,
     ValidationError,
     build_augmented,
@@ -25,6 +22,7 @@ from helpers import (
     least_squares_reference,
     random_network,
     scaled_backward_error,
+    theta_behind_reservoir,
 )
 
 
@@ -190,23 +188,10 @@ def test_step_without_telemetry_is_newton_step(seed, n_nodes):
     assert np.max(np.abs(dx - newton)) <= 1e-11 * np.max(np.abs(newton))
 
 
-def _theta_behind_reservoir():
-    """Reservoir r feeding demand node a, joined to demand node b by three
-    parallel pipes (two loops, which share the tree pipe ab), with a flow
-    meter on pipe ab2 and a head meter on node b."""
-    net = Network(
-        [
-            Node("r", "fixed-head", head=100.0),
-            Node("a", "demand", demand=1.0),
-            Node("b", "demand", demand=1.0),
-        ],
-        [
-            Pipe("ra", "r", "a", 1.0),
-            Pipe("ab", "a", "b", 1.0),
-            Pipe("ab2", "a", "b", 1.0),
-            Pipe("ab3", "a", "b", 1.0),
-        ],
-    )
+def _metered_theta_behind_reservoir():
+    """`theta_behind_reservoir` with a flow meter on pipe ab2 and a head
+    meter on node b."""
+    net = theta_behind_reservoir()
     meas = MeasurementSet(
         (Measurement("pipe-flow", "ab2", 1.0, 0.05), Measurement("node-head", "b", 98.0, 0.05))
     )
@@ -217,7 +202,7 @@ def test_rank_deficient_normal_equations():
     """The shared pipe is 1e20 times stiffer than the rest, so the loop
     matrix [[1e20 + 1, 1e20], [1e20, 1e20 + 1]] rounds to singular and
     fails the Cholesky gate."""
-    net, system = _theta_behind_reservoir()
+    net, system = _metered_theta_behind_reservoir()
     _, failures = weighted_step(system, np.array([[1.0, 1e20, 1.0, 1.0]]), np.ones((1, 8)))
     assert list(failures) == [0]
     assert isinstance(failures[0], RankDeficient)
@@ -228,7 +213,7 @@ def test_stacked_weighted_step_isolates_bad_member():
     member alone fails, with the error of its own single-member step, and
     every other member's correction is bit for bit its single-member
     correction."""
-    net, system = _theta_behind_reservoir()
+    net, system = _metered_theta_behind_reservoir()
     jac = np.array(
         [
             [1.0, 2.0, 0.5, 1.5],

@@ -16,6 +16,7 @@ from hydrostate import (
     ValidationError,
     classify,
     denormalize,
+    fuzzy,
     membership,
     normalize,
     report_io,
@@ -650,6 +651,32 @@ GIVEN_MODEL_STREAMS = [
 )
 def test_streams_from_given_models_match_reference(theta, cells, stream, probes):
     _assert_matches_reference(theta, stream, probes, set(), cells)
+
+
+def test_signed_zero_bound_keeps_skipping_on(monkeypatch):
+    """A -0.0 bound in one demo example costs no more overlap repairs than
+    +0.0 in its place, and the model, which keeps the -0.0, matches the
+    reference bit for bit."""
+    entries, _ = report_io.decode_patterns((DEMO_DIR / "out" / "patterns.json").read_text())
+    (first, label), *rest = entries
+    repair = fuzzy._resolve_overlaps
+    calls = []
+    monkeypatch.setattr(fuzzy, "_resolve_overlaps", lambda *args: (calls.append(1), repair(*args)))
+    counts = []
+    for zero in (0.0, -0.0):
+        inf, sup = first.inf.copy(), first.sup.copy()
+        inf[0], sup[0] = zero, 0.1
+        examples = [(Pattern(inf, sup), label)] + rest
+        calls.clear()
+        model = train(ClassifierModel.create(first.n_dims), examples)
+        counts.append(len(calls))
+        ref = _reference_train(ClassifierModel.create(first.n_dims), examples, set())
+        assert [c.label for c in model.cells] == [c.label for c in ref.cells]
+        for cell, expected in zip(model.cells, ref.cells):
+            assert cell.m.tobytes() == expected.m.tobytes()
+            assert cell.M.tobytes() == expected.M.tobytes()
+    assert np.signbit(model.cells[0].m[0])
+    assert counts[0] == counts[1] < len(entries)
 
 
 @st.composite

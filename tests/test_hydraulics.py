@@ -21,7 +21,13 @@ from hydrostate.hydraulics import (
 from hydrostate.linearization import newton_step
 from hydrostate.network import incidence_matrices
 
-from helpers import TOPOLOGIES, dense_newton_matrix, random_network, scaled_backward_error
+from helpers import (
+    TOPOLOGIES,
+    dense_newton_matrix,
+    random_network,
+    scaled_backward_error,
+    theta_behind_reservoir,
+)
 
 
 def test_single_pipe_continuity_forces_flow(single_pipe):
@@ -131,28 +137,10 @@ def test_zero_iterations_are_legal(triangle):
     assert excinfo.value.iterations == 0
 
 
-def _theta_behind_reservoir() -> Network:
-    """Reservoir r feeding demand node a, joined to demand node b by three
-    parallel pipes: two loops, which share the tree pipe ab."""
-    return Network(
-        [
-            Node("r", "fixed-head", head=100.0),
-            Node("a", "demand", demand=1.0),
-            Node("b", "demand", demand=1.0),
-        ],
-        [
-            Pipe("ra", "r", "a", 1.0),
-            Pipe("ab", "a", "b", 1.0),
-            Pipe("ab2", "a", "b", 1.0),
-            Pipe("ab3", "a", "b", 1.0),
-        ],
-    )
-
-
 def test_singular_linear_system():
     # The shared pipe is 1e20 times stiffer than the rest, so the loop
     # matrix [[1e20 + 1, 1e20], [1e20, 1e20 + 1]] rounds to singular.
-    net = _theta_behind_reservoir()
+    net = theta_behind_reservoir()
     _, failures = newton_step(net, np.array([[1.0, 1e20, 1.0, 1.0]]), np.ones((1, 6)))
     assert list(failures) == [0]
     assert isinstance(failures[0], SingularSystem)
@@ -198,7 +186,7 @@ def test_stacked_newton_step_isolates_bad_member():
     """Member 1 has the singular loop matrix of the test above: it alone
     fails, with the error of its own single-member step, and every other
     member's step is bit for bit its single-member step."""
-    net = _theta_behind_reservoir()
+    net = theta_behind_reservoir()
     jac = np.array([[2.0, 3.0, 1.0, 0.5], [1.0, 1e20, 1.0, 1.0], [0.5, 4.0, 2.0, 1.5]])
     r = np.random.default_rng(43).standard_normal((3, 6))
     steps, failures = newton_step(net, jac, r)
