@@ -7,7 +7,7 @@ Writes patterns.json and model.json into --out-dir and prints a JSON report.
 """
 
 import argparse
-import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ def main() -> int:
         "test_patterns": len(test_set),
         "train_patterns": len(train_set),
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write(report_io.dumps(report))
 
     print("confusion matrix (rows = true, columns = predicted):")
     header = "true\\pred".ljust(12) + "".join(label.rjust(10) for label in labels)

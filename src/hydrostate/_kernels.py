@@ -3,9 +3,9 @@
 The per-pipe monomial loss coefficients (evaluated once per solver
 iteration, over every member of a stacked solve) and the per-cell hyperbox
 scans of the fuzzy classifier (the expansion scan once per training
-example whose label has cells, the violation scan once per
-classification). The dense linear algebra of the solver stages, not these
-loops, dominates runtime.
+example taken on its own, and once per window of examples tested together
+for a run of skips; the violation scan once per classification). The dense
+linear algebra of the solver stages, not these loops, dominates runtime.
 """
 
 import numpy as np
@@ -35,11 +35,14 @@ def expansion_metrics(cell_min, cell_max, p_inf, p_sup, theta):
     """Cost and feasibility of growing each cell to cover a pattern.
 
     Cost is the total side-length increase; a growth is feasible when every
-    side of the grown box stays <= theta. Returns (cost (J,), feasible (J,)).
+    side of the grown box stays <= theta. Boxes lie along the last axis and
+    the leading axes broadcast: (J, n) cells against an (n,) pattern give
+    (J,) results, and against (W, 1, n) patterns (W, J) ones. Returns
+    (cost, feasible).
     """
-    new_min = np.minimum(cell_min, p_inf[None, :])
-    new_max = np.maximum(cell_max, p_sup[None, :])
+    new_min = np.minimum(cell_min, p_inf)
+    new_max = np.maximum(cell_max, p_sup)
     side = new_max - new_min
-    feasible = (side <= theta).all(axis=1)
-    cost = (side - (cell_max - cell_min)).sum(axis=1)
+    feasible = (side <= theta).all(axis=-1)
+    cost = (side - (cell_max - cell_min)).sum(axis=-1)
     return cost, feasible

@@ -28,6 +28,10 @@ from .errors import EmptyModel, PatternOutOfRange, PatternTooWide, ValidationErr
 
 DEFAULT_THETA = 0.3
 DEFAULT_GAMMA = 4.0
+# `train` tests a window of examples for a run of skips against every cell
+# at once; the window holds at most this many (example, cell, dimension)
+# entries, so its arrays stay small.
+_WINDOW_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -223,15 +227,20 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     [0, 1] and a width within theta; the first bad pattern raises.
     """
     examples = list(examples)
-    n, theta = len(model.cells), model.theta
+    n, theta, dims = len(model.cells), model.theta, model.n_dims
     inf, sup = _check_examples(model, [pattern for pattern, _ in examples])
     labels = list(model.labels)
     label_ids = {}
     for k, label in enumerate(labels):
         label_ids.setdefault(label, k)
+    for _, label in examples:
+        if label not in label_ids:
+            label_ids[label] = len(labels)
+            labels.append(label)
+    example_ids = np.array([label_ids[label] for _, label in examples], dtype=np.intp)
     # The cells as stacked boxes [lo[k], hi[k]] with label labels[ids[k]],
     # k < n; the arrays double in length when full.
-    lo = np.empty((max(2 * n, 16), model.n_dims))
+    lo = np.empty((max(2 * n, 16), dims))
     hi = np.empty_like(lo)
     ids = np.empty(len(lo), dtype=np.intp)
     lo[:n], hi[:n] = model._lo, model._hi
@@ -241,13 +250,27 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     # differently-labeled cell until it grows again: an example whose growth
     # of its target would change no bit of the box changes nothing, and is
     # skipped. The given cells may overlap, so they start unmarked.
-    repaired = [False] * n
+    repaired = np.zeros(len(lo), dtype=bool)
 
-    for (_, label), p_inf, p_sup in zip(examples, inf, sup):
-        label_id = label_ids.get(label)
-        if label_id is None:
-            label_id = label_ids[label] = len(labels)
-            labels.append(label)
+    # After a skip the next examples are tested `window` at a time, and the
+    # skipped run at the front of a window is passed over at once. The
+    # window doubles while whole windows skip, within _WINDOW_ENTRIES; the
+    # first example that does not skip is taken on its own, as every example
+    # is until the next skip.
+    k, window = 0, 1
+    while k < len(examples):
+        if window > 1:
+            end = min(k + window, len(examples))
+            k += _skipped_run(
+                lo[:n], hi[:n], ids[:n], repaired[:n],
+                inf[k:end], sup[k:end], example_ids[k:end], theta,
+            )
+            if k == end:
+                window = min(2 * window, _WINDOW_ENTRIES // (n * dims))
+                continue
+            window = 1
+        label_id, p_inf, p_sup = example_ids[k], inf[k], sup[k]
+        k += 1
 
         same = np.flatnonzero(ids[:n] == label_id)
         target = None
@@ -258,16 +281,18 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
 
         if target is None:
             if n == len(ids):
-                lo, hi, ids = (np.concatenate([a, np.empty_like(a)]) for a in (lo, hi, ids))
+                lo, hi, ids, repaired = (
+                    np.concatenate([a, np.zeros_like(a)]) for a in (lo, hi, ids, repaired)
+                )
             target = n
             lo[n], hi[n], ids[n] = p_inf, p_sup, label_id
-            repaired.append(False)
             n += 1
         else:
             grown_lo = np.minimum(lo[target], p_inf)
             grown_hi = np.maximum(hi[target], p_sup)
             if (repaired[target] and grown_lo.tobytes() == lo[target].tobytes()
                     and grown_hi.tobytes() == hi[target].tobytes()):
+                window = min(2, _WINDOW_ENTRIES // (n * dims))
                 continue
             lo[target], hi[target] = grown_lo, grown_hi
 
@@ -276,6 +301,27 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
 
     cells = [Cell(m, M, labels[k]) for m, M, k in zip(lo[:n], hi[:n], ids[:n].tolist())]
     return ClassifierModel(theta, model.gamma.copy(), model.normalization.copy(), cells, labels)
+
+
+def _skipped_run(lo, hi, ids, repaired, p_inf, p_sup, example_ids, theta) -> int:
+    """How many of the examples (rows of p_inf and p_sup, with label ids
+    example_ids), counted from the first, `train` skips in a row against the
+    cells [lo[k], hi[k]] with label ids ids[k] and marks repaired[k]. Skips
+    change no cell, so one broadcast test decides them all: an example is
+    skipped when its target, the lowest-cost feasible same-label cell (ties
+    to the earliest), is marked and growing it by the example changes no bit
+    of it."""
+    cost, feasible = _kernels.expansion_metrics(lo, hi, p_inf[:, None], p_sup[:, None], theta)
+    candidate = feasible & (ids == example_ids[:, None])
+    target = np.argmin(np.where(candidate, cost, np.inf), axis=1)
+    lo_t, hi_t = lo[target], hi[target]
+    skip = (
+        candidate[np.arange(len(target)), target]
+        & repaired[target]
+        & (np.minimum(lo_t, p_inf).view(np.uint64) == lo_t.view(np.uint64)).all(axis=1)
+        & (np.maximum(hi_t, p_sup).view(np.uint64) == hi_t.view(np.uint64)).all(axis=1)
+    )
+    return len(skip) if skip.all() else int(np.argmin(skip))
 
 
 def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:

@@ -14,6 +14,8 @@ import io
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -31,7 +33,59 @@ _FLOAT = frozenset((float,))
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document as JSON text, keys sorted, indented by two spaces, with
+    a final newline: the text of `json.dumps(doc, sort_keys=True, indent=2)
+    + "\\n"` for a document of dicts with string keys, lists, tuples,
+    strings, numbers, bools and None. A list of floats is written as one
+    join of their reprs."""
+    return _write(doc, "\n") + "\n"
+
+
+def _write(value, newline: str) -> str:
+    """`value` as JSON text whose inner lines start with `newline` and two
+    more spaces."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_literal(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _FLOAT.issuperset(map(type, value)):
+            text = ("," + inner).join(map(float.__repr__, value))
+            # Only the reprs of NaN and the infinities hold an "n".
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+        items = [_write(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _write(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_literal(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _loads(text: str):
@@ -291,9 +345,12 @@ def decode_interval_state(text: str, net: Network) -> IntervalState:
 def encode_patterns(entries, manifest: dict | None = None) -> str:
     """Pattern-file text: a bare JSON list, or a wrapper object when a
     dataset manifest is attached."""
+    entries = list(entries)
+    infs = _row_stack([pattern.inf for pattern, _ in entries]).tolist()
+    sups = _row_stack([pattern.sup for pattern, _ in entries]).tolist()
     items = []
-    for pattern, label in entries:
-        entry = {"inf": pattern.inf.tolist(), "sup": pattern.sup.tolist()}
+    for inf, sup, (_, label) in zip(infs, sups, entries):
+        entry = {"inf": inf, "sup": sup}
         if label is not None:
             entry["label"] = label
         items.append(entry)
@@ -305,7 +362,12 @@ def encode_patterns(entries, manifest: dict | None = None) -> str:
 def decode_patterns(text: str, n_dims: int | None = None):
     """Returns ([(Pattern, label-or-None), ...], manifest-or-None). Every
     pattern has `n_dims` entries when given (a model's dimension), else as
-    many as the first."""
+    many as the first.
+
+    A file as the encoder writes it is read in one pass over all its rows
+    (`_canonical_rows`); any other file is read pattern by pattern, which
+    locates its first rejection. Both give the same patterns, or the same
+    error."""
     doc = _loads(text)
     manifest = None
     if isinstance(doc, dict):
@@ -317,7 +379,40 @@ def decode_patterns(text: str, n_dims: int | None = None):
     else:
         items = _as_array(doc, "")
         base = ""
+    inf, sup, labels = _canonical_rows(items, n_dims) or _located_rows(items, n_dims, base)
+    return list(zip(_pattern_stack(inf, sup, base), labels)), manifest
 
+
+def _canonical_rows(items: list, n_dims: int | None):
+    """The stacked (inf, sup) and the labels of the pattern items when every
+    item is an object whose inf and sup are lists of floats, all of one
+    length (`n_dims` when given) and all finite, and whose label is a string
+    or absent; else None."""
+    if not items or not all(
+        type(item) is dict and "inf" in item and "sup" in item for item in items
+    ):
+        return None
+    labels = [item.get("label") for item in items]
+    if not all(type(label) is str or "label" not in item for label, item in zip(labels, items)):
+        return None
+    rows = [item["inf"] for item in items] + [item["sup"] for item in items]
+    if type(rows[0]) is not list:
+        return None
+    width = len(rows[0]) if n_dims is None else n_dims
+    if not all(type(row) is list and len(row) == width for row in rows):
+        return None
+    if not _FLOAT.issuperset(map(type, chain.from_iterable(rows))):
+        return None
+    stack = np.array(rows).reshape(len(rows), width)
+    if not np.isfinite(stack).all():
+        return None
+    return stack[: len(items)], stack[len(items):], labels
+
+
+def _located_rows(items: list, n_dims: int | None, base: str):
+    """The stacked (inf, sup) and the labels of the pattern items, read one
+    by one; the first item that breaks the schema raises its located
+    SchemaError, unless an earlier item holds a bad box."""
     infs, sups, labels = [], [], []
     try:
         for i, raw in enumerate(items):
@@ -339,17 +434,21 @@ def decode_patterns(text: str, n_dims: int | None = None):
             labels.append(label)
     except SchemaError:
         # A bad box in an earlier pattern comes first in the file.
-        _pattern_stack(infs, sups, base)
+        _pattern_stack(_row_stack(infs), _row_stack(sups), base)
         raise
-    return list(zip(_pattern_stack(infs, sups, base), labels)), manifest
+    return _row_stack(infs), _row_stack(sups), labels
 
 
-def _pattern_stack(infs: list, sups: list, base: str) -> list[Pattern]:
-    """The decoded rows as patterns, checked as one stack; a bad box is
-    located at its pattern under `base`."""
-    shape = (len(infs), len(infs[0]) if infs else 0)
+def _row_stack(rows: list) -> np.ndarray:
+    """Rows of one length as an (N, d) array."""
+    return np.array(rows).reshape(len(rows), len(rows[0]) if rows else 0)
+
+
+def _pattern_stack(inf: np.ndarray, sup: np.ndarray, base: str) -> list[Pattern]:
+    """The rows as patterns, checked as one stack; a bad box is located at
+    its pattern under `base`."""
     try:
-        return Pattern.stack(np.array(infs).reshape(shape), np.array(sups).reshape(shape))
+        return Pattern.stack(inf, sup)
     except ValidationError as exc:
         raise exc.within(base) from exc
 

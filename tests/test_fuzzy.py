@@ -708,3 +708,96 @@ def classifier_streams(draw):
 def test_classifier_matches_reference_on_random_streams(case):
     theta, stream, probes = case
     _assert_matches_reference(theta, stream, probes, set())
+
+
+# ---------------------------------------------------------------------------
+# Runs of skipped examples, tested a window at a time
+# ---------------------------------------------------------------------------
+
+def _train_like_reference(model, examples):
+    """Train on the examples and check the model against the reference bit
+    for bit; returns the number of overlap repairs (one per example that is
+    not skipped) and the sizes of the windows tested for runs of skips."""
+    repair, skipped_run = fuzzy._resolve_overlaps, fuzzy._skipped_run
+    repairs, windows = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzzy, "_resolve_overlaps",
+                      lambda *args: (repairs.append(1), repair(*args))[1])
+        patch.setattr(fuzzy, "_skipped_run",
+                      lambda *args: (windows.append(len(args[4])), skipped_run(*args))[1])
+        trained = train(model, examples)
+    ref = _reference_train(model, examples, set())
+    assert trained.labels == ref.labels
+    assert [c.label for c in trained.cells] == [c.label for c in ref.cells]
+    for cell, expected in zip(trained.cells, ref.cells):
+        assert cell.m.tobytes() == expected.m.tobytes()
+        assert cell.M.tobytes() == expected.M.tobytes()
+    return len(repairs), windows
+
+
+def test_stream_without_skips_tests_no_window():
+    """Grid points farther apart than theta, with alternating labels: each
+    seeds a cell, and none is tested in a window."""
+    grid = np.stack(np.meshgrid(np.arange(16) / 16, np.arange(16) / 16), axis=-1).reshape(-1, 2)
+    points = grid[np.random.default_rng(3).permutation(len(grid))]
+    examples = [(Pattern.crisp(p), "ab"[k % 2]) for k, p in enumerate(points)]
+    repairs, windows = _train_like_reference(ClassifierModel.create(2, theta=0.05), examples)
+    assert repairs == len(examples) and windows == []
+
+
+def test_run_of_skips_longer_than_the_window_cap():
+    """Every example after the first lies inside the cell the first seeds;
+    the window grows to its cap and the run goes on past it."""
+    dims = 64
+    cap = fuzzy._WINDOW_ENTRIES // dims
+    rng = np.random.default_rng(4)
+    first = Pattern(np.full(dims, 0.25), np.full(dims, 0.5))
+    inside = [Pattern.crisp(p) for p in rng.uniform(0.25, 0.5, (3 * cap, dims))]
+    examples = [(p, "a") for p in [first] + inside]
+    repairs, windows = _train_like_reference(ClassifierModel.create(dims), examples)
+    assert repairs == 1
+    assert max(windows) == cap and windows.count(cap) >= 2
+
+
+@pytest.mark.parametrize("breaker", ["seed", "growth"])
+@pytest.mark.parametrize("tail", [0, 1, 3, 7])
+def test_runs_ending_at_every_window_edge(breaker, tail):
+    """A run of `length` skips, then an example that grows the model (a
+    new cell, or a growth of the one cell), then `tail` more skips: the
+    lengths cover runs that end on, before and after each window edge."""
+    rng = np.random.default_rng(5)
+    first = (Pattern(np.full(2, 0.25), np.full(2, 0.5)), "a")
+    change = {
+        "seed": (Pattern.crisp([0.9, 0.95]), "b"),
+        "growth": (Pattern.crisp([0.52, 0.3]), "a"),
+    }[breaker]
+    for length in range(1, 18):
+        inside = [(Pattern.crisp(p), "a") for p in rng.uniform(0.25, 0.5, (length + tail, 2))]
+        examples = [first] + inside[:length] + [change] + inside[length:]
+        repairs, _ = _train_like_reference(ClassifierModel.create(2), examples)
+        assert repairs == 2
+
+
+@pytest.mark.parametrize(
+    "theta, cells, stream",
+    [
+        # The window reaches an example inside a given cell, which is not
+        # marked: it grows that cell by nothing and repairs its overlap.
+        (0.5, [_box("A", (0.0, 0.5)), _box("B", (0.25, 0.75))],
+         [_box("A", (0.875, 0.875))] * 2 + [_box("A", (0.125, 0.125))]),
+        # The window reaches an example of a label without cells, inside a
+        # marked cell of another label: it seeds a cell.
+        (1.0, [], [_box("A", (0.25, 0.5)), _box("A", (0.3125, 0.3125)),
+                   _box("B", (0.375, 0.375))]),
+    ],
+    ids=["unmarked given cell", "label without cells"],
+)
+def test_window_skips_only_examples_with_a_marked_target(theta, cells, stream):
+    model = replace(
+        ClassifierModel.create(1, theta=theta),
+        cells=[Cell(np.array(m), np.array(M), label) for m, M, label in cells],
+        labels=sorted({label for *_, label in cells}),
+    )
+    examples = [(Pattern(np.array(inf), np.array(sup)), label) for inf, sup, label in stream]
+    repairs, windows = _train_like_reference(model, examples)
+    assert windows == [1] and repairs == 2

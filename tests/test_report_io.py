@@ -1,8 +1,11 @@
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrostate import (
     Cell,
@@ -189,6 +192,117 @@ def test_pattern_file_accepts_integers_and_sums_beyond_float_range():
     assert pattern.inf.tolist() == [0.0, 1.7e308, -1.7e308]
     assert pattern.sup.tolist() == [1.0, 1.7e308, 1.7e308]
     assert label == "a"
+
+
+# Each file's patterns and manifest, or its rejection, as the pattern-by-
+# pattern reader gives them. The first two cases read in one pass.
+_READER_CASES = [
+    ('[{"inf": [0.125], "sup": [0.5], "label": "a", "note": "x", "weight": 2}]', None,
+     ["ok", [([0.125], [0.5], "a")], None]),
+    ('{"version": 1, "manifest": {"seed": 3}, '
+     '"patterns": [{"inf": [0.125], "sup": [0.5], "label": "a"}]}', 1,
+     ["ok", [([0.125], [0.5], "a")], {"seed": 3}]),
+    ('[{"inf": [0, 0.25], "sup": [1, 0.5], "label": "a"}]', None,
+     ["ok", [([0.0, 0.25], [1.0, 0.5], "a")], None]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5, 0.5]}, {"inf": [false, 0.25], "sup": [0.5, 0.5]}]',
+     None, ["SchemaError", "/1/inf/0: expected number, found bool"]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5, NaN]}]', None,
+     ["SchemaError", "/0/sup/1: expected finite number, found nan"]),
+    ('[{"inf": [0.125, Infinity], "sup": [0.5, 0.5]}]', None,
+     ["SchemaError", "/0/inf/1: expected finite number, found inf"]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5, 0.5]}, {"inf": [0.125, "0.25"], "sup": [0.5, 0.5]}]',
+     None, ["SchemaError", "/1/inf/1: expected number, found str"]),
+    ('[{"inf": [0.125], "sup": [0.5], "label": "a"}, {"inf": [0.25], "sup": [0.5]}]', None,
+     ["ok", [([0.125], [0.5], "a"), ([0.25], [0.5], None)], None]),
+    ('[{"inf": [0.125], "sup": [0.5], "label": "a"}, {"inf": [0.25], "sup": [0.5], "label": 7}]',
+     None, ["SchemaError", "/1/label: expected string, found int"]),
+    ('[{"inf": [0.125], "sup": [0.5], "label": null}]', None,
+     ["SchemaError", "/0/label: expected string, found NoneType"]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5]}]', None,
+     ["SchemaError", "/0/sup: expected 2 entries, found 1"]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5, 0.5]}, {"inf": [0.125], "sup": [0.5]}]', None,
+     ["SchemaError", "/1/inf: expected 2 entries, found 1"]),
+    ('[{"inf": [0.125, 0.25], "sup": [0.5, 0.5]}]', 3,
+     ["SchemaError", "/0/inf: expected 3 entries, found 2"]),
+    ("[]", None, ["ok", [], None]),
+    ('{"patterns": []}', None, ["ok", [], None]),
+    ('[{"inf": [0.125], "sup": [0.5]}, [0.125]]', None,
+     ["SchemaError", "/1: expected object, found list"]),
+    ('[{"inf": [0.125], "sup": [0.5]}, {"inf": [0.125]}]', None,
+     ["SchemaError", "/1/sup: expected present field, found missing"]),
+    ('[{"inf": [0.125], "sup": [0.5]}, {"inf": 0.125, "sup": [0.5]}]', None,
+     ["SchemaError", "/1/inf: expected array, found float"]),
+    ('[{"inf": [0.625], "sup": [0.5]}, {"inf": [0.125], "sup": [0.5], "label": 1}]', None,
+     ["ValidationError", "/0/inf: expected inf <= sup, found crossed bounds"]),
+]
+
+
+def _decoded(text, n_dims):
+    try:
+        entries, manifest = report_io.decode_patterns(text, n_dims)
+    except SchemaError as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["ok", [(p.inf.tolist(), p.sup.tolist(), label) for p, label in entries], manifest]
+
+
+@pytest.mark.parametrize(
+    "text, n_dims, expected",
+    _READER_CASES,
+    ids=[
+        "extra keys", "wrapper", "integer entry", "bool entry", "NaN", "Infinity",
+        "string entry", "absent label", "int label", "null label", "ragged row",
+        "short second row", "row not n_dims", "empty list", "empty wrapper", "list item",
+        "missing sup", "number row", "crossed then bad label",
+    ],
+)
+def test_pattern_reader_edge_cases(text, n_dims, expected):
+    assert _decoded(text, n_dims) == expected
+
+
+def test_one_pass_reader_agrees_with_the_located_loop(demo_dir, monkeypatch):
+    """Corruptions of a demo pattern file decode to the same patterns, or
+    the same error, whether or not the one-pass reader may take them."""
+    doc = json.loads((demo_dir / "out" / "patterns.json").read_text())
+    doc["patterns"] = doc["patterns"][:6]
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        text = json.dumps(_corrupt(json.loads(json.dumps(doc)), rng))
+        fast = _decoded(text, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(report_io, "_canonical_rows", lambda items, n_dims: None)
+            assert _decoded(text, None) == fast
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]),
+)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028')))
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**70)]),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _TEXT,
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_FLOATS, max_size=5),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_DOCS)
+def test_dumps_writes_the_stdlib_text(doc):
+    assert report_io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_model_round_trip():
