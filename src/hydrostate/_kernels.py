@@ -2,9 +2,9 @@
 
 The per-pipe monomial loss coefficients (evaluated once per solver
 iteration, over every member of a stacked solve) and the per-cell hyperbox
-scans of the fuzzy classifier (the expansion scan once per training
-example taken on its own, and once per window of examples tested together
-for a run of skips; the violation scan once per classification). The dense
+scans of the fuzzy classifier (the expansion scan once per window of
+training examples tested together, one example wide after each change
+to a cell; the violation scan once per classification). The dense
 linear algebra of the solver stages, not these loops, dominates runtime.
 """
 

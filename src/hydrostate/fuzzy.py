@@ -28,9 +28,9 @@ from .errors import EmptyModel, PatternOutOfRange, PatternTooWide, ValidationErr
 
 DEFAULT_THETA = 0.3
 DEFAULT_GAMMA = 4.0
-# `train` tests a window of examples for a run of skips against every cell
-# at once; the window holds at most this many (example, cell, dimension)
-# entries, so its arrays stay small.
+# `train` tests a window of examples against every cell at once; the window
+# holds at most this many (example, cell, dimension) entries, or one
+# example, so its arrays stay small.
 _WINDOW_ENTRIES = 2**14
 
 
@@ -154,8 +154,10 @@ class ClassifierModel:
         for i, g in enumerate(self.gamma.tolist()):
             if not 0 < g < math.inf:
                 raise ValidationError(f"/gamma/{i}", "number > 0", str(g))
-        if self.normalization.shape != (n, 2):
-            raise ValidationError("/normalization", f"{n} ranges", f"{len(self.normalization)}")
+        shape = self.normalization.shape
+        if shape != (n, 2):
+            found = f"{shape[0]}" if shape[1:] == (2,) else f"shape {shape}"
+            raise ValidationError("/normalization", f"{n} ranges", found)
         check_ranges(self.normalization)
         for i, label in enumerate(self.labels):
             if not isinstance(label, str):
@@ -224,7 +226,9 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     pattern's box; then repair any overlap with differently-labeled cells
     by contraction. Deterministic for a given example order. The patterns
     are checked first, all of them, for the model's dimension, the range
-    [0, 1] and a width within theta; the first bad pattern raises.
+    [0, 1] and a width within theta; the first bad pattern raises. Then,
+    still before any cell is built, the first label that is not a string
+    raises a ValidationError at /k/label, k being its example's index.
     """
     examples = list(examples)
     n, theta, dims = len(model.cells), model.theta, model.n_dims
@@ -233,7 +237,9 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     label_ids = {}
     for k, label in enumerate(labels):
         label_ids.setdefault(label, k)
-    for _, label in examples:
+    for k, (_, label) in enumerate(examples):
+        if not isinstance(label, str):
+            raise ValidationError(f"/{k}/label", "string", type(label).__name__)
         if label not in label_ids:
             label_ids[label] = len(labels)
             labels.append(label)
@@ -252,33 +258,24 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     # skipped. The given cells may overlap, so they start unmarked.
     repaired = np.zeros(len(lo), dtype=bool)
 
-    # After a skip the next examples are tested `window` at a time, and the
-    # skipped run at the front of a window is passed over at once. The
-    # window doubles while whole windows skip, within _WINDOW_ENTRIES; the
-    # first example that does not skip is taken on its own, as every example
-    # is until the next skip.
+    # The examples are tested `window` at a time against every cell at once,
+    # and the run of skips at the front of a window is passed over. The
+    # first example that does not skip grows the target found for it, or
+    # seeds a cell, and the window is back to 1; it doubles while whole
+    # windows skip, within _WINDOW_ENTRIES.
     k, window = 0, 1
     while k < len(examples):
-        if window > 1:
-            end = min(k + window, len(examples))
-            k += _skipped_run(
-                lo[:n], hi[:n], ids[:n], repaired[:n],
-                inf[k:end], sup[k:end], example_ids[k:end], theta,
-            )
-            if k == end:
-                window = min(2 * window, _WINDOW_ENTRIES // (n * dims))
-                continue
-            window = 1
+        end = min(k + window, len(examples))
+        run, target = _skipped_run(
+            lo[:n], hi[:n], ids[:n], repaired[:n],
+            inf[k:end], sup[k:end], example_ids[k:end], theta,
+        )
+        k += run
+        if k == end:
+            window = min(2 * window, max(1, _WINDOW_ENTRIES // (n * dims)))
+            continue
         label_id, p_inf, p_sup = example_ids[k], inf[k], sup[k]
         k += 1
-
-        same = np.flatnonzero(ids[:n] == label_id)
-        target = None
-        if same.size:
-            cost, feasible = _kernels.expansion_metrics(lo[same], hi[same], p_inf, p_sup, theta)
-            if feasible.any():
-                target = int(same[np.argmin(np.where(feasible, cost, np.inf))])
-
         if target is None:
             if n == len(ids):
                 lo, hi, ids, repaired = (
@@ -288,40 +285,42 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
             lo[n], hi[n], ids[n] = p_inf, p_sup, label_id
             n += 1
         else:
-            grown_lo = np.minimum(lo[target], p_inf)
-            grown_hi = np.maximum(hi[target], p_sup)
-            if (repaired[target] and grown_lo.tobytes() == lo[target].tobytes()
-                    and grown_hi.tobytes() == hi[target].tobytes()):
-                window = min(2, _WINDOW_ENTRIES // (n * dims))
-                continue
-            lo[target], hi[target] = grown_lo, grown_hi
-
+            lo[target] = np.minimum(lo[target], p_inf)
+            hi[target] = np.maximum(hi[target], p_sup)
         _resolve_overlaps(lo[:n], hi[:n], ids[:n], target)
         repaired[target] = True
+        window = 1
 
     cells = [Cell(m, M, labels[k]) for m, M, k in zip(lo[:n], hi[:n], ids[:n].tolist())]
     return ClassifierModel(theta, model.gamma.copy(), model.normalization.copy(), cells, labels)
 
 
-def _skipped_run(lo, hi, ids, repaired, p_inf, p_sup, example_ids, theta) -> int:
+def _skipped_run(lo, hi, ids, repaired, p_inf, p_sup, example_ids, theta):
     """How many of the examples (rows of p_inf and p_sup, with label ids
     example_ids), counted from the first, `train` skips in a row against the
-    cells [lo[k], hi[k]] with label ids ids[k] and marks repaired[k]. Skips
-    change no cell, so one broadcast test decides them all: an example is
-    skipped when its target, the lowest-cost feasible same-label cell (ties
-    to the earliest), is marked and growing it by the example changes no bit
-    of it."""
+    cells [lo[k], hi[k]] with label ids ids[k] and marks repaired[k], and
+    the target of the next example: None if it has none or all skip. The
+    target is the lowest-cost feasible same-label cell, ties to the
+    earliest; an example skips when its target is marked and growing it by
+    the example changes no bit of it. Skips change no cell, so one
+    broadcast test decides them all."""
+    if not len(ids):
+        return 0, None
     cost, feasible = _kernels.expansion_metrics(lo, hi, p_inf[:, None], p_sup[:, None], theta)
     candidate = feasible & (ids == example_ids[:, None])
     target = np.argmin(np.where(candidate, cost, np.inf), axis=1)
+    found = candidate[np.arange(len(target)), target]
     lo_t, hi_t = lo[target], hi[target]
     skip = (
-        candidate[np.arange(len(target)), target]
+        found
         & repaired[target]
         & (np.minimum(lo_t, p_inf).view(np.uint64) == lo_t.view(np.uint64)).all(axis=1)
         & (np.maximum(hi_t, p_sup).view(np.uint64) == hi_t.view(np.uint64)).all(axis=1)
     )
-    return len(skip) if skip.all() else int(np.argmin(skip))
+    if skip.all():
+        return len(skip), None
+    run = int(np.argmin(skip))
+    return run, int(target[run]) if found[run] else None
 
 
 def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:

@@ -186,6 +186,20 @@ def test_first_bad_example_raises_its_first_failed_check(boxes, error, text):
     assert str(excinfo.value) == text
 
 
+@pytest.mark.parametrize("label, found", [(None, "NoneType"), (3, "int")])
+def test_example_label_must_be_a_string(monkeypatch, label, found):
+    """A label that is not a string raises at its example's index before
+    any cell is built; a bad pattern anywhere in the stream raises first."""
+    monkeypatch.setattr(fuzzy, "_resolve_overlaps", lambda *args: pytest.fail("cell built"))
+    model = ClassifierModel.create(2, theta=0.3)
+    good, bad = (Pattern(np.array(inf), np.array(sup)) for inf, sup in (GOOD, OUT_OF_RANGE))
+    with pytest.raises(ValidationError) as excinfo:
+        train(model, [(good, "a"), (good, label), (good, "b")])
+    assert str(excinfo.value) == f"/1/label: expected string, found {found}"
+    with pytest.raises(PatternOutOfRange):
+        train(model, [(good, label), (bad, "a")])
+
+
 @pytest.mark.parametrize(
     "first, second, want_first, want_second",
     [
@@ -445,6 +459,17 @@ def test_degenerate_range_rejected():
     with pytest.raises(ValidationError) as excinfo:
         normalize(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [3.0, 3.0]]))
     assert excinfo.value.path == "/normalization/1"
+
+
+@pytest.mark.parametrize(
+    "normalization, found",
+    [(5.0, "shape ()"), ([0.0, 1.0], "shape (2,)"), ([[0.0, 1.0]] * 3, "3")],
+    ids=["scalar", "one range, flat", "three ranges"],
+)
+def test_normalization_of_another_shape_rejected(normalization, found):
+    with pytest.raises(ValidationError) as excinfo:
+        ClassifierModel.create(2, normalization=normalization)
+    assert str(excinfo.value) == f"/normalization: expected 2 ranges, found {found}"
 
 
 def test_normalize_clamps():
@@ -717,7 +742,7 @@ def test_classifier_matches_reference_on_random_streams(case):
 def _train_like_reference(model, examples):
     """Train on the examples and check the model against the reference bit
     for bit; returns the number of overlap repairs (one per example that is
-    not skipped) and the sizes of the windows tested for runs of skips."""
+    not skipped) and the sizes of the windows of examples tested."""
     repair, skipped_run = fuzzy._resolve_overlaps, fuzzy._skipped_run
     repairs, windows = [], []
     with pytest.MonkeyPatch.context() as patch:
@@ -737,12 +762,24 @@ def _train_like_reference(model, examples):
 
 def test_stream_without_skips_tests_no_window():
     """Grid points farther apart than theta, with alternating labels: each
-    seeds a cell, and none is tested in a window."""
+    seeds a cell, and each is tested on its own, in a window of one."""
     grid = np.stack(np.meshgrid(np.arange(16) / 16, np.arange(16) / 16), axis=-1).reshape(-1, 2)
     points = grid[np.random.default_rng(3).permutation(len(grid))]
     examples = [(Pattern.crisp(p), "ab"[k % 2]) for k, p in enumerate(points)]
     repairs, windows = _train_like_reference(ClassifierModel.create(2, theta=0.05), examples)
-    assert repairs == len(examples) and windows == []
+    assert repairs == len(examples) and windows == [1] * len(examples)
+
+
+def test_run_of_skips_with_more_cell_entries_than_the_window_holds():
+    """300 cells of 64 dimensions hold more entries than a window of one
+    example may: the window stays at one example, and the repeated stream
+    skips one example at a time."""
+    dims = 64
+    points = np.random.default_rng(6).uniform(0.0, 1.0, (300, dims))
+    assert len(points) * dims > fuzzy._WINDOW_ENTRIES
+    examples = [(Pattern.crisp(p), "ab"[k % 2]) for k, p in enumerate(points)] * 2
+    repairs, windows = _train_like_reference(ClassifierModel.create(dims, theta=0.05), examples)
+    assert repairs == len(points) and windows == [1] * len(examples)
 
 
 def test_run_of_skips_longer_than_the_window_cap():
@@ -800,4 +837,6 @@ def test_window_skips_only_examples_with_a_marked_target(theta, cells, stream):
     )
     examples = [(Pattern(np.array(inf), np.array(sup)), label) for inf, sup, label in stream]
     repairs, windows = _train_like_reference(model, examples)
-    assert windows == [1] and repairs == 2
+    # The second example skips; the window after it reaches the third,
+    # which is not skipped.
+    assert windows == [1, 1, 1] and repairs == 2

@@ -523,7 +523,7 @@ def _triangle_with(node=None, pipe=None) -> Network:
         (lambda: Pattern([0.1], [INF]), "/sup"),
         (lambda: Cell([0.1, NAN], [0.2, 0.2], "a"), "/m"),
         (lambda: train(ClassifierModel.create(1), [(Pattern.crisp([0.5]), None)]),
-         "/labels/0"),
+         "/0/label"),
     ],
     ids=[
         "NaN head", "inf head", "inf demand", "inf resistance", "inf exponent",
