@@ -5,10 +5,11 @@ reports as a JSON error with exit status 1. Each invariant of a value a file
 can carry is checked once, by its type or by the one function that owns it
 (`estimator.meter_column` for a meter's target, `fuzzy.check_ranges` for
 normalization ranges, `network.Forest` for connectivity), and a violation
-is a ValidationError located by a JSON pointer. Misused library arguments
-raise a plain ValueError instead: a wrong array shape, `samples < 1`, a
-solver or estimator tolerance that is not > 0, a negative `max_iter`, or a
-half-width on an energy row of the bound's `delta_y`.
+is a ValidationError located by a JSON pointer, a wrong shape included.
+Misused library arguments that no file carries raise a plain ValueError
+instead: a wrong shape of `delta_y`, `IntervalState.halfwidth` or the
+demands of `Network.with_demands`, `samples < 1`, a tolerance that is not
+> 0, a negative `max_iter`, or a half-width on an energy row of `delta_y`.
 """
 
 

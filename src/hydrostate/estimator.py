@@ -198,11 +198,11 @@ def weighted_step(system: AugmentedSystem, jac: np.ndarray, rhs: np.ndarray):
 
     `system` holds the weights and the telemetry rows of A, whose `shape`
     is that of A; `jac` holds the derivative diagonals. The factor of J
-    from `AugmentedSystem.linearize` serves two rounds of solves: Z, then
-    J^-1 against r_j plus the telemetry correction. Returns the
-    corrections and a dict from member position to RankDeficient for the
-    members whose factorization or update failed or whose correction is
-    not finite.
+    from `AugmentedSystem.linearize` serves two rounds of solves: Z, from
+    the tree flows of the system's selectors on, then J^-1 against r_j
+    plus the telemetry correction. Returns the corrections and a dict from
+    member position to RankDeficient for the members whose factorization
+    or update failed or whose correction is not finite.
     """
     newton, z, scaled, coupling = system.linearize(jac)
     n = system.shape[1]

@@ -52,16 +52,17 @@ which numpy lacks, are matrix products too. With 2 OpenBLAS threads on a
 import numpy as np
 
 from .errors import HydrostateError, RankDeficient, SingularSystem
-from .network import Network
+from .network import Forest, Network
 
 # Block order of the Cholesky factor. Each block column costs one small
 # `np.linalg.cholesky`, one inverse of its diagonal block and a few
 # Python-level steps; the rest is matrix products. The factor holds the
 # loop matrix, of order 211 on the 800-node benchmark cases. There, for the
 # estimator's mix (one factor and two rounds of 80 and 1 right-hand sides
-# per step, then the bound's 80 + 80 and about 800 right-hand sides in
-# blocks), blocks of 32 to 128 measured within the run-to-run spread of
-# each other, and 256 (a single block) about 20 % slower.
+# per step, the 80 selectors laid out and swept once per system, then the
+# bound's 80 + 80 and about 800 right-hand sides in blocks), blocks of 32
+# to 128 measured within the run-to-run spread of each other, and 256 (a
+# single block) about 20 % slower.
 _BLOCK = 64
 
 
@@ -202,14 +203,17 @@ class NewtonFactor:
         applied by the sweeps: Z^T r = r_C - A12_C A12_T^-1 r_T, and the
         tree part of Z w is -(A12_T^T)^-1 A12_C^T w.
         """
+        forest = self.net.forest
+        return self.solve_laid_out(lay_out(forest, b[..., forest.tree_pipe, :], b[..., forest.cotree, :],
+                                           b[..., self.net.n_pipes + forest.order, :]))
+
+    def solve_laid_out(self, columns: tuple) -> np.ndarray:
+        """`solve` from the tree flows on, for columns laid out by `lay_out`."""
+        tree_energy, loop_energy, continuity, flows = columns
         forest, n_pipes = self.net.forest, self.net.n_pipes
-        tree_energy = b[..., forest.tree_pipe, :]
-        continuity = b[..., n_pipes + forest.order, :]
-        flows = forest.tree_flows(continuity)
         heads = forest.path_sums(tree_energy - self.tree_jac * flows)
         loop_flows = 0.0  # a tree network has no loops to correct
         if forest.cotree.size:
-            loop_energy = b[..., forest.cotree, :]
             loop_flows = self.loops.solve(loop_energy - forest.chords.dot(heads, axis=-2))
             flows = forest.tree_flows(continuity - forest.chords.tdot(loop_flows, axis=-2))
             heads = forest.path_sums(tree_energy - self.tree_jac * flows)
@@ -219,6 +223,14 @@ class NewtonFactor:
         x[:, forest.cotree] = loop_flows
         x[:, n_pipes + forest.order] = heads
         return x
+
+
+def lay_out(forest: Forest, tree_energy, loop_energy, continuity: np.ndarray) -> tuple:
+    """The first stage of `NewtonFactor.solve`, free of the derivative
+    diagonals: columns in forest order (the energy rows of the tree and the
+    co-tree pipes, either may be a scalar 0.0, and the continuity rows in
+    `forest.order`) with the tree flows of their continuity rows."""
+    return tree_energy, loop_energy, continuity, forest.tree_flows(continuity)
 
 
 def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
@@ -266,24 +278,26 @@ class AugmentedSystem:
     Y = J^-1 Wj^-1 Z, its telemetry columns are Y C^-1 and its model
     columns J^-1 - Y C^-1 Z^T.
 
-    This holds what all members share: the columns of S^T (`selectors`),
-    the variances Wj^-1 (`model_variance`, a column) and Wt^-1. Members
-    differ in their derivative diagonals, and `linearize` forms the
-    blocks of one set of them.
+    This holds what all members share: the columns of S^T, laid out once
+    with their tree flows (`selectors`, read-only), the variances Wj^-1
+    (`model_variance`, a column) and Wt^-1. Members differ in their
+    derivative diagonals, and `linearize` forms the blocks of one set.
     """
 
     def __init__(self, net: Network, telemetry_columns: np.ndarray, values: np.ndarray,
                  weights: np.ndarray):
         n = net.n_pipes + net.n_demand
-        m = telemetry_columns.size
+        forest = net.forest
         self.net = net
         self.telemetry_columns = telemetry_columns
         self.values = values
         self.weights = weights
         self.shape = (weights.shape[0], n)
         self.model_variance = (1.0 / weights[:n])[:, None]
-        self.selectors = np.zeros((n, m))
-        self.selectors[telemetry_columns, np.arange(m)] = 1.0
+        rows = (forest.tree_pipe, forest.cotree, net.n_pipes + forest.order)
+        self.selectors = lay_out(forest, *((r[:, None] == telemetry_columns).astype(float) for r in rows))
+        for block in self.selectors:
+            block.setflags(write=False)
         self._telemetry_covariance = np.diag(1.0 / weights[n:])
 
     @property
@@ -295,7 +309,7 @@ class AugmentedSystem:
         `jac` (members x n_pipes): J's `NewtonFactor`, Z and Wj^-1 Z
         (members x n x m) and C (members x m x m)."""
         newton = NewtonFactor(self.net, jac)
-        z = newton.solve(self.selectors)
+        z = newton.solve_laid_out(self.selectors)
         scaled = self.model_variance * z
         coupling = z.swapaxes(1, 2) @ scaled + self._telemetry_covariance
         return newton, z, scaled, coupling

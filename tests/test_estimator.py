@@ -238,10 +238,11 @@ def test_stacked_weighted_step_isolates_bad_member():
 
 
 def test_repeated_step_leaves_static_gram_unchanged():
-    """The loop matrix is factored in place, and the solves take the
-    shared telemetry columns as right-hand sides. The blocks every step is
-    built from (the selectors, the variances and Wt^-1) must survive, so
-    repeated steps at one linearization agree."""
+    """The loop matrix is factored in place, and the solves start from the
+    shared telemetry columns laid out in forest order with their tree
+    flows. The blocks every step is built from (those selector blocks, the
+    variances and Wt^-1) must survive, so repeated steps at one
+    linearization agree; the selector blocks are read-only."""
     net = random_network(4, n_nodes=300)  # 149 loops: several blocks
     meas, _ = exact_measurements(net, seed=4, n_flow=10, n_head=10)
     aug = build_augmented(net, meas)
@@ -249,14 +250,17 @@ def test_repeated_step_leaves_static_gram_unchanged():
     jac = jacobian_coefficients(net, x.q)[None]
     rhs = -augmented_residual(net, aug, x)[None]
     shared = [
-        aug.selectors.copy(),
+        [block.copy() for block in aug.selectors],
         aug.model_variance.copy(),
         aug._telemetry_covariance.copy(),
     ]
     first, _ = weighted_step(aug, jac, rhs)
     second, _ = weighted_step(aug, jac, rhs)
     np.testing.assert_array_equal(first, second)
-    np.testing.assert_array_equal(aug.selectors, shared[0])
+    assert len(aug.selectors) == len(shared[0]) == 4
+    for block, before in zip(aug.selectors, shared[0]):
+        np.testing.assert_array_equal(block, before)
+        assert not block.flags.writeable
     np.testing.assert_array_equal(aug.model_variance, shared[1])
     np.testing.assert_array_equal(aug._telemetry_covariance, shared[2])
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from hydrostate.errors import RankDeficient
-from hydrostate import build_augmented, solve_steady_state
-from hydrostate.errorlimits import bound_from_matrix
+from hydrostate import build_augmented, errorlimits, solve_steady_state
+from hydrostate.errorlimits import block_columns, bound_from_matrix
 from hydrostate.estimator import weighted_step
 from hydrostate.hydraulics import initial_state, jacobian_coefficients
-from hydrostate.linearization import GramFactor, NewtonFactor
-from hydrostate.network import incidence_matrices
+from hydrostate.linearization import AugmentedSystem, GramFactor, NewtonFactor
+from hydrostate.network import Forest, incidence_matrices
 
 from helpers import (
     TOPOLOGIES,
@@ -247,6 +247,154 @@ def test_stacked_step_and_bound_match_single_members(members):
         one = slice(member, member + 1)
         np.testing.assert_array_equal(weighted_step(system, jac[one], rhs[one])[0][0], step[member])
         np.testing.assert_array_equal(bound_from_matrix(system, jac[one], delta)[0][0], bound[member])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the solve and the bound as written before the selectors' layout
+# and their tree flows were made once per system
+# ---------------------------------------------------------------------------
+
+def _reference_solve(newton, b):
+    """`NewtonFactor.solve` as it was written in one stage, gathering b into
+    forest order and sweeping its continuity rows on every call."""
+    forest, n_pipes = newton.net.forest, newton.net.n_pipes
+    tree_energy = b[..., forest.tree_pipe, :]
+    continuity = b[..., n_pipes + forest.order, :]
+    flows = forest.tree_flows(continuity)
+    heads = forest.path_sums(tree_energy - newton.tree_jac * flows)
+    loop_flows = 0.0  # a tree network has no loops to correct
+    if forest.cotree.size:
+        loop_energy = b[..., forest.cotree, :]
+        loop_flows = newton.loops.solve(loop_energy - forest.chords.dot(heads, axis=-2))
+        flows = forest.tree_flows(continuity - forest.chords.tdot(loop_flows, axis=-2))
+        heads = forest.path_sums(tree_energy - newton.tree_jac * flows)
+    members, n_demand, k = heads.shape
+    x = np.empty((members, n_pipes + n_demand, k))
+    x[:, forest.tree_pipe] = flows
+    x[:, forest.cotree] = loop_flows
+    x[:, n_pipes + forest.order] = heads
+    return x
+
+
+def _reference_linearize(system, jac):
+    """`AugmentedSystem.linearize` on the dense n x m columns of S^T."""
+    n, m = system.shape[1], system.telemetry_columns.size
+    selectors = np.zeros((n, m))
+    selectors[system.telemetry_columns, np.arange(m)] = 1.0
+    newton = NewtonFactor(system.net, jac)
+    z = _reference_solve(newton, selectors)
+    scaled = system.model_variance * z
+    coupling = z.swapaxes(1, 2) @ scaled + system._telemetry_covariance
+    return newton, z, scaled, coupling
+
+
+def _reference_bound_from_matrix(system, jac, delta_y):
+    """`bound_from_matrix` with its continuity columns as dense n x k unit
+    blocks, gathered into forest order by each solve."""
+    delta_y = np.abs(np.asarray(delta_y, dtype=float))
+    n_pipes, n = system.net.n_pipes, system.shape[1]
+    nodes = np.flatnonzero(delta_y[n_pipes:n])
+    meters = np.flatnonzero(delta_y[n:])
+
+    newton, z, scaled, coupling = _reference_linearize(system, jac)
+    inverse, failures = system.telemetry_solve(coupling)
+    failures.update(newton.failed)
+    telemetry = _reference_solve(newton, scaled) @ inverse
+
+    bound = np.abs(telemetry[:, :, meters]) @ delta_y[n + meters]
+    block = block_columns(system.net)
+    for start in range(0, nodes.size, block):
+        rows = n_pipes + nodes[start : start + block]
+        unit = np.zeros((n, rows.size))
+        unit[rows, np.arange(rows.size)] = 1.0
+        columns = _reference_solve(newton, unit)
+        columns -= telemetry @ z[:, rows].swapaxes(1, 2)
+        bound += np.abs(columns, out=columns) @ delta_y[rows]
+    return bound, failures
+
+
+def _topology_case(topology, members):
+    """A `TOPOLOGIES` network with meters on up to 3 pipe flows and 3 heads
+    (tree and co-tree pipes alike), random row weights, `members` random
+    derivative diagonals and the generator that drew them."""
+    net = TOPOLOGIES[topology]()
+    rng = np.random.default_rng((353, members))
+    columns = np.concatenate([
+        rng.choice(net.n_pipes, size=min(3, net.n_pipes), replace=False),
+        net.n_pipes + rng.choice(net.n_demand, size=min(3, net.n_demand), replace=False),
+    ])
+    n = net.n_pipes + net.n_demand
+    weights = rng.uniform(0.5, 2.0, n + columns.size)
+    system = AugmentedSystem(net, columns, rng.standard_normal(columns.size), weights)
+    return net, system, rng.uniform(0.1, 10.0, (members, net.n_pipes)), rng
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_linearize_and_solve_match_reference(topology, members):
+    """Z, Wj^-1 Z and C from the selectors laid out once, and solves on 0,
+    1 and m stacked or shared columns, equal the one-stage solve bit for
+    bit."""
+    net, system, jac, rng = _topology_case(topology, members)
+    newton, *blocks = system.linearize(jac)
+    _, *reference_blocks = _reference_linearize(system, jac)
+    for block, reference in zip(blocks, reference_blocks):
+        np.testing.assert_array_equal(block, reference)
+    n, m = system.shape[1], system.n_telemetry
+    for k in (0, 1, m):
+        for b in (rng.standard_normal((members, n, k)), rng.standard_normal((n, k))):
+            x = newton.solve(b)
+            assert x.shape == (members, n, k)
+            np.testing.assert_array_equal(x, _reference_solve(newton, b))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_bound_matches_reference(topology, members, monkeypatch):
+    """The bound from unit continuity blocks laid out in forest order
+    equals the bound from dense unit blocks bit for bit, in one block and
+    in blocks of at least two columns."""
+    net, system, jac, rng = _topology_case(topology, members)
+    n = system.shape[1]
+    delta_y = np.concatenate([
+        np.zeros(net.n_pipes),
+        rng.uniform(0.0, 0.1, net.n_demand) * (rng.random(net.n_demand) < 0.7),
+        rng.uniform(0.0, 0.1, system.n_telemetry),
+    ])
+    for elements in (errorlimits._BOUND_ELEMENTS, 2 * n):
+        monkeypatch.setattr(errorlimits, "_BOUND_ELEMENTS", elements)
+        bound, failures = bound_from_matrix(system, jac, delta_y)
+        reference, reference_failures = _reference_bound_from_matrix(system, jac, delta_y)
+        assert failures == reference_failures == {}
+        np.testing.assert_array_equal(bound, reference)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_selectors_are_swept_once_per_system(topology, monkeypatch):
+    """Building the system sweeps the selectors' continuity rows once; each
+    step then sweeps only the loop correction of Z (on a network with
+    loops) and its own right-hand side (two sweeps with loops, one
+    without): 1 + 3k calls of `Forest.tree_flows` for k steps, or 1 + k
+    on a tree, where a sweep per step of the selectors made 4k and 2k."""
+    net = TOPOLOGIES[topology]()
+    meas, _ = exact_measurements(net, seed=5)
+    x = initial_state(net)
+    jac = jacobian_coefficients(net, x.q)[None]
+    calls = []
+    sweep = Forest.tree_flows
+
+    def counted(forest, c):
+        calls.append(c.shape)
+        return sweep(forest, c)
+
+    monkeypatch.setattr(Forest, "tree_flows", counted)
+    system = build_augmented(net, meas)
+    rhs = np.random.default_rng(359).standard_normal((1, system.shape[0]))
+    steps = 3
+    for _ in range(steps):
+        weighted_step(system, jac, rhs)
+    per_step = 3 if net.forest.cotree.size else 1
+    assert len(calls) == 1 + per_step * steps
 
 
 def test_no_scipy_import(demo_dir):
