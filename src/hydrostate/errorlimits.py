@@ -31,7 +31,7 @@ from .network import Network
 _BOUND_ELEMENTS = 1 << 17
 
 
-@dataclass
+@dataclass(eq=False)
 class IntervalState:
     """Box [center - halfwidth, center + halfwidth] in state space."""
 

@@ -34,7 +34,7 @@ DEFAULT_GAMMA = 4.0
 _WINDOW_ENTRIES = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """Interval pattern [inf, sup] in normalized coordinates; crisp
     patterns have inf == sup."""
@@ -102,7 +102,7 @@ class Pattern:
         return self.inf.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class Cell:
     """One hidden neuron: min point, max point and class label."""
 
@@ -122,7 +122,7 @@ class Cell:
         return float(np.prod(self.M - self.m))
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassifierModel:
     """A trained classifier: theta, gamma and normalization, its cells and
     its labels.
@@ -139,9 +139,9 @@ class ClassifierModel:
     normalization: np.ndarray
     cells: tuple[Cell, ...] = ()
     labels: list[str] = field(default_factory=list)
-    _lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi: np.ndarray = field(init=False, repr=False, compare=False)
-    _volumes: np.ndarray = field(init=False, repr=False, compare=False)
+    _lo: np.ndarray = field(init=False, repr=False)
+    _hi: np.ndarray = field(init=False, repr=False)
+    _volumes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)

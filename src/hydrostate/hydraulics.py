@@ -30,7 +30,7 @@ DEFAULT_MAX_ITER = 50
 _MAX_HALVINGS = 10
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Pipe flows q (length L) and demand-node heads H (length N_p)."""
 

@@ -2,9 +2,10 @@
 or writes, with located schema errors.
 
 Decoders check JSON types, field presence, array lengths and targets in
-another file; the types they build check their own invariants, and the
-decoders locate those errors inside the file. Every rejection points at the
-offending location with a JSON-pointer path. Encoders are deterministic:
+another file; the types they build check their own invariants. Each array
+of objects is read through one located loop (`_entries`), and each array of
+numbers element by element, so every rejection points at the offending
+location with a JSON-pointer path. Encoders are deterministic:
 keys sorted, entities in canonical (file) order, numbers as shortest
 round-trip decimals. decode(encode(value)) reproduces the value exactly.
 """
@@ -142,18 +143,22 @@ def _integer_field(obj: dict, key: str, path: str) -> int:
 
 
 def _number_array(value, path: str) -> list[float]:
-    """The array at `path` as floats. A list of floats, which is what the
-    encoders write, is tested at once by the finiteness of its exact sum.
-    Any other list, or one that fails that test, is checked element by
-    element, which locates a rejection (and accepts integers, and finite
-    floats whose sum overflows)."""
-    values = _as_array(value, path)
-    try:
-        if _FLOAT.issuperset(map(type, values)) and math.isfinite(math.fsum(values)):
-            return values
-    except (OverflowError, ValueError):  # a sum that overflows, or inf - inf
-        pass
-    return [_number(v, f"{path}/{i}") for i, v in enumerate(values)]
+    """The array at `path` as floats, checked element by element."""
+    return [_number(v, f"{path}/{i}") for i, v in enumerate(_as_array(value, path))]
+
+
+def _entries(value, path: str, read) -> list:
+    """`read(obj, entry_path)` of each entry of the array at `path`, in file
+    order. Each entry must be an object, and a ValidationError that `read`
+    raises is located at its entry."""
+    entries = []
+    for i, raw in enumerate(_as_array(value, path)):
+        entry_path = f"{path}/{i}"
+        try:
+            entries.append(read(_as_object(raw, entry_path), entry_path))
+        except ValidationError as exc:
+            raise exc.within(entry_path) from exc
+    return entries
 
 
 def _meter_doc(meter) -> dict:
@@ -176,9 +181,10 @@ def _meter_fields(obj: dict, path: str, delta_required: bool) -> tuple[str, str,
     return kind, target, sigma, delta
 
 
-def _check_version(obj: dict, path: str = "") -> None:
-    if "version" in obj and obj["version"] != VERSION:
-        raise SchemaError(f"{path}/version", f"{VERSION}", repr(obj["version"]))
+def _check_version(obj: dict) -> None:
+    version = obj.get("version", VERSION)
+    if type(version) is not int or version != VERSION:
+        raise SchemaError("/version", f"{VERSION}", repr(version))
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +217,21 @@ def decode_network(text: str) -> Network:
     """Build a validated Network from network-file JSON text."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
-    nodes = []
-    for i, raw in enumerate(_as_array(_get(doc, "nodes", ""), "/nodes")):
-        path = f"/nodes/{i}"
-        obj = _as_object(raw, path)
-        head = _number_field(obj, "head", path) if "head" in obj else None
-        demand = _number_field(obj, "demand", path) if "demand" in obj else None
-        nodes.append(
-            Node(_string(obj, "id", path), _string(obj, "kind", path), head, demand)
-        )
-    pipes = []
-    for j, raw in enumerate(_as_array(_get(doc, "pipes", ""), "/pipes")):
-        path = f"/pipes/{j}"
-        obj = _as_object(raw, path)
-        exponent = (
-            _number_field(obj, "exponent", path)
-            if "exponent" in obj
-            else DEFAULT_EXPONENT
-        )
-        pipes.append(
-            Pipe(
-                _string(obj, "id", path),
-                _string(obj, "from", path),
-                _string(obj, "to", path),
-                _number_field(obj, "resistance", path),
-                exponent,
-            )
-        )
+    nodes = _entries(_get(doc, "nodes", ""), "/nodes", _node)
+    pipes = _entries(_get(doc, "pipes", ""), "/pipes", _pipe)
     return Network(nodes, pipes)
+
+
+def _node(obj: dict, path: str) -> Node:
+    head = _number_field(obj, "head", path) if "head" in obj else None
+    demand = _number_field(obj, "demand", path) if "demand" in obj else None
+    return Node(_string(obj, "id", path), _string(obj, "kind", path), head, demand)
+
+
+def _pipe(obj: dict, path: str) -> Pipe:
+    exponent = _number_field(obj, "exponent", path) if "exponent" in obj else DEFAULT_EXPONENT
+    ids = [_string(obj, key, path) for key in ("id", "from", "to")]
+    return Pipe(*ids, _number_field(obj, "resistance", path), exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +259,16 @@ def decode_measurement_set(text: str, net: Network) -> MeasurementSet:
     if "demand_delta" in doc:
         values = _number_array(doc["demand_delta"], "/demand_delta")
         if len(values) != net.n_demand:
-            raise SchemaError(
-                "/demand_delta", f"{net.n_demand} entries", f"{len(values)}"
-            )
+            raise SchemaError("/demand_delta", f"{net.n_demand} entries", f"{len(values)}")
         demand_delta = tuple(values)
 
-    measurements = []
-    try:
-        for k, raw in enumerate(_as_array(_get(doc, "measurements", ""), "/measurements")):
-            path = f"/measurements/{k}"
-            obj = _as_object(raw, path)
-            kind, target, sigma, delta = _meter_fields(obj, path, delta_required=False)
-            value = _number_field(obj, "value", path)
-            measurements.append(Measurement(kind, target, value, sigma, delta))
-            meter_column(net, kind, target)
-    except ValidationError as exc:
-        raise exc.within(path) from exc
+    def measurement(obj: dict, path: str) -> Measurement:
+        kind, target, sigma, delta = _meter_fields(obj, path, delta_required=False)
+        meter = Measurement(kind, target, _number_field(obj, "value", path), sigma, delta)
+        meter_column(net, kind, target)
+        return meter
+
+    measurements = _entries(_get(doc, "measurements", ""), "/measurements", measurement)
     return MeasurementSet(tuple(measurements), demand_sigma, demand_delta)
 
 
@@ -413,25 +400,25 @@ def _located_rows(items: list, n_dims: int | None, base: str):
     """The stacked (inf, sup) and the labels of the pattern items, read one
     by one; the first item that breaks the schema raises its located
     SchemaError, unless an earlier item holds a bad box."""
-    infs, sups, labels = [], [], []
+    infs, sups = [], []
+
+    def row(obj: dict, path: str) -> str | None:
+        nonlocal n_dims
+        inf = _number_array(_get(obj, "inf", path), f"{path}/inf")
+        sup = _number_array(_get(obj, "sup", path), f"{path}/sup")
+        if len(inf) != len(sup):
+            raise SchemaError(f"{path}/sup", f"{len(inf)} entries", f"{len(sup)}")
+        if n_dims is None:
+            n_dims = len(inf)
+        elif len(inf) != n_dims:
+            raise SchemaError(f"{path}/inf", f"{n_dims} entries", f"{len(inf)}")
+        label = _string(obj, "label", path) if "label" in obj else None
+        infs.append(inf)
+        sups.append(sup)
+        return label
+
     try:
-        for i, raw in enumerate(items):
-            path = f"{base}/{i}"
-            obj = _as_object(raw, path)
-            inf = _number_array(_get(obj, "inf", path), f"{path}/inf")
-            sup = _number_array(_get(obj, "sup", path), f"{path}/sup")
-            if len(inf) != len(sup):
-                raise SchemaError(f"{path}/sup", f"{len(inf)} entries", f"{len(sup)}")
-            if n_dims is None:
-                n_dims = len(inf)
-            elif len(inf) != n_dims:
-                raise SchemaError(f"{path}/inf", f"{n_dims} entries", f"{len(inf)}")
-            label = None
-            if "label" in obj:
-                label = _string(obj, "label", path)
-            infs.append(inf)
-            sups.append(sup)
-            labels.append(label)
+        labels = _entries(items, base, row)
     except SchemaError:
         # A bad box in an earlier pattern comes first in the file.
         _pattern_stack(_row_stack(infs), _row_stack(sups), base)
@@ -498,18 +485,14 @@ def decode_model(text: str) -> ClassifierModel:
             raise SchemaError(f"/labels/{i}", "string", type(raw).__name__)
         labels.append(raw)
 
-    cells = []
-    try:
-        for i, raw in enumerate(_as_array(_get(doc, "cells", ""), "/cells")):
-            path = f"/cells/{i}"
-            obj = _as_object(raw, path)
-            m = _number_array(_get(obj, "m", path), f"{path}/m")
-            mx = _number_array(_get(obj, "M", path), f"{path}/M")
-            cells.append(Cell(np.array(m), np.array(mx), _string(obj, "label", path)))
-    except ValidationError as exc:
-        raise exc.within(path) from exc
+    cells = _entries(_get(doc, "cells", ""), "/cells", _cell)
+    return ClassifierModel(theta, gamma, normalization, cells, labels)
 
-    return ClassifierModel(theta, np.array(gamma), normalization, cells, labels)
+
+def _cell(obj: dict, path: str) -> Cell:
+    m = _number_array(_get(obj, "m", path), f"{path}/m")
+    mx = _number_array(_get(obj, "M", path), f"{path}/M")
+    return Cell(m, mx, _string(obj, "label", path))
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +525,7 @@ def decode_scenario_spec(text: str) -> ScenarioSpec:
         raise SchemaError("/leak_magnitude", "[lo, hi] pair", f"{len(magnitude)} entries")
     demand_noise = _number_field(doc, "demand_noise", "")
     demand_sigma = _number_field(doc, "demand_sigma", "")
-
-    meters = []
-    try:
-        for k, raw in enumerate(_as_array(_get(doc, "meters", ""), "/meters")):
-            path = f"/meters/{k}"
-            obj = _as_object(raw, path)
-            meters.append(MeterSpec(*_meter_fields(obj, path, delta_required=True)))
-    except ValidationError as exc:
-        raise exc.within(path) from exc
+    meters = _entries(_get(doc, "meters", ""), "/meters", _meter_spec)
 
     return ScenarioSpec(
         counts,
@@ -560,6 +535,10 @@ def decode_scenario_spec(text: str) -> ScenarioSpec:
         tuple(meters),
         _integer_field(doc, "seed", ""),
     )
+
+
+def _meter_spec(obj: dict, path: str) -> MeterSpec:
+    return MeterSpec(*_meter_fields(obj, path, delta_required=True))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,29 @@ def test_nan_tolerance_is_usage_error(capsys, tmp_path, argv, config):
     assert "tolerances must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, config, message",
+    [
+        (["--max-iter", "0"], None, "max-iter must be >= 1"),
+        (["--theta", "2"], None, "theta must be in (0, 1]"),
+        (["--gamma", "0"], None, "gamma must be a finite number > 0"),
+        ([], '{"format": "xml"}', "format must be 'json' or 'csv'"),
+    ],
+    ids=["max-iter 0", "theta 2", "gamma 0", "config format xml"],
+)
+def test_option_out_of_range_is_usage_error(capsys, tmp_path, options, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        options = [*options, "--config", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", TRIANGLE, *options])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"hydrostate: error: {message}"
+
+
 def test_cross_file_validation_is_json_error(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(

@@ -225,6 +225,14 @@ def test_non_negative_checks_reject_nan(triangle, build):
         build(triangle)
 
 
+def test_containment_needs_a_sample(triangle):
+    meas, _ = _triangle_setup(triangle)
+    delta = uncertainty_vector(triangle, meas)
+    with pytest.raises(ValueError) as excinfo:
+        monte_carlo_containment(triangle, meas, delta, samples=0, seed=0)
+    assert str(excinfo.value) == "samples must be >= 1"
+
+
 def test_containment_zero_delta_is_exact(triangle):
     meas, _ = _triangle_setup(triangle)
     delta = np.zeros(triangle.n_pipes + triangle.n_demand + len(meas.measurements))

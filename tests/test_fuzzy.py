@@ -10,9 +10,11 @@ from hydrostate import (
     ClassifierModel,
     EmptyModel,
     IntervalState,
+    LabeledPattern,
     Pattern,
     PatternOutOfRange,
     PatternTooWide,
+    StateVector,
     ValidationError,
     classify,
     denormalize,
@@ -61,6 +63,25 @@ def test_violation_saturates():
 def test_pattern_requires_ordered_bounds():
     with pytest.raises(ValueError):
         Pattern(np.array([0.5]), np.array([0.4]))
+
+
+def test_array_holding_types_compare_by_identity():
+    """Their fields hold arrays, whose `==` is elementwise, so they compare
+    and hash as plain objects do instead of raising."""
+    a, b = Pattern.crisp([0.1, 0.2]), Pattern.crisp([0.1, 0.2])
+    pairs = [
+        (a, b),
+        (ClassifierModel.create(2), ClassifierModel.create(2)),
+        (LabeledPattern(a, "x"), LabeledPattern(b, "x")),
+        (_cell([0.1, 0.2], [0.3, 0.4]), _cell([0.1, 0.2], [0.3, 0.4])),
+        (StateVector([1.0, 2.0], [3.0, 4.0]), StateVector([1.0, 2.0], [3.0, 4.0])),
+        (IntervalState(StateVector([1.0], [2.0]), [0.5, 0.5]),
+         IntervalState(StateVector([1.0], [2.0]), [0.5, 0.5])),
+    ]
+    for first, second in pairs:
+        assert first == first and not first != first
+        assert first != second and not first == second
+    assert {a: "a", b: "b"}[a] == "a"
 
 
 def test_first_example_seeds_cell():

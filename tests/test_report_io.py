@@ -370,8 +370,49 @@ _PATTERNS = {"patterns": [{"inf": [0.1, 0.2], "sup": [0.3, 0.4], "label": "a"}] 
 _STATE = {"q": {"p1": 2.0, "p2": 1.5, "p3": 0.1}, "H": {"n1": 60.0, "n2": 59.0}}
 _INTERVAL = {"center": _STATE, "halfwidth": {"q": _STATE["q"], "H": _STATE["H"]}}
 _RANGE_CHECKS = [
+    # Each array of entries: an entry that is not an object, a missing
+    # field, two bad entries (the earlier is reported), and a check of the
+    # entry's own type, located under the entry.
+    ("net", ("nodes", 1), [1], "/nodes/1: expected object, found list"),
+    ("net", ("nodes", 2), {"kind": "demand", "demand": 1.5},
+     "/nodes/2/id: expected present field, found missing"),
+    ("net", ("nodes",),
+     [{"id": "r1", "kind": "fixed-head", "head": 100.0},
+      {"id": "n1", "kind": "demand", "demand": "2"}, "n2"],
+     "/nodes/1/demand: expected number, found str"),
+    ("net", ("nodes", 1, "demand"), -2,
+     "/nodes/1/demand: expected demand >= 0, found -2.0 on node 'n1'"),
+    ("net", ("pipes", 0), "p1", "/pipes/0: expected object, found str"),
+    ("net", ("pipes", 2), {"id": "p3", "from": "n1", "to": "n2"},
+     "/pipes/2/resistance: expected present field, found missing"),
+    ("net", ("pipes",), [{"id": "p1", "from": "r1", "to": "n1", "resistance": 10}, None, {}],
+     "/pipes/1: expected object, found NoneType"),
+    ("net", ("pipes", 2, "to"), "n1",
+     "/pipes/2: expected distinct endpoints, found pipe 'p3' is a self-loop on 'n1'"),
+    ("meas", ("measurements", 0), 2.07, "/measurements/0: expected object, found float"),
+    ("meas", ("measurements", 1), {"kind": "pipe-flow", "target": "p2", "value": 1.4},
+     "/measurements/1/sigma: expected present field, found missing"),
+    ("meas", ("measurements",),
+     [{"kind": "pipe-flow", "target": "p1", "value": 2.0, "sigma": 0.02, "delta": -1}, []],
+     "/measurements/0/delta: expected number >= 0, found -1.0"),
+    ("meas", ("measurements", 3, "target"), "r1",
+     "/measurements/3/target: expected existing demand node id, found 'r1'"),
+    ("spec", ("meters", 2), "p3", "/meters/2: expected object, found str"),
+    ("spec", ("meters", 1), {"kind": "pipe-flow", "target": "p2", "sigma": 0.01},
+     "/meters/1/delta: expected present field, found missing"),
+    ("spec", ("meters",),
+     [{"kind": "pipe-flow", "target": "p1", "sigma": -0.01, "delta": 0.02}, 5],
+     "/meters/0/sigma: expected number > 0, found -0.01"),
+    ("model", ("cells", 0), [[0.1, 0.1], [0.2, 0.2]], "/cells/0: expected object, found list"),
+    ("model", ("cells", 0), {"m": [0.1, 0.1], "label": "ok"},
+     "/cells/0/M: expected present field, found missing"),
+    ("model", ("cells",),
+     [{"m": [0.1, 0.1], "M": [0.2, 0.2], "label": 1},
+      {"m": [0.9, 0.1], "M": [0.2, 0.2], "label": "ok"}],
+     "/cells/0/label: expected string, found int"),
     ("meas", ("demand_sigma",), 0, "/demand_sigma: expected number > 0, found 0.0"),
     ("meas", ("demand_delta", 1), -0.5, "/demand_delta/1: expected number >= 0, found -0.5"),
+    ("meas", ("demand_delta",), [0.02], "/demand_delta: expected 2 entries, found 1"),
     ("meas", ("measurements", 2, "kind"), "volts",
      "/measurements/2/kind: expected 'pipe-flow' or 'node-head', found 'volts'"),
     ("meas", ("measurements", 1, "sigma"), -1,
@@ -403,12 +444,18 @@ _RANGE_CHECKS = [
      "/leak_magnitude: expected 0 <= lo <= hi, found [1.0, 0.5]"),
     ("spec", ("leak_magnitude",), [-1, 0.5],
      "/leak_magnitude: expected 0 <= lo <= hi, found [-1.0, 0.5]"),
+    ("spec", ("leak_magnitude",), [0.5], "/leak_magnitude: expected [lo, hi] pair, found 1 entries"),
     ("spec", ("demand_noise",), -0.1, "/demand_noise: expected number >= 0, found -0.1"),
     ("spec", ("demand_sigma",), 0, "/demand_sigma: expected number > 0, found 0.0"),
     ("spec", ("meters", 3, "kind"), "volts",
      "/meters/3/kind: expected 'pipe-flow' or 'node-head', found 'volts'"),
     ("spec", ("meters", 0, "sigma"), 0, "/meters/0/sigma: expected number > 0, found 0.0"),
     ("spec", ("meters", 4, "delta"), -1, "/meters/4/delta: expected number >= 0, found -1.0"),
+] + [
+    # Only the integer 1 is a version, as only an integer is an integer field.
+    (corpus, ("version",), version, f"/version: expected 1, found {version!r}")
+    for corpus in ("net", "meas", "spec", "model", "patterns", "interval")
+    for version in (True, 1.0)
 ]
 
 
@@ -419,6 +466,7 @@ _RANGE_CHECKS = [
 )
 def test_range_rejections_keep_their_text(demo_dir, triangle, corpus, pointer, value, expected):
     docs = {
+        "net": json.loads((demo_dir / "triangle.json").read_text()),
         "meas": json.loads((demo_dir / "triangle_meas.json").read_text()),
         "spec": json.loads((demo_dir / "scenario.json").read_text()),
         "model": json.loads(json.dumps(_MODEL)),
@@ -426,6 +474,7 @@ def test_range_rejections_keep_their_text(demo_dir, triangle, corpus, pointer, v
         "interval": json.loads(json.dumps(_INTERVAL)),
     }
     decoders = {
+        "net": report_io.decode_network,
         "meas": lambda t: report_io.decode_measurement_set(t, triangle),
         "spec": report_io.decode_scenario_spec,
         "model": report_io.decode_model,
@@ -479,6 +528,24 @@ def test_objects_the_decoders_reject_cannot_be_built(build, path):
     with pytest.raises(ValidationError) as excinfo:
         build()
     assert excinfo.value.path == path
+
+
+@pytest.mark.parametrize(
+    "build, detail",
+    [
+        (lambda: ClassifierModel.create(2, normalization=[[0.0, math.inf]] * 2),
+         "/normalization/0: expected finite bounds, found [0.0, inf]"),
+        (lambda: ClassifierModel(0.3, [4.0], [[0.0, 1.0]], (), [1]),
+         "/labels/0: expected string, found int"),
+    ],
+    ids=["infinite normalization end", "int label"],
+)
+def test_model_checks_no_decoder_reaches_keep_their_text(build, detail):
+    """The model decoder rejects these first, as a non-finite number or a
+    non-string label; a model built in code meets the model's own check."""
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == detail
 
 
 INF = float("inf")
