@@ -8,7 +8,9 @@ lose head according to a per-pipe monomial law
 
 Pipe orientation fixes the flow sign: q_j > 0 means flow from `from` to
 `to`. Incidence columns carry +1 where a pipe enters a node and -1 where it
-leaves, which makes the continuity rows read A12^T q = Q directly.
+leaves, which makes the continuity rows read A12^T q = Q directly. The
+incidence is kept as its entries (`Incidence`), and each of its products
+is one sum over the entries, in entry order.
 """
 
 import copy
@@ -171,8 +173,9 @@ class Incidence:
     One entry per pipe end that lies in the node set: the pipe, the node's
     index in the set, and the sign (-1 at the `from` end, +1 at the `to`
     end), in pipe order. As a matrix it is n_pipes x n_nodes with at most
-    two nonzeros per row. Products gather the entries and sum them in entry
-    order, so results are deterministic.
+    two nonzeros per row. Each product is one sum over the entries: every
+    row (or column) adds its entries' terms in entry order, so results are
+    deterministic, and one with no entries is +0.0.
     """
 
     def __init__(self, pipes, index: dict[str, int]):
@@ -188,11 +191,6 @@ class Incidence:
         self.sign = np.array([e[2] for e in entries], dtype=float)
         for arr in (self.pipe, self.node, self.sign):
             arr.setflags(write=False)
-        # `_slots` tables of the entries by pipe (at most two rows, one per
-        # pipe end in the set) and by node (one row per incident pipe, up
-        # to the largest node degree), for the products.
-        self._by_pipe = _slots(self.pipe, self.node, self.sign, self.shape[0])
-        self._by_node = _slots(self.node, self.pipe, self.sign, self.shape[1])
 
     def dense(self) -> np.ndarray:
         """The incidence as a read-only dense n_pipes x n_nodes array."""
@@ -202,18 +200,19 @@ class Incidence:
         return out
 
     def dot(self, v: np.ndarray, axis: int = -1) -> np.ndarray:
-        """A @ v: per pipe, the signed sum of v over its ends in the set.
+        """A @ v: per pipe, sign * v[node] summed over its entries, its ends
+        in the set, in entry order.
 
         Like the other products, it maps one axis of its argument, the last
         by default, so members stacked along leading axes are multiplied at
         once; with axis=-2 it multiplies column blocks (..., n_nodes, k).
         """
-        return _gather_sum(*self._by_pipe, v, axis)
+        return _entry_sum(self.node, self.pipe, self.sign, self.shape[0], v, axis)
 
     def tdot(self, u: np.ndarray, axis: int = -1) -> np.ndarray:
-        """A^T @ u: per node, the signed sum of u over its incident pipes,
-        along `axis` as for `dot`."""
-        return _gather_sum(*self._by_node, u, axis)
+        """A^T @ u: per node, sign * u[pipe] summed over its entries, its
+        incident pipes, in entry (pipe) order, along `axis` as for `dot`."""
+        return _entry_sum(self.pipe, self.node, self.sign, self.shape[1], u, axis)
 
 
 class Forest:
@@ -397,34 +396,24 @@ def _loop_gram_terms(pipe, loop, sign, n_pipes, n_loops):
     return signed_pipe, starts, flat[starts]
 
 
-def _slots(groups: np.ndarray, other: np.ndarray, sign: np.ndarray, size: int):
-    """Padded tables of the entries of each of `size` groups: row k holds,
-    per group, the `other` index and the sign of its k-th entry in entry
-    order, or index 0 and sign 0 where the group has fewer entries."""
-    order = np.argsort(groups, kind="stable")
-    grouped = groups[order]
-    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
-    index = np.zeros((np.max(rank, initial=0) + 1, size), dtype=np.intp)
-    signs = np.zeros(index.shape)
-    index[rank, grouped] = other[order]
-    signs[rank, grouped] = sign[order]
-    return index, signs
+def _entry_sum(source, target, sign, size, v, axis):
+    """Per target t < size, the sum of sign[e] * v[source[e]] over the
+    entries e with target[e] == t, along the (negative) `axis` of v, added
+    in entry order; a target with no entries gets +0.0.
 
-
-def _gather_sum(index: np.ndarray, sign: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over the rows k of `_slots` tables of sign[k] * v[index[k]]
-    along the (negative) `axis` of v: a sparse product by gathers alone,
-    with no index array per stacked vector. The rows add in entry order,
-    so results are deterministic."""
-    shape = (-1,) + (1,) * (-1 - axis)
-    tail = (slice(None),) * (-1 - axis)
-    out = v[(Ellipsis, index[0], *tail)]
-    out *= sign[0].reshape(shape)
-    for k in range(1, index.shape[0]):
-        term = v[(Ellipsis, index[k], *tail)]
-        term *= sign[k].reshape(shape)
-        out += term
-    return out
+    One weighted bincount makes every sum: its bins run over the stacked
+    members, the targets and, for axis=-2, the columns, in the layout of
+    the result, and it adds each bin's weights in the order they come."""
+    lead, tail = v.shape[: v.ndim + axis], v.shape[v.ndim + axis + 1 :]
+    members, columns = math.prod(lead), math.prod(tail)
+    terms = v[(Ellipsis, source) + (slice(None),) * len(tail)]
+    terms *= sign.reshape(sign.shape + (1,) * len(tail))
+    bins = np.add.outer(np.arange(members) * size, target)
+    if columns != 1:
+        bins = np.add.outer(bins * columns, np.arange(columns))
+    out = np.bincount(bins.ravel(), terms.ravel(), minlength=members * size * columns)
+    # bincount counts in integers when there are no entries
+    return out.astype(float, copy=False).reshape(lead + (size,) + tail)
 
 
 def _validate_demand(i, node):

@@ -398,8 +398,8 @@ def _canonical_rows(items: list, n_dims: int | None):
 
 def _located_rows(items: list, n_dims: int | None, base: str):
     """The stacked (inf, sup) and the labels of the pattern items, read one
-    by one; the first item that breaks the schema raises its located
-    SchemaError, unless an earlier item holds a bad box."""
+    by one; the first item that breaks the schema or holds a bad box raises
+    its located error."""
     infs, sups = [], []
 
     def row(obj: dict, path: str) -> str | None:
@@ -413,16 +413,12 @@ def _located_rows(items: list, n_dims: int | None, base: str):
         elif len(inf) != n_dims:
             raise SchemaError(f"{path}/inf", f"{n_dims} entries", f"{len(inf)}")
         label = _string(obj, "label", path) if "label" in obj else None
+        Pattern.check(np.array(inf), np.array(sup))
         infs.append(inf)
         sups.append(sup)
         return label
 
-    try:
-        labels = _entries(items, base, row)
-    except SchemaError:
-        # A bad box in an earlier pattern comes first in the file.
-        _pattern_stack(_row_stack(infs), _row_stack(sups), base)
-        raise
+    labels = _entries(items, base, row)
     return _row_stack(infs), _row_stack(sups), labels
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hydrostate import Network, Node, Pipe, ValidationError, parse_network
 from hydrostate.network import FLOW_FLOOR, headloss_coefficients, incidence_matrices
 
-from helpers import TOPOLOGIES, headloss_diagonal
+from helpers import TOPOLOGIES, headloss_diagonal, random_network, with_reservoirs
 
 SINGLE_PIPE_TEXT = """
 {
@@ -131,6 +131,96 @@ def test_incidence_rows_and_columns(triangle):
     assert np.all((stacked != 0).sum(axis=1) == 2)
     # connectivity: every demand node touched by some pipe
     assert np.all((a12 != 0).any(axis=0))
+
+
+def _reference_incidence_product(groups, other, sign, size, v, axis):
+    """The incidence product by padded slot tables: row k holds, per group,
+    the `other` index and the sign of its k-th entry in entry order, or
+    index 0 and sign 0 where the group has fewer entries; the rows add in
+    order. A group with no entries gets v[..., 0] * 0.0, so v needs at
+    least one entry along `axis`."""
+    order = np.argsort(groups, kind="stable")
+    grouped = groups[order]
+    rank = np.arange(grouped.size) - np.searchsorted(grouped, grouped)
+    index = np.zeros((np.max(rank, initial=0) + 1, size), dtype=np.intp)
+    signs = np.zeros(index.shape)
+    index[rank, grouped] = other[order]
+    signs[rank, grouped] = sign[order]
+
+    shape = (-1,) + (1,) * (-1 - axis)
+    tail = (slice(None),) * (-1 - axis)
+    out = v[(Ellipsis, index[0], *tail)]
+    out *= signs[0].reshape(shape)
+    for k in range(1, index.shape[0]):
+        term = v[(Ellipsis, index[k], *tail)]
+        term *= signs[k].reshape(shape)
+        out += term
+    return out
+
+
+# The topologies of the forest checks, and random networks of drawn size
+# with one to three reservoirs; with seed 12 and two or three reservoirs,
+# pipes between reservoirs leave rows of A12 and of the chords with no
+# entry.
+PRODUCT_NETWORKS = {
+    **TOPOLOGIES,
+    **{
+        f"random {seed}, {count} reservoir(s)": (
+            lambda seed=seed, count=count: with_reservoirs(random_network(seed), count)
+        )
+        for seed in (11, 12)
+        for count in (1, 2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("network", PRODUCT_NETWORKS)
+def test_incidence_products_match_padded_product(network):
+    """`dot` and `tdot` of A12, A10 and the chords equal the padded product
+    exactly, on a vector, on stacked members and on column blocks. Vectors
+    are drawn unscaled, so they hold negative entries."""
+    net = PRODUCT_NETWORKS[network]()
+    rng = np.random.default_rng(317)
+    for inc in (net.a12, net.a10, net.forest.chords):
+        if not inc.shape[0]:
+            continue  # a tree has no chords, and the padded tdot no entry to gather
+        for lead, axis, tail in [((), -1, ()), ((3,), -1, ()), ((2,), -2, (1,)),
+                                 ((2,), -2, (3,)), ((2,), -2, (80,))]:
+            v = rng.standard_normal(lead + (inc.shape[1],) + tail)
+            u = rng.standard_normal(lead + (inc.shape[0],) + tail)
+            dot = _reference_incidence_product(inc.pipe, inc.node, inc.sign, inc.shape[0], v, axis)
+            tdot = _reference_incidence_product(inc.node, inc.pipe, inc.sign, inc.shape[1], u, axis)
+            assert np.array_equal(inc.dot(v, axis=axis), dot)
+            assert np.array_equal(inc.tdot(u, axis=axis), tdot)
+
+
+def test_targets_with_no_entries_get_positive_zero():
+    """A pipe with no end in the node set sums no entries, so `dot` gives it
+    exactly +0.0, where the padded product gave v[..., 0] * 0.0, -0.0 for a
+    negative v[..., 0]: the pipe between two reservoirs in A12, and the
+    co-tree pipe that joins them among the chords; and so does `tdot` for a
+    demand node on no chord."""
+    net = TOPOLOGIES["pipe between reservoirs"]()
+    forest = net.forest
+    between = net.pipe_index("p4")
+    chord = list(forest.cotree).index(between)
+
+    heads = -np.ones(net.n_demand)
+    product = net.a12.dot(heads)
+    padded = _reference_incidence_product(
+        net.a12.pipe, net.a12.node, net.a12.sign, net.n_pipes, heads, -1
+    )
+    assert product[between] == 0.0 and not np.signbit(product[between])
+    assert np.signbit(padded[between])
+
+    chords = forest.chords.dot(-np.ones((2, net.n_demand, 3)), axis=-2)
+    assert np.array_equal(chords[:, chord], np.zeros((2, 3)))
+    assert not np.signbit(chords[:, chord]).any()
+    off_chords = np.setdiff1d(np.arange(net.n_demand), forest.chords.node)
+    assert off_chords.size
+    sums = forest.chords.tdot(-np.ones((2, forest.cotree.size, 3)), axis=-2)[:, off_chords]
+    assert np.array_equal(sums, np.zeros_like(sums))
+    assert not np.signbit(sums).any()
 
 
 def test_headloss_integer_exponent():
