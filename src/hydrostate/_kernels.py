@@ -22,13 +22,16 @@ def box_violations(cell_min, cell_max, p_inf, p_sup, gamma):
     """Saturated-ramp violation degree of one interval pattern per cell.
 
     cell_min/cell_max are (J, n); returns a (J,) vector in [0, 1], zero
-    exactly when the pattern interval is contained in the cell.
+    exactly when the pattern interval is contained in the cell. The ramp
+    scales the larger of each side's two overshoots, once, and the clip is
+    applied to each cell's largest ramped overshoot: both maps are monotone,
+    so the result is exactly the largest clipped ramp of any overshoot.
     """
-    over = (p_sup[None, :] - cell_max) * gamma
-    under = (cell_min - p_inf[None, :]) * gamma
-    worst = np.maximum(over, under)
-    np.clip(worst, 0.0, 1.0, out=worst)
-    return worst.max(axis=1)
+    worst = np.maximum(p_sup - cell_max, cell_min - p_inf)
+    worst *= gamma
+    worst = worst.max(axis=1)
+    np.maximum(worst, 0.0, out=worst)
+    return np.minimum(worst, 1.0, out=worst)
 
 
 def expansion_metrics(cell_min, cell_max, p_inf, p_sup, theta):

@@ -2,9 +2,11 @@
 
 Every failure an input can cause derives from HydrostateError, which the CLI
 reports as a JSON error with exit status 1. Each invariant of a value a file
-can carry is checked once, by its type or by the one function that owns it
-(`estimator.meter_column` for a meter's target, `fuzzy.check_ranges` for
-normalization ranges, `network.Forest` for connectivity), and a violation
+can carry is checked by one piece of code, its type or the one function that
+owns it (`estimator.meter_column` for a meter's target, `fuzzy.check_ranges`
+for normalization ranges, `network.check_node` and `network.check_pipe` for
+a node's and a pipe's own fields, `ClassifierModel.check_cell` for a cell in
+a model, `network.Forest` for connectivity), and a violation
 is a ValidationError located by a JSON pointer, a wrong shape included.
 Misused library arguments that no file carries raise a plain ValueError
 instead: a wrong shape of `delta_y`, `IntervalState.halfwidth` or the

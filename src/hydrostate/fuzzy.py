@@ -130,8 +130,8 @@ class ClassifierModel:
     The cells are read-only once the model is built. `cells` is a tuple of
     the model's own copies of the given cells, whose min and max points are
     rows of two stacked arrays flagged non-writable; `classify` reads those
-    stacks and the cell volumes taken here. To change a cell, build a new
-    model.
+    stacks and the cell labels and volumes listed here. To change a cell,
+    build a new model.
     """
 
     theta: float
@@ -141,7 +141,8 @@ class ClassifierModel:
     labels: list[str] = field(default_factory=list)
     _lo: np.ndarray = field(init=False, repr=False)
     _hi: np.ndarray = field(init=False, repr=False)
-    _volumes: np.ndarray = field(init=False, repr=False)
+    _cell_labels: list[str] = field(init=False, repr=False)
+    _volumes: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -163,20 +164,27 @@ class ClassifierModel:
             if not isinstance(label, str):
                 raise ValidationError(f"/labels/{i}", "string", type(label).__name__)
         for i, cell in enumerate(self.cells):
-            if cell.m.shape != (n,) or cell.M.shape != (n,):
-                raise ValidationError(
-                    f"/cells/{i}", f"{n}-dimensional cell", f"({cell.m.size}, {cell.M.size})"
-                )
-            if cell.label not in self.labels:
-                raise ValidationError(f"/cells/{i}/label", "label from /labels", repr(cell.label))
+            self.check_cell(cell, f"/cells/{i}")
         count = len(self.cells)
         self._lo = np.array([cell.m for cell in self.cells]).reshape(count, n)
         self._hi = np.array([cell.M for cell in self.cells]).reshape(count, n)
         self._lo.flags.writeable = self._hi.flags.writeable = False
-        self._volumes = np.prod(self._hi - self._lo, axis=1)
+        self._cell_labels = [cell.label for cell in self.cells]
+        self._volumes = np.prod(self._hi - self._lo, axis=1).tolist()
         self.cells = tuple(
             Cell(m, M, cell.label) for m, M, cell in zip(self._lo, self._hi, self.cells)
         )
+
+    def check_cell(self, cell: Cell, path: str = "") -> None:
+        """A cell's invariants in this model, located under `path`: the
+        model's dimension and a label from its labels."""
+        n = self.n_dims
+        if cell.m.shape != (n,) or cell.M.shape != (n,):
+            raise ValidationError(
+                path, f"{n}-dimensional cell", f"({cell.m.size}, {cell.M.size})"
+            )
+        if cell.label not in self.labels:
+            raise ValidationError(f"{path}/label", "label from /labels", repr(cell.label))
 
     @classmethod
     def create(
@@ -334,15 +342,17 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     if not model.cells:
         raise EmptyModel("model has no cells")
     _check_dimension(model, pattern)
-    degrees = 1.0 - _kernels.box_violations(
+    violations = _kernels.box_violations(
         model._lo, model._hi, pattern.inf, pattern.sup, model.gamma
     )
+    degrees = (1.0 - violations).tolist()
     per_label = dict.fromkeys(model.labels, 0.0)
-    for cell, degree in zip(model.cells, degrees.tolist()):
-        per_label[cell.label] = max(per_label[cell.label], degree)
-    top = np.flatnonzero(degrees == degrees.max())
-    best = top[np.argmin(model._volumes[top])]
-    winner = model.cells[best].label
+    for label, degree in zip(model._cell_labels, degrees):
+        if degree > per_label[label]:
+            per_label[label] = degree
+    # The index of the least (-degree, volume, index).
+    best = min(zip(map(float.__neg__, degrees), model._volumes, range(len(degrees))))[2]
+    winner = model._cell_labels[best]
     return ClassificationResult(per_label, winner, per_label[winner])
 
 

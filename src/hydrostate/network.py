@@ -136,7 +136,7 @@ class Network:
         for i, node in enumerate(self.nodes):
             if node.kind == KIND_DEMAND:
                 new_nodes[i] = Node(node.id, node.kind, demand=float(demands[k]))
-                _validate_demand(i, new_nodes[i])
+                _check_demand(new_nodes[i], f"/nodes/{i}")
                 k += 1
         new = copy.copy(self)
         new.nodes = tuple(new_nodes)
@@ -416,20 +416,76 @@ def _entry_sum(source, target, sign, size, v, axis):
     return out.astype(float, copy=False).reshape(lead + (size,) + tail)
 
 
-def _validate_demand(i, node):
+def check_node(node: Node, path: str = "") -> None:
+    """A node's own invariants, located under `path`: its kind, the fields
+    that kind carries, a finite demand >= 0 or a finite head."""
+    if node.kind == KIND_DEMAND:
+        if node.demand is None or node.head is not None:
+            raise ValidationError(
+                path, "demand node with demand only",
+                f"node {node.id!r} fields do not match kind",
+            )
+        _check_demand(node, path)
+    elif node.kind == KIND_FIXED:
+        if node.head is None or node.demand is not None:
+            raise ValidationError(
+                path, "fixed-head node with head only",
+                f"node {node.id!r} fields do not match kind",
+            )
+        if not math.isfinite(node.head):
+            raise ValidationError(
+                f"{path}/head", "finite head", f"{node.head} on node {node.id!r}"
+            )
+    else:
+        raise ValidationError(f"{path}/kind", "'demand' or 'fixed-head'", repr(node.kind))
+
+
+def _check_demand(node: Node, path: str) -> None:
     if not node.demand >= 0:
         raise ValidationError(
-            f"/nodes/{i}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
+            f"{path}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
         )
     if not math.isfinite(node.demand):
         raise ValidationError(
-            f"/nodes/{i}/demand", "finite demand", f"{node.demand} on node {node.id!r}"
+            f"{path}/demand", "finite demand", f"{node.demand} on node {node.id!r}"
         )
+
+
+def check_pipe(pipe: Pipe, node_ids, path: str = "") -> None:
+    """A pipe's own invariants, located under `path`: endpoints among
+    `node_ids`, distinct endpoints, and a finite resistance > 0 and a finite
+    exponent > 1."""
+    for key, endpoint in (("from", pipe.from_node), ("to", pipe.to_node)):
+        if endpoint not in node_ids:
+            raise ValidationError(
+                f"{path}/{key}", "existing node id",
+                f"unknown node {endpoint!r} on pipe {pipe.id!r}",
+            )
+    if pipe.from_node == pipe.to_node:
+        raise ValidationError(
+            path, "distinct endpoints",
+            f"pipe {pipe.id!r} is a self-loop on {pipe.from_node!r}",
+        )
+    if not pipe.resistance > 0:
+        raise ValidationError(
+            f"{path}/resistance", "resistance > 0", f"{pipe.resistance} on pipe {pipe.id!r}"
+        )
+    if not pipe.exponent > 1:
+        raise ValidationError(
+            f"{path}/exponent", "exponent > 1", f"{pipe.exponent} on pipe {pipe.id!r}"
+        )
+    for key, value in (("resistance", pipe.resistance), ("exponent", pipe.exponent)):
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{path}/{key}", f"finite {key}", f"{value} on pipe {pipe.id!r}"
+            )
 
 
 def _validate(nodes, pipes) -> dict[str, int]:
     """Checks the nodes and pipes, all but connectivity (see `Forest`), and
-    returns the map from node id to position."""
+    returns the map from node id to position. Each entry's own invariants
+    are checked in turn with the uniqueness of its id; that the network has
+    a node of each kind, after them."""
     position: dict[str, int] = {}
     for i, node in enumerate(nodes):
         if node.id in position:
@@ -437,27 +493,7 @@ def _validate(nodes, pipes) -> dict[str, int]:
                 f"/nodes/{i}/id", "unique node id", f"duplicate id {node.id!r}"
             )
         position[node.id] = i
-        if node.kind == KIND_DEMAND:
-            if node.demand is None or node.head is not None:
-                raise ValidationError(
-                    f"/nodes/{i}", "demand node with demand only",
-                    f"node {node.id!r} fields do not match kind",
-                )
-            _validate_demand(i, node)
-        elif node.kind == KIND_FIXED:
-            if node.head is None or node.demand is not None:
-                raise ValidationError(
-                    f"/nodes/{i}", "fixed-head node with head only",
-                    f"node {node.id!r} fields do not match kind",
-                )
-            if not math.isfinite(node.head):
-                raise ValidationError(
-                    f"/nodes/{i}/head", "finite head", f"{node.head} on node {node.id!r}"
-                )
-        else:
-            raise ValidationError(
-                f"/nodes/{i}/kind", "'demand' or 'fixed-head'", repr(node.kind)
-            )
+        check_node(node, f"/nodes/{i}")
 
     seen_pipes = set()
     for j, pipe in enumerate(pipes):
@@ -466,32 +502,7 @@ def _validate(nodes, pipes) -> dict[str, int]:
                 f"/pipes/{j}/id", "unique pipe id", f"duplicate id {pipe.id!r}"
             )
         seen_pipes.add(pipe.id)
-        for key, endpoint in (("from", pipe.from_node), ("to", pipe.to_node)):
-            if endpoint not in position:
-                raise ValidationError(
-                    f"/pipes/{j}/{key}", "existing node id",
-                    f"unknown node {endpoint!r} on pipe {pipe.id!r}",
-                )
-        if pipe.from_node == pipe.to_node:
-            raise ValidationError(
-                f"/pipes/{j}", "distinct endpoints",
-                f"pipe {pipe.id!r} is a self-loop on {pipe.from_node!r}",
-            )
-        if not pipe.resistance > 0:
-            raise ValidationError(
-                f"/pipes/{j}/resistance", "resistance > 0",
-                f"{pipe.resistance} on pipe {pipe.id!r}",
-            )
-        if not pipe.exponent > 1:
-            raise ValidationError(
-                f"/pipes/{j}/exponent", "exponent > 1",
-                f"{pipe.exponent} on pipe {pipe.id!r}",
-            )
-        for key, value in (("resistance", pipe.resistance), ("exponent", pipe.exponent)):
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"/pipes/{j}/{key}", f"finite {key}", f"{value} on pipe {pipe.id!r}"
-                )
+        check_pipe(pipe, position, f"/pipes/{j}")
 
     if not any(n.kind == KIND_FIXED for n in nodes):
         raise ValidationError("/nodes", "at least one fixed-head node", "none")

@@ -2,10 +2,11 @@
 or writes, with located schema errors.
 
 Decoders check JSON types, field presence, array lengths and targets in
-another file; the types they build check their own invariants. Each array
-of objects is read through one located loop (`_entries`), and each array of
-numbers element by element, so every rejection points at the offending
-location with a JSON-pointer path. Encoders are deterministic:
+another file; the types they build check their own invariants, and a node,
+pipe or cell is checked as it is read, so the first bad entry in a file
+raises. Each array of objects is read through one located loop
+(`_entries`), and each array of numbers element by element, so every
+rejection points at the offending location with a JSON-pointer path. Encoders are deterministic:
 keys sorted, entities in canonical (file) order, numbers as shortest
 round-trip decimals. decode(encode(value)) reproduces the value exactly.
 """
@@ -25,7 +26,7 @@ from .estimator import Measurement, MeasurementSet, meter_column
 from .errorlimits import IntervalState
 from .fuzzy import Cell, ClassifierModel, Pattern
 from .hydraulics import StateVector
-from .network import DEFAULT_EXPONENT, Network, Node, Pipe
+from .network import DEFAULT_EXPONENT, Network, Node, Pipe, check_node, check_pipe
 from .scenarios import MeterSpec, ScenarioSpec
 
 VERSION = 1
@@ -38,7 +39,8 @@ def dumps(doc) -> str:
     a final newline: the text of `json.dumps(doc, sort_keys=True, indent=2)
     + "\\n"` for a document of dicts with string keys, lists, tuples,
     strings, numbers, bools and None. A list of floats is written as one
-    join of their reprs."""
+    join of their reprs, and a map of finite floats as one join of its
+    pairs."""
     return _write(doc, "\n") + "\n"
 
 
@@ -71,10 +73,16 @@ def _write(value, newline: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _write(value[key], inner)
-            for key in sorted(value)
-        ]
+        keys = sorted(value)
+        values = value.values()
+        if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+            items = [
+                encode_basestring_ascii(key) + ": " + float.__repr__(value[key]) for key in keys
+            ]
+        else:
+            items = [
+                encode_basestring_ascii(key) + ": " + _write(value[key], inner) for key in keys
+            ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -214,24 +222,33 @@ def encode_network(net: Network) -> str:
 
 
 def decode_network(text: str) -> Network:
-    """Build a validated Network from network-file JSON text."""
+    """Build a validated Network from network-file JSON text. Each node and
+    pipe is checked as it is read, a pipe's endpoints against the nodes
+    read before it, so the first bad entry in the file raises; the checks
+    on the whole network (unique ids, a node of each kind, connectivity)
+    follow."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
     nodes = _entries(_get(doc, "nodes", ""), "/nodes", _node)
-    pipes = _entries(_get(doc, "pipes", ""), "/pipes", _pipe)
+    node_ids = {node.id for node in nodes}
+
+    def pipe(obj: dict, path: str) -> Pipe:
+        exponent = _number_field(obj, "exponent", path) if "exponent" in obj else DEFAULT_EXPONENT
+        ids = [_string(obj, key, path) for key in ("id", "from", "to")]
+        entry = Pipe(*ids, _number_field(obj, "resistance", path), exponent)
+        check_pipe(entry, node_ids)
+        return entry
+
+    pipes = _entries(_get(doc, "pipes", ""), "/pipes", pipe)
     return Network(nodes, pipes)
 
 
 def _node(obj: dict, path: str) -> Node:
     head = _number_field(obj, "head", path) if "head" in obj else None
     demand = _number_field(obj, "demand", path) if "demand" in obj else None
-    return Node(_string(obj, "id", path), _string(obj, "kind", path), head, demand)
-
-
-def _pipe(obj: dict, path: str) -> Pipe:
-    exponent = _number_field(obj, "exponent", path) if "exponent" in obj else DEFAULT_EXPONENT
-    ids = [_string(obj, key, path) for key in ("id", "from", "to")]
-    return Pipe(*ids, _number_field(obj, "resistance", path), exponent)
+    node = Node(_string(obj, "id", path), _string(obj, "kind", path), head, demand)
+    check_node(node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +348,45 @@ def decode_interval_state(text: str, net: Network) -> IntervalState:
 
 def encode_patterns(entries, manifest: dict | None = None) -> str:
     """Pattern-file text: a bare JSON list, or a wrapper object when a
-    dataset manifest is attached."""
+    dataset manifest is attached. It is the text `dumps` gives for a list of
+    {"inf": [...], "label": label, "sup": [...]} items, with no "label"
+    where the label is None, or for {"manifest": manifest, "patterns":
+    items, "version": VERSION}."""
     entries = list(entries)
-    infs = _row_stack([pattern.inf for pattern, _ in entries]).tolist()
-    sups = _row_stack([pattern.sup for pattern, _ in entries]).tolist()
-    items = []
-    for inf, sup, (_, label) in zip(infs, sups, entries):
-        entry = {"inf": inf, "sup": sup}
-        if label is not None:
-            entry["label"] = label
-        items.append(entry)
     if manifest is None:
-        return dumps(items)
-    return dumps({"version": VERSION, "manifest": manifest, "patterns": items})
+        return _pattern_items(entries, "\n") + "\n"
+    return (
+        '{\n  "manifest": ' + _write(manifest, "\n  ")
+        + ',\n  "patterns": ' + _pattern_items(entries, "\n  ")
+        + f',\n  "version": {VERSION}\n}}\n'
+    )
+
+
+def _pattern_items(entries: list, newline: str) -> str:
+    """The pattern items of `encode_patterns` as `_write` writes their list:
+    each item's text is one format of its two rows, taken from one stacked
+    `tolist()`, and its label."""
+    if not entries:
+        return "[]"
+    inf = _row_stack([pattern.inf for pattern, _ in entries])
+    sup = _row_stack([pattern.sup for pattern, _ in entries])
+    infs, sups = inf.tolist(), sup.tolist()
+    if not (np.isfinite(inf).all() and np.isfinite(sup).all()):
+        infs = [list(map(_float_literal, row)) for row in infs]
+        sups = [list(map(_float_literal, row)) for row in sups]
+    # str() of a float is its repr.
+    item, field = newline + "  ", newline + "    "
+    row = "[" + field + "  " + ("," + field + "  ").join(["%s"] * inf.shape[1]) + field + "]"
+    bare = "{" + field + '"inf": ' + row + "," + field + '"sup": ' + row + item + "}"
+    labeled = (
+        "{" + field + '"inf": ' + row + "," + field + '"label": %s,'
+        + field + '"sup": ' + row + item + "}"
+    )
+    items = [
+        bare % (*low, *high) if label is None else labeled % (*low, _write(label, field), *high)
+        for low, high, (_, label) in zip(infs, sups, entries)
+    ]
+    return "[" + item + ("," + item).join(items) + newline + "]"
 
 
 def decode_patterns(text: str, n_dims: int | None = None):
@@ -481,14 +524,19 @@ def decode_model(text: str) -> ClassifierModel:
             raise SchemaError(f"/labels/{i}", "string", type(raw).__name__)
         labels.append(raw)
 
-    cells = _entries(_get(doc, "cells", ""), "/cells", _cell)
+    # The model without its cells checks theta, gamma, the normalization and
+    # the labels; then each cell is checked against it as it is read.
+    header = ClassifierModel(theta, gamma, normalization, (), labels)
+
+    def cell(obj: dict, path: str) -> Cell:
+        m = _number_array(_get(obj, "m", path), f"{path}/m")
+        mx = _number_array(_get(obj, "M", path), f"{path}/M")
+        entry = Cell(m, mx, _string(obj, "label", path))
+        header.check_cell(entry)
+        return entry
+
+    cells = _entries(_get(doc, "cells", ""), "/cells", cell)
     return ClassifierModel(theta, gamma, normalization, cells, labels)
-
-
-def _cell(obj: dict, path: str) -> Cell:
-    m = _number_array(_get(obj, "m", path), f"{path}/m")
-    mx = _number_array(_get(obj, "M", path), f"{path}/M")
-    return Cell(m, mx, _string(obj, "label", path))
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,7 @@ _DOCS = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         st.lists(_FLOATS, max_size=5),
         st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_TEXT, _FLOATS, max_size=5),
     ),
     max_leaves=24,
 )
@@ -303,6 +304,60 @@ _DOCS = st.recursive(
 @given(_DOCS)
 def test_dumps_writes_the_stdlib_text(doc):
     assert report_io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1.7e308]),
+)
+
+
+@st.composite
+def _pattern_entries(draw):
+    """0 to 4 patterns of one dimension, each with a label or None."""
+    n_dims = draw(st.integers(1, 4))
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        ends = [sorted(draw(st.lists(_FINITE, min_size=2, max_size=2))) for _ in range(n_dims)]
+        pattern = Pattern(np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends]))
+        entries.append((pattern, draw(st.one_of(st.none(), _TEXT))))
+    return entries
+
+
+_MANIFESTS = st.one_of(
+    st.none(),
+    st.dictionaries(_TEXT, st.one_of(st.integers(), _FINITE, _TEXT, st.lists(_FINITE)), max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_pattern_entries(), _MANIFESTS)
+def test_pattern_file_is_the_stdlib_text_and_round_trips(entries, manifest):
+    items = [
+        {"inf": p.inf.tolist(), "sup": p.sup.tolist()} | ({} if label is None else {"label": label})
+        for p, label in entries
+    ]
+    doc = items if manifest is None else {"version": 1, "manifest": manifest, "patterns": items}
+    text = report_io.encode_patterns(entries, manifest)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    decoded, again = report_io.decode_patterns(text)
+    assert again == manifest
+    assert [label for _, label in decoded] == [label for _, label in entries]
+    for (p, _), (q, _) in zip(decoded, entries):
+        assert p.inf.tobytes() == q.inf.tobytes() and p.sup.tobytes() == q.sup.tobytes()
+
+
+def test_pattern_file_writes_non_finite_entries_as_the_stdlib_does():
+    """A pattern's arrays can be written to after it is checked; the writer
+    still gives the stdlib text, which the reader then rejects."""
+    pattern = Pattern.crisp([0.25, 0.5, 0.75])
+    pattern.inf[:] = [math.nan, -math.inf, 0.5]
+    pattern.sup[0] = math.inf
+    items = [{"inf": pattern.inf.tolist(), "label": "x", "sup": pattern.sup.tolist()}]
+    text = report_io.encode_patterns([(pattern, "x")])
+    assert text == json.dumps(items, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(SchemaError):
+        report_io.decode_patterns(text)
 
 
 def test_model_round_trip():
@@ -335,6 +390,52 @@ def test_model_crossed_cell_located():
     with pytest.raises(SchemaError) as excinfo:
         report_io.decode_model(json.dumps(doc))
     assert excinfo.value.path == "/cells/0/m"
+
+
+def test_first_bad_node_in_the_file_is_reported(demo_dir):
+    """A node's own invariants are checked as it is read, so a bad kind on
+    the first node wins over a missing id on the second."""
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    doc["nodes"][0]["kind"] = "volts"
+    del doc["nodes"][1]["id"]
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_network(json.dumps(doc))
+    assert str(excinfo.value) == "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'"
+
+
+def test_first_bad_pipe_in_the_file_is_reported(demo_dir):
+    """A pipe's endpoints are checked against the nodes as it is read; the
+    uniqueness of ids is a check on the whole network, made after."""
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    doc["pipes"][0]["to"] = "n9"
+    del doc["pipes"][1]["resistance"]
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_network(json.dumps(doc))
+    assert excinfo.value.path == "/pipes/0/to"
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    doc["pipes"][1]["id"] = doc["pipes"][0]["id"]
+    doc["pipes"][2]["exponent"] = 0.5
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_network(json.dumps(doc))
+    assert excinfo.value.path == "/pipes/2/exponent"
+
+
+def test_first_bad_cell_in_the_file_is_reported(demo_dir):
+    """A cell's label is checked against /labels, and its dimension against
+    the model's, as it is read: an unknown label on the first cell wins
+    over a missing min point on the second."""
+    doc = json.loads((demo_dir / "out" / "model.json").read_text())
+    doc["cells"][0]["label"] = "burst"
+    del doc["cells"][1]["m"]
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_model(json.dumps(doc))
+    assert str(excinfo.value) == "/cells/0/label: expected label from /labels, found 'burst'"
+    doc = json.loads((demo_dir / "out" / "model.json").read_text())
+    doc["cells"][0]["m"].append(0.0)
+    doc["cells"][1]["M"] = "high"
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_model(json.dumps(doc))
+    assert excinfo.value.path == "/cells/0"
 
 
 def test_model_unknown_cell_label_located():
