@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
 from .estimator import DEFAULT_TOL_X, MeasurementSet, build_augmented, estimate_state
 from .hydraulics import DEFAULT_MAX_ITER, StateVector, jacobian_coefficients
-from .linearization import AugmentedSystem, lay_out, non_finite_members
+from .linearization import AugmentedSystem, non_finite_members
 from .network import Network
 
 # Values per member in one block of the bound's continuity columns: the
@@ -104,9 +104,11 @@ def bound_from_matrix(system: AugmentedSystem, jac: np.ndarray, delta_y: np.ndar
     model columns J^-1 - Y C^-1 Z^T (see `AugmentedSystem`). Only the
     columns of rows with delta_y > 0 contribute, and energy rows carry
     none; so of J^-1 the bound needs only the columns of those continuity
-    rows: Newton solves of unit columns with zero energy rows, built in
-    forest order (`linearization.lay_out`), `block_columns` at a time,
-    each block added into the bound as |columns| delta_y before the next.
+    rows: Newton solves of unit continuity columns with zero energy rows,
+    `block_columns` at a time, each block added into the bound as
+    |columns| delta_y before the next. Each block's columns and their tree
+    flows are written in forest order from the forest's root paths
+    (`Forest.unit_columns`), with no sweep.
     `delta_y` is shared by all members.
     Returns the bounds (members x unknowns) and a dict from member position
     to RankDeficient for the members whose factorization or update failed.
@@ -126,9 +128,9 @@ def bound_from_matrix(system: AugmentedSystem, jac: np.ndarray, delta_y: np.ndar
     bound = np.abs(telemetry[:, :, meters]) @ delta_y[n + meters]
     block, forest = block_columns(system.net), system.net.forest
     for start in range(0, nodes.size, block):
-        rows = n_pipes + nodes[start : start + block]
-        unit = (forest.order[:, None] == nodes[start : start + block]).astype(float)
-        columns = newton.solve_laid_out(lay_out(forest, 0.0, 0.0, unit))
+        chunk = nodes[start : start + block]
+        rows = n_pipes + chunk
+        columns = newton.solve_laid_out((0.0, 0.0, *forest.unit_columns(chunk)))
         columns -= telemetry @ z[:, rows].swapaxes(1, 2)
         bound += np.abs(columns, out=columns) @ delta_y[rows]
     return bound, failures

@@ -54,11 +54,11 @@ class Network:
 
     Node and pipe ordering is the construction order; it defines the
     canonical ordering of the unknowns (q in pipe order, H in demand-node
-    order). `a12` and `a10` hold the signed incidence on the demand and on
-    the fixed-head nodes in sparse form, `fixed_head_term` is
-    A10 @ fixed_heads, and `forest` is the breadth-first spanning tree cut
-    at the fixed-head nodes with the loop basis of its co-tree (see
-    `Forest`); they are built once per topology.
+    order), which `unknowns` names. `a12` and `a10` hold the signed
+    incidence on the demand and on the fixed-head nodes in sparse form,
+    `fixed_head_term` is A10 @ fixed_heads, and `forest` is the
+    breadth-first spanning tree cut at the fixed-head nodes with the loop
+    basis of its co-tree (see `Forest`); they are built once per topology.
     """
 
     def __init__(self, nodes: list[Node], pipes: list[Pipe]):
@@ -77,8 +77,15 @@ class Network:
         self.resistance = np.array([p.resistance for p in self.pipes], dtype=float)
         self.exponent = np.array([p.exponent for p in self.pipes], dtype=float)
 
-        self.a12 = Incidence(self.pipes, self._demand_index)
-        self.a10 = Incidence(self.pipes, self._fixed_index)
+        # Each pipe's (from, to) node positions, and each node position's
+        # index among the demand and among the fixed-head nodes.
+        ends = np.array(
+            [(position[p.from_node], position[p.to_node]) for p in self.pipes], dtype=np.intp
+        ).reshape(-1, 2)
+        is_demand = np.array([n.kind == KIND_DEMAND for n in self.nodes])
+        demand_at, fixed_at = _set_index(is_demand), _set_index(~is_demand)
+        self.a12 = Incidence(ends, demand_at, self.n_demand)
+        self.a10 = Incidence(ends, fixed_at, self.n_fixed)
         # A10 @ fixed_heads: the fixed-head term of every energy row.
         self.fixed_head_term = self.a10.dot(self.fixed_heads)
         for arr in (
@@ -86,7 +93,12 @@ class Network:
             self.fixed_head_term,
         ):
             arr.setflags(write=False)
-        self.forest = Forest(self, position)
+        self.forest = Forest(self, ends, demand_at)
+        # The names of x = (q, H) in order: ("q", pipe id) per pipe, then
+        # ("H", node id) per demand node.
+        self.unknowns = tuple(("q", p.id) for p in self.pipes) + tuple(
+            ("H", n.id) for n in self.demand_nodes
+        )
 
     @property
     def n_pipes(self) -> int:
@@ -99,14 +111,6 @@ class Network:
     @property
     def n_fixed(self) -> int:
         return len(self.fixed_nodes)
-
-    @property
-    def unknowns(self) -> tuple[tuple[str, str], ...]:
-        """The names of x = (q, H) in order: ("q", pipe id) per pipe, then
-        ("H", node id) per demand node."""
-        return tuple(("q", p.id) for p in self.pipes) + tuple(
-            ("H", n.id) for n in self.demand_nodes
-        )
 
     def pipe_index(self, pipe_id: str) -> int:
         return self._pipe_index[pipe_id]
@@ -178,17 +182,16 @@ class Incidence:
     deterministic, and one with no entries is +0.0.
     """
 
-    def __init__(self, pipes, index: dict[str, int]):
-        entries = [
-            (j, index[node_id], sign)
-            for j, p in enumerate(pipes)
-            for node_id, sign in ((p.from_node, -1.0), (p.to_node, +1.0))
-            if node_id in index
-        ]
-        self.shape = (len(pipes), len(index))
-        self.pipe = np.array([e[0] for e in entries], dtype=np.intp)
-        self.node = np.array([e[1] for e in entries], dtype=np.intp)
-        self.sign = np.array([e[2] for e in entries], dtype=float)
+    def __init__(self, ends: np.ndarray, index: np.ndarray, size: int):
+        """The incidence of the pipes with (from, to) node positions `ends`
+        (n_pipes x 2) on the `size` nodes whose positions `index` maps to
+        their indices in the set; it maps the other positions to `size`."""
+        at = index[ends]
+        # Row-major: pipe order, the `from` end first.
+        self.pipe, end = np.divmod(np.flatnonzero(at < size), 2)
+        self.node = at[self.pipe, end]
+        self.sign = np.array([-1.0, 1.0])[end]
+        self.shape = (len(ends), size)
         for arr in (self.pipe, self.node, self.sign):
             arr.setflags(write=False)
 
@@ -235,6 +238,13 @@ class Forest:
     fixed order, so results are deterministic, and the same for each member
     of a stack as on its own.
 
+    `root_paths` holds each demand node's root path: row p lists the rows
+    in `order` from p up to its root, padded with N_p. The data that depend
+    on the tree alone come from it without a sweep: a unit continuity
+    column's tree flows are the signs of the tree pipes on its node's root
+    path (`unit_columns`), and each loop's tree pipes are those on just one
+    of its co-tree pipe's two ends' root paths.
+
     The other pipes, `cotree`, include the pipes that end at a fixed-head
     node other than a root and the pipes between two fixed-head nodes; their
     incidence on the demand nodes, rows in `order`, is `chords` (A12_C).
@@ -245,43 +255,50 @@ class Forest:
     (`loop_gram`).
     """
 
-    def __init__(self, net: Network, position: dict[str, int]):
+    def __init__(self, net: Network, ends: np.ndarray, demand_at: np.ndarray):
         # Breadth-first spanning tree from the first fixed-head node, each
         # node's pipes taken in pipe order: one (node, parent, pipe, sign)
         # per tree pipe in visiting order, nodes as positions in `nodes`
-        # (`position` maps ids to them) and sign +1 where the pipe leaves
-        # the parent; and each node's depth.
+        # (`ends` holds each pipe's, `demand_at` maps them to demand indices
+        # and fixed-head nodes to n_demand) and sign +1 where the pipe
+        # leaves the parent; and each node's depth.
+        n_demand = net.n_demand
         adjacency: list[list[tuple[int, int, float]]] = [[] for _ in net.nodes]
-        for j, pipe in enumerate(net.pipes):
-            a, b = position[pipe.from_node], position[pipe.to_node]
+        for j, (a, b) in enumerate(ends.tolist()):
             adjacency[a].append((j, b, +1.0))
             adjacency[b].append((j, a, -1.0))
-        root = position[net.fixed_nodes[0].id]
-        visit, depth_of, tree = [root], {root: 0}, []
+        root = int(np.argmax(demand_at == n_demand))
+        depth = [-1] * len(net.nodes)
+        depth[root] = 0
+        visit, tree = [root], []
         for up in visit:
             for j, node, sign in adjacency[up]:
-                if node not in depth_of:
-                    depth_of[node] = depth_of[up] + 1
+                if depth[node] < 0:
+                    depth[node] = depth[up] + 1
                     visit.append(node)
                     tree.append((node, up, j, sign))
         if len(visit) < len(net.nodes):
-            missing = sorted(n.id for i, n in enumerate(net.nodes) if i not in depth_of)
+            missing = sorted(n.id for i, n in enumerate(net.nodes) if depth[i] < 0)
             raise ValidationError(
                 "/pipes", "connected graph",
                 f"unreachable node(s) {', '.join(repr(m) for m in missing)}",
             )
 
-        # The demand nodes' tree pipes; `sweep` maps each demand node to its
-        # position in `order`, and parents that are fixed-head nodes map to
+        # The demand nodes' tree pipes; `row` maps each node position to its
+        # row in `order`, and fixed-head nodes, parents among them, to
         # n_demand, a zero row in the sweeps.
-        tree = [e for e in tree if net.nodes[e[0]].kind == KIND_DEMAND]
-        n_demand = len(tree)
-        sweep = {net.nodes[e[0]].id: p for p, e in enumerate(tree)}
-        self.order = np.array([net.demand_index(net.nodes[e[0]].id) for e in tree], dtype=np.intp)
-        self.tree_pipe = np.array([e[2] for e in tree], dtype=np.intp)
-        self.sign = np.array([e[3] for e in tree])[:, None]
-        parent = np.array([sweep.get(net.nodes[e[1]].id, n_demand) for e in tree], dtype=np.intp)
-        depth = np.array([depth_of[e[0]] for e in tree], dtype=np.intp)
+        node, up, pipe, sign = (np.array(column) for column in zip(*tree))
+        demand = demand_at[node] < n_demand
+        node, up, pipe, sign = node[demand], up[demand], pipe[demand], sign[demand]
+        row = np.full(len(net.nodes), n_demand, dtype=np.intp)
+        row[node] = np.arange(n_demand)
+        self.order = demand_at[node]
+        self.tree_pipe = pipe.astype(np.intp)
+        self.sign = sign[:, None]
+        parent = row[up]
+        depth = np.array(depth, dtype=np.intp)[node]
+        self._rows = np.empty(n_demand, dtype=np.intp)  # each demand node's row in `order`
+        self._rows[self.order] = np.arange(n_demand)
 
         # Per depth with a demand parent: its run of nodes, their parents,
         # and where each parent's run of children starts.
@@ -293,35 +310,64 @@ class Forest:
                 starts = np.flatnonzero(np.diff(parents, prepend=-1))
                 self._levels.append((lo, hi, parents, starts, parents[starts]))
 
+        # Root paths: row p holds the rows of the demand nodes from order[p]
+        # up to its root, one per column, then n_demand; row n_demand is all
+        # n_demand. A depth with a demand parent lengthens a path by one.
+        paths = np.full((n_demand + 1, len(self._levels) + 1), n_demand, dtype=np.intp)
+        paths[:n_demand, 0] = np.arange(n_demand)
+        for lo, hi, parents, _, _ in self._levels:
+            paths[lo:hi, 1:] = paths[parents, :-1]
+        self.root_paths = paths
+
         in_tree = np.zeros(net.n_pipes, dtype=bool)
         in_tree[self.tree_pipe] = True
         self.cotree = np.flatnonzero(~in_tree)
-        self.chords = Incidence([net.pipes[c] for c in self.cotree], sweep)
+        self.chords = Incidence(ends[self.cotree], row, n_demand)
 
-        # Loop entries (pipe, loop, sign), loop by loop: the co-tree pipe,
-        # then the tree path between its ends, walked up from the deeper end
-        # until the ends meet or both have passed a root.
-        up, pipes, signs = parent.tolist(), self.tree_pipe.tolist(), self.sign[:, 0].tolist()
-        level = depth.tolist() + [-1]
-        entries = []
-        for loop, c in enumerate(self.cotree.tolist()):
-            entries.append((c, loop, 1.0))
-            to, frm = (sweep.get(node_id, n_demand)
-                       for node_id in (net.pipes[c].to_node, net.pipes[c].from_node))
-            while to != frm:
-                if level[to] >= level[frm]:
-                    entries.append((pipes[to], loop, -signs[to]))
-                    to = up[to]
-                else:
-                    entries.append((pipes[frm], loop, signs[frm]))
-                    frm = up[frm]
-        pipe = np.array([e[0] for e in entries], dtype=np.intp)
-        loop = np.array([e[1] for e in entries], dtype=np.intp)
-        loop_sign = np.array([e[2] for e in entries])
+        # Loop entries (pipe, loop, sign): each co-tree pipe, then the tree
+        # pipes on just one of its ends' root paths, which close it into a
+        # loop or join both ends to roots; those on the path of its `to` end
+        # run against the loop. Row r lies on the root path of row e just
+        # when e's ancestor length[e] - length[r] steps up is r.
+        n_loops = self.cotree.size
+        length = np.count_nonzero(paths < n_demand, axis=1)
+
+        def off_path(path, end):
+            step = length[end, None] - length[path]
+            ancestor = paths[end[:, None], np.clip(step, 0, paths.shape[1] - 1)]
+            return (path < n_demand) & ((step < 0) | (ancestor != path))
+
+        to_end, frm_end = row[ends[self.cotree, 1]], row[ends[self.cotree, 0]]
+        to, frm = paths[to_end], paths[frm_end]
+        only_to, only_frm = off_path(to, frm_end), off_path(frm, to_end)
+        to, frm = to[only_to], frm[only_frm]
+        pipe = np.concatenate([self.cotree, self.tree_pipe[to], self.tree_pipe[frm]])
+        loop = np.concatenate(
+            [np.arange(n_loops), np.nonzero(only_to)[0], np.nonzero(only_frm)[0]]
+        )
+        loop_sign = np.concatenate([np.ones(n_loops), -self.sign[to, 0], self.sign[frm, 0]])
         self._loops = (pipe, loop, loop_sign)
-        self._gram_terms = _loop_gram_terms(pipe, loop, loop_sign, net.n_pipes, self.cotree.size)
-        for arr in (self.order, self.tree_pipe, self.sign, self.cotree, pipe, loop, loop_sign):
+        self._gram_terms = _loop_gram_terms(pipe, loop, loop_sign, net.n_pipes, n_loops)
+        for arr in (self.order, self.tree_pipe, self.sign, self.cotree, self._rows, paths,
+                    pipe, loop, loop_sign):
             arr.setflags(write=False)
+
+    def unit_columns(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The unit continuity columns of the demand nodes `nodes` (demand
+        indices), rows in `order`, and their `tree_flows`: the subtree a
+        tree pipe feeds holds a column's node just when the pipe lies on
+        that node's root path, so each column's tree flows are the signs of
+        the pipes on its root path and zero elsewhere, written from
+        `root_paths` without a sweep."""
+        n, columns = self.order.size, np.arange(nodes.size)
+        rows = self._rows[nodes]
+        unit = np.zeros((n, nodes.size))
+        unit[rows, columns] = 1.0
+        flows = np.zeros((n + 1, nodes.size))
+        flows[self.root_paths[rows], columns[:, None]] = 1.0
+        flows = flows[:n]
+        flows *= self.sign
+        return unit, flows
 
     def path_sums(self, b: np.ndarray) -> np.ndarray:
         """A12_T^-1 b, root down: per demand node, the signed sum of b over
@@ -366,6 +412,15 @@ class Forest:
         out[pipe, loop] = sign
         out.setflags(write=False)
         return out
+
+
+def _set_index(member: np.ndarray) -> np.ndarray:
+    """Per position, its index among the positions where `member` holds,
+    and their count at the others."""
+    count = np.count_nonzero(member)
+    index = np.full(member.size, count, dtype=np.intp)
+    index[member] = np.arange(count)
+    return index
 
 
 def _loop_gram_terms(pipe, loop, sign, n_pipes, n_loops):

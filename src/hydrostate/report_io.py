@@ -6,7 +6,10 @@ another file; the types they build check their own invariants, and a node,
 pipe or cell is checked as it is read, so the first bad entry in a file
 raises. Each array of objects is read through one located loop
 (`_entries`), and each array of numbers element by element, so every
-rejection points at the offending location with a JSON-pointer path. Encoders are deterministic:
+rejection points at the offending location with a JSON-pointer path. A
+network file's arrays and a pattern file's rows are first read in one pass
+that only accepts; whatever it rejects is read again through the located
+loop, which alone builds the error. Encoders are deterministic:
 keys sorted, entities in canonical (file) order, numbers as shortest
 round-trip decimals. decode(encode(value)) reproduces the value exactly.
 """
@@ -32,6 +35,8 @@ from .scenarios import MeterSpec, ScenarioSpec
 VERSION = 1
 
 _FLOAT = frozenset((float,))
+_NUMBER = frozenset((float, int))
+_STRING = frozenset((str,))
 
 
 def dumps(doc) -> str:
@@ -227,9 +232,23 @@ def decode_network(text: str) -> Network:
     read before it, so the first bad entry in the file raises; the checks
     on the whole network (unique ids, a node of each kind, connectivity)
     follow."""
+    return Network(*_network_entries(text))
+
+
+def _network_entries(text: str) -> tuple[list[Node], list[Pipe]]:
+    """The checked nodes and pipes of network-file JSON text. Each array is
+    read in one pass (`_bulk_entries`); an array that it rejects is read
+    again through the located loop (`_entries`), which raises the first bad
+    entry's error. The parsed document and the field lists are released on
+    return, before the network is built."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
-    nodes = _entries(_get(doc, "nodes", ""), "/nodes", _node)
+    items = _get(doc, "nodes", "")
+    nodes = _bulk_entries(
+        items, Node, check_node, ("id", "kind"), (), {"head": None, "demand": None}
+    )
+    if nodes is None:
+        nodes = _entries(items, "/nodes", _node)
     node_ids = {node.id for node in nodes}
 
     def pipe(obj: dict, path: str) -> Pipe:
@@ -239,8 +258,14 @@ def decode_network(text: str) -> Network:
         check_pipe(entry, node_ids)
         return entry
 
-    pipes = _entries(_get(doc, "pipes", ""), "/pipes", pipe)
-    return Network(nodes, pipes)
+    items = _get(doc, "pipes", "")
+    pipes = _bulk_entries(
+        items, Pipe, lambda entry: check_pipe(entry, node_ids),
+        ("id", "from", "to"), ("resistance",), {"exponent": DEFAULT_EXPONENT},
+    )
+    if pipes is None:
+        pipes = _entries(items, "/pipes", pipe)
+    return nodes, pipes
 
 
 def _node(obj: dict, path: str) -> Node:
@@ -249,6 +274,50 @@ def _node(obj: dict, path: str) -> Node:
     node = Node(_string(obj, "id", path), _string(obj, "kind", path), head, demand)
     check_node(node)
     return node
+
+
+def _bulk_entries(items, build, check, strings, numbers, optional):
+    """`build(*fields)` of each entry of the array `items`, its fields read
+    in one type pass per key: a string at each key of `strings`, a number
+    that `_number` accepts at each key of `numbers` and, where present, at
+    each key of `optional` (a map from key to the value of an absent
+    field), numbers as floats; then `check` of each entry in file order.
+    None when `items` is not an array of objects, a field is missing or
+    breaks its type, or an entry fails its check."""
+    if type(items) is not list or not all(type(item) is dict for item in items):
+        return None
+    fields = []
+    try:
+        for key in strings:
+            values = [item[key] for item in items]
+            if not _STRING.issuperset(map(type, values)):
+                return None
+            fields.append(values)
+        for key in numbers:
+            values = [item[key] for item in items]
+            if not _numbers(values):
+                return None
+            fields.append(list(map(float, values)))
+    except KeyError:
+        return None
+    for key, absent in optional.items():
+        if not _numbers([item[key] for item in items if key in item]):
+            return None
+        fields.append([float(item[key]) if key in item else absent for item in items])
+    entries = list(map(build, *fields))
+    try:
+        for entry in entries:
+            check(entry)
+    except ValidationError:
+        return None
+    return entries
+
+
+def _numbers(values: list) -> bool:
+    """Whether `_number` accepts every value."""
+    return _NUMBER.issuperset(map(type, values)) and all(
+        abs(value) <= sys.float_info.max for value in values
+    )
 
 
 # ---------------------------------------------------------------------------

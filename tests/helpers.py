@@ -1,6 +1,8 @@
 """Shared test utilities: seedable random connected networks, the
 topologies of the forest and loop-basis checks, exact measurement
-synthesis, and dense reference builds of the linearized systems."""
+synthesis, dense reference builds of the linearized systems, and the
+earlier sweep and walk builds of the forest's unit columns and loop
+entries."""
 
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 
 from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe
 from hydrostate.hydraulics import jacobian_coefficients, solve_steady_state
+from hydrostate.linearization import lay_out
 from hydrostate.network import headloss_coefficients, incidence_matrices
 from hydrostate.report_io import decode_network
 
@@ -121,6 +124,21 @@ TOPOLOGIES = {
     ),
 }
 
+# The topologies above, and random networks of drawn size with one to three
+# reservoirs, on which the incidence and the forest are checked against
+# their earlier builds; with seed 12 and two or three reservoirs, pipes
+# between reservoirs leave rows of A12 and of the chords with no entry.
+STRUCTURE_NETWORKS = {
+    **TOPOLOGIES,
+    **{
+        f"random {seed}, {count} reservoir(s)": (
+            lambda seed=seed, count=count: with_reservoirs(random_network(seed), count)
+        )
+        for seed in (11, 12)
+        for count in (1, 2, 3)
+    },
+}
+
 
 def _pipe(index: int, a: str, b: str, rng) -> Pipe:
     return Pipe(
@@ -210,3 +228,42 @@ def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> f
     backward = np.max(np.abs(matrix @ x - b))
     scale = np.max(np.abs(matrix)) * max(np.max(np.abs(x)), 1e-30) + np.max(np.abs(b))
     return float(backward / scale)
+
+
+def reference_unit_columns(forest, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Forest.unit_columns` as the bound built them before root paths: the
+    unit columns by comparing `order` with `nodes`, and their tree flows by
+    a `lay_out` sweep."""
+    unit = (forest.order[:, None] == nodes).astype(float)
+    return lay_out(forest, 0.0, 0.0, unit)[2:]
+
+
+def reference_loop_entries(net: Network) -> list[tuple[int, int, float]]:
+    """The forest's loop entries (pipe, loop, sign) as the Python walk built
+    them before root paths: per co-tree pipe, the pipe, then the tree path
+    between its ends, walked up from the deeper end until the ends meet or
+    both have passed a root. Parents and depths come from the tree pipes."""
+    forest = net.forest
+    n_demand = forest.order.size
+    row = {net.demand_nodes[i].id: p for p, i in enumerate(forest.order.tolist())}
+    up, level = [], []
+    for p, j in enumerate(forest.tree_pipe.tolist()):
+        pipe = net.pipes[j]
+        other = pipe.from_node if row.get(pipe.to_node) == p else pipe.to_node
+        up.append(row.get(other, n_demand))
+        level.append(level[up[p]] + 1 if up[p] < n_demand else 0)
+    pipes, signs = forest.tree_pipe.tolist(), forest.sign[:, 0].tolist()
+    level.append(-1)
+    entries = []
+    for loop, c in enumerate(forest.cotree.tolist()):
+        entries.append((c, loop, 1.0))
+        to, frm = (row.get(node_id, n_demand)
+                   for node_id in (net.pipes[c].to_node, net.pipes[c].from_node))
+        while to != frm:
+            if level[to] >= level[frm]:
+                entries.append((pipes[to], loop, -signs[to]))
+                to = up[to]
+            else:
+                entries.append((pipes[frm], loop, signs[frm]))
+                frm = up[frm]
+    return entries

@@ -16,12 +16,16 @@ from hydrostate import (
     solve_steady_state,
     uncertainty_vector,
 )
+from hydrostate.errorlimits import bound_from_matrix
+from hydrostate.network import Forest
 from helpers import (
+    STRUCTURE_NETWORKS,
     dense_augmented_matrix,
     dense_newton_matrix,
     exact_measurements,
     least_squares_reference,
     random_network,
+    reference_unit_columns,
 )
 
 
@@ -95,6 +99,30 @@ def test_bound_matches_least_squares_reference(triangle, seed, n_nodes, toleranc
     bound, reference = _bounds_against_reference(net, meas)
     error = np.linalg.norm(bound - reference) / np.linalg.norm(reference)
     assert error <= tolerance
+
+
+@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
+def test_bound_matches_reference_unit_columns(network, monkeypatch):
+    """The bound from root-path unit columns equals, bit for bit, the bound
+    from the earlier build of each block (a comparison with `order` and a
+    `tree_flows` sweep), on two stacked members at random derivative
+    diagonals and with blocks of three columns, so that most networks take
+    several blocks."""
+    net = STRUCTURE_NETWORKS[network]()
+    meters = [Measurement("pipe-flow", p.id, 1.0, 0.05) for p in net.pipes[:2]]
+    meters += [Measurement("node-head", n.id, 90.0, 0.1) for n in net.demand_nodes[:2]]
+    aug = build_augmented(net, MeasurementSet(tuple(meters), demand_sigma=0.2))
+    rng = np.random.default_rng(337)
+    jac = rng.uniform(0.5, 20.0, (2, net.n_pipes))
+    delta_y = np.zeros(aug.shape[0])
+    delta_y[net.n_pipes :] = rng.uniform(0.01, 0.1, aug.shape[0] - net.n_pipes)
+    delta_y[net.n_pipes + net.n_demand // 2] = 0.0  # a continuity row without a column
+    monkeypatch.setattr(hydrostate.errorlimits, "_BOUND_ELEMENTS", 3 * aug.shape[1])
+    bound, failures = bound_from_matrix(aug, jac, delta_y)
+    monkeypatch.setattr(Forest, "unit_columns", reference_unit_columns)
+    reference, reference_failures = bound_from_matrix(aug, jac, delta_y)
+    assert not failures and not reference_failures
+    assert np.array_equal(bound, reference)
 
 
 def test_zero_uncertainty_collapses_interval(triangle):

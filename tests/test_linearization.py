@@ -422,3 +422,35 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_only_stdlib_numpy_and_hydrostate_are_loaded(demo_dir):
+    """The same run loads nothing beyond the standard library and numpy:
+    any other import would add to every process's set-up time. Modules the
+    interpreter's site hooks load before the program starts are left out."""
+    code = f"""
+import sys
+before = set(sys.modules)
+from pathlib import Path
+import hydrostate as hs
+demo = Path({str(demo_dir)!r})
+net = hs.parse_network((demo / "triangle.json").read_text())
+meas_text = (demo / "triangle_meas.json").read_text()
+meas = hs.report_io.decode_measurement_set(meas_text, net)
+hs.solve_steady_state(net)
+x = hs.estimate_state(net, meas).state
+hs.sensitivity_bound(net, meas, x, hs.uncertainty_vector(net, meas))
+loaded = {{m.split(".")[0] for m in set(sys.modules) - before}}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+    env = dict(os.environ)
+    path = [str(SRC_DIR), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["hydrostate", "numpy"]

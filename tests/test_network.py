@@ -4,9 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostate import Network, Node, Pipe, ValidationError, parse_network
-from hydrostate.network import FLOW_FLOOR, headloss_coefficients, incidence_matrices
+from hydrostate.network import (
+    FLOW_FLOOR,
+    _loop_gram_terms,
+    headloss_coefficients,
+    incidence_matrices,
+)
 
-from helpers import TOPOLOGIES, headloss_diagonal, random_network, with_reservoirs
+from helpers import (
+    STRUCTURE_NETWORKS,
+    TOPOLOGIES,
+    headloss_diagonal,
+    reference_loop_entries,
+    reference_unit_columns,
+)
 
 SINGLE_PIPE_TEXT = """
 {
@@ -158,28 +169,12 @@ def _reference_incidence_product(groups, other, sign, size, v, axis):
     return out
 
 
-# The topologies of the forest checks, and random networks of drawn size
-# with one to three reservoirs; with seed 12 and two or three reservoirs,
-# pipes between reservoirs leave rows of A12 and of the chords with no
-# entry.
-PRODUCT_NETWORKS = {
-    **TOPOLOGIES,
-    **{
-        f"random {seed}, {count} reservoir(s)": (
-            lambda seed=seed, count=count: with_reservoirs(random_network(seed), count)
-        )
-        for seed in (11, 12)
-        for count in (1, 2, 3)
-    },
-}
-
-
-@pytest.mark.parametrize("network", PRODUCT_NETWORKS)
+@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
 def test_incidence_products_match_padded_product(network):
     """`dot` and `tdot` of A12, A10 and the chords equal the padded product
     exactly, on a vector, on stacked members and on column blocks. Vectors
     are drawn unscaled, so they hold negative entries."""
-    net = PRODUCT_NETWORKS[network]()
+    net = STRUCTURE_NETWORKS[network]()
     rng = np.random.default_rng(317)
     for inc in (net.a12, net.a10, net.forest.chords):
         if not inc.shape[0]:
@@ -365,3 +360,40 @@ def test_loop_gram_matches_dense(topology):
     for member in range(2):
         reference = z.T @ (weights[member, :, None] * z)
         np.testing.assert_allclose(gram[member], np.tril(reference), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
+def test_root_path_unit_columns_match_tree_flows(network):
+    """`unit_columns` writes each unit column and its tree flows from the
+    root paths; both equal the comparison with `order` and the `tree_flows`
+    sweep of the earlier build, for every demand node at once and for a
+    shuffled subset, sign of zero included."""
+    forest = STRUCTURE_NETWORKS[network]().forest
+    n = forest.order.size
+    rng = np.random.default_rng(331)
+    for nodes in (np.arange(n), rng.permutation(n)[: max(1, n // 3)]):
+        unit, flows = forest.unit_columns(nodes)
+        reference_unit, reference_flows = reference_unit_columns(forest, nodes)
+        assert np.array_equal(unit, reference_unit)
+        assert np.array_equal(flows, reference_flows)
+        assert np.array_equal(np.signbit(flows), np.signbit(reference_flows))
+
+
+@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
+def test_loop_entries_match_walk(network):
+    """The loop entries taken from the root paths are, as a set of (pipe,
+    loop, sign), those of the Python walk, and give the same Gram terms."""
+    net = STRUCTURE_NETWORKS[network]()
+    forest = net.forest
+    pipe, loop, sign = forest._loops
+    walked = reference_loop_entries(net)
+    assert pipe.size == len(walked)
+    assert set(zip(pipe.tolist(), loop.tolist(), sign.tolist())) == set(walked)
+    columns = zip(*walked) if walked else ((), (), ())
+    reference = _loop_gram_terms(
+        *(np.array(c, dtype=t) for c, t in zip(columns, (np.intp, np.intp, float))),
+        net.n_pipes, forest.cotree.size,
+    )
+    for got, expected in zip(forest._gram_terms, reference):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)

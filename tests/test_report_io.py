@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from hydrostate import (
 )
 from hydrostate import report_io
 
-from helpers import exact_measurements
+from helpers import DEMO_DIR, exact_measurements, random_network, with_reservoirs
 
 
 @pytest.fixture
@@ -718,6 +720,134 @@ def test_integer_beyond_float_range_is_located(demo_dir):
     # Past Python's digit limit the literal cannot even be parsed.
     with pytest.raises(ParseError):
         report_io.decode_network(json.dumps(doc).replace("1" + "0" * 400, "9" * 5000))
+
+
+@cache
+def _network_documents() -> tuple[str, ...]:
+    """The demo triangle and random network documents: one to three
+    reservoirs, and with seed 12, pipes between fixed-head nodes."""
+    nets = [
+        with_reservoirs(random_network(seed), count) for seed in (11, 12) for count in (1, 2, 3)
+    ]
+    return ((DEMO_DIR / "triangle.json").read_text(),) + tuple(map(report_io.encode_network, nets))
+
+
+def _network_outcome(text: str):
+    """The decoded network's entries and structural arrays, or the class,
+    path and text of the error the decoder raises."""
+    try:
+        net = report_io.decode_network(text)
+    except SchemaError as exc:
+        return type(exc), exc.path, str(exc)
+    forest = net.forest
+    arrays = (
+        net.a12.pipe, net.a12.node, net.a12.sign, net.a10.pipe, net.a10.node, net.a10.sign,
+        forest.order, forest.tree_pipe, forest.sign, forest.cotree, forest.root_paths,
+        forest.chords.pipe, forest.chords.node, forest.chords.sign, *forest._loops,
+    )
+    return net.nodes, net.pipes, net.unknowns, [(a.dtype, a.tolist()) for a in arrays]
+
+
+def _located_outcome(text: str):
+    """`_network_outcome` with every array read by the located loop alone."""
+    with mock.patch.object(report_io, "_bulk_entries", lambda *args: None):
+        return _network_outcome(text)
+
+
+# Values that break a number field, and a string field, of an entry.
+_BAD_NUMBERS = [True, False, 10**400, int(sys.float_info.max) + 1, math.nan, math.inf,
+                -math.inf, "1.5", None, [1.0], {}]
+_BAD_STRINGS = [None, 7, 1.5, True, ["n1"], {}]
+
+
+def _inject(doc: dict, array: str, i: int, ids: list, data) -> None:
+    """One defect in entry i of doc[array]: a missing or ill-typed field, a
+    bool or an integer beyond float range for a number, an unknown kind, a
+    negative demand, a self-loop, an unknown endpoint, a duplicate id (one
+    of `ids`, the array's ids before any defect), or an entry that is not
+    an object."""
+    entries = doc[array]
+    entry = entries[i]
+    numbers = [k for k in ("head", "demand", "resistance", "exponent") if k in entry]
+    strings = ["id", "kind"] if array == "nodes" else ["id", "from", "to"]
+    defects = ["missing", "number", "string", "duplicate id", "not an object"]
+    if array == "nodes":
+        defects += ["unknown kind", "negative demand"]
+    else:
+        defects += ["self-loop", "unknown endpoint"]
+    defect = data.draw(st.sampled_from(defects))
+    if defect == "missing":
+        del entry[data.draw(st.sampled_from(strings + numbers))]
+    elif defect == "number":
+        entry[data.draw(st.sampled_from(numbers))] = data.draw(st.sampled_from(_BAD_NUMBERS))
+    elif defect == "string":
+        entry[data.draw(st.sampled_from(strings))] = data.draw(st.sampled_from(_BAD_STRINGS))
+    elif defect == "duplicate id":
+        entry["id"] = ids[(i + data.draw(st.integers(1, len(ids) - 1))) % len(ids)]
+    elif defect == "not an object":
+        entries[i] = data.draw(st.sampled_from([5, "node", None, [entry]]))
+    elif defect == "unknown kind":
+        entry["kind"] = "volts"
+    elif defect == "negative demand":
+        entry["demand"] = -data.draw(st.sampled_from([1.0, 5e-324, 2]))
+    elif defect == "self-loop":
+        entry["to"] = entry["from"]
+    else:
+        entry[data.draw(st.sampled_from(["from", "to"]))] = "nowhere"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_bulk_network_reader_agrees_with_the_located_loop(data):
+    """With one defect, or two in different entries, the decoder raises the
+    class, path and text that the located loop raises on its own; a
+    well-formed document gives the same entries, incidence and forest."""
+    doc = json.loads(data.draw(st.sampled_from(_network_documents())))
+    ids = {array: [entry["id"] for entry in doc[array]] for array in ("nodes", "pipes")}
+    targets = [(array, i) for array in ids for i in range(len(ids[array]))]
+    chosen = data.draw(st.lists(st.sampled_from(targets), max_size=2, unique=True))
+    for array, i in chosen:
+        _inject(doc, array, i, ids[array], data)
+    text = json.dumps(doc)
+    assert _network_outcome(text) == _located_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda doc: (doc["nodes"][0].update(kind="volts"), doc["nodes"][1].pop("id")),
+         "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'"),
+        (lambda doc: doc["pipes"][1].update(resistance=int(sys.float_info.max) + 1),
+         f"/pipes/1/resistance: expected finite number, found {int(sys.float_info.max) + 1!r}"),
+        (lambda doc: doc["nodes"][2].update(demand=True),
+         "/nodes/2/demand: expected number, found bool"),
+        (lambda doc: doc["pipes"][2].update(to=doc["pipes"][2]["from"]),
+         "/pipes/2: expected distinct endpoints, found pipe 'p3' is a self-loop on 'n1'"),
+    ],
+    ids=["bad kind then missing id", "integer just past float range", "bool demand", "self-loop"],
+)
+def test_bulk_network_reader_known_rejections(demo_dir, edit, expected):
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(SchemaError) as excinfo:
+        report_io.decode_network(text)
+    assert str(excinfo.value) == expected
+    assert _network_outcome(text) == _located_outcome(text)
+
+
+def test_bulk_network_reader_accepts_integers(demo_dir):
+    """Integer numbers read as the floats the located loop makes of them."""
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    doc["nodes"][0]["head"] = 100
+    doc["pipes"][0]["resistance"] = 2**60 + 1
+    doc["pipes"][1]["exponent"] = 2
+    text = json.dumps(doc)
+    outcome = _network_outcome(text)
+    assert outcome == _located_outcome(text)
+    nodes, pipes = outcome[:2]
+    assert nodes[0].head == 100.0 and type(nodes[0].head) is float
+    assert pipes[0].resistance == float(2**60 + 1) and pipes[1].exponent == 2.0
 
 
 def test_state_csv_shape(triangle):
