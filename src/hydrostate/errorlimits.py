@@ -14,6 +14,7 @@ seeded Monte Carlo harness measures how often resampled estimations
 actually stay inside the box.
 """
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,14 @@ from .network import Network
 # bound holds. Of 2^16 to 2^22, 2^16 to 2^17 measured fastest on the
 # 800-node benchmark cases (n = 1,809), and larger blocks only added memory.
 _BOUND_ELEMENTS = 1 << 17
+
+# numpy's SeedSequence: its pool of 32-bit words, the hash constants of its
+# entropy mixing (A) and of its state output (B), and those of `mix`.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
 
 
 @dataclass(eq=False)
@@ -163,6 +172,93 @@ def sensitivity_bound(
     return IntervalState(x_star.copy(), halfwidth[0])
 
 
+def seeded_uniforms(seed: int, count: int, width: int) -> np.ndarray:
+    """The first `width` draws of `np.random.default_rng((seed, k)).random()`
+    for each k < `count` (count x width float64 in [0, 1)), with the
+    per-stream seeding done for all k at once.
+
+    `default_rng((seed, k))` seeds PCG64 through a `SeedSequence` whose
+    entropy is the 32-bit words of `seed`, least significant first, then
+    k. Its hash (O'Neill's `seed_seq_fe` design: the words mixed into a
+    pool of 4 with `hashmix` and `mix`, then `generate_state(4, uint64)`)
+    depends on k only through array values, so it runs here as uint32
+    array operations over all k, whose wraparound is the C code's. Each row
+    then comes from numpy's own PCG64, seeded with its 4 words through an
+    `ISeedSequence`, as `(random_raw >> 11) * 2**-53`, which is
+    `next_double`. `rng.uniform(lo, hi, ...)` is `lo + (hi - lo) * draw`
+    on these draws. The algorithms are those numpy's stream-compatibility
+    policy (NEP 19) keeps fixed, so the rows equal the per-k generators'
+    draws bit for bit; the tests compare them with `default_rng`.
+    """
+    # numpy.random loads here and not with the package: it would add about
+    # 13 ms to the start-up of every process, most of which never draw.
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """One stream's 4 uint64 seed words, as PCG64 asks for them."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if count > 1 << 32:
+        raise ValueError("count must be <= 2^32, so that k is one entropy word")
+    words = [seed >> shift & _WORD for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(count, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    # A pool word with no entropy word left hashes a zero.
+    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL - len(entropy))
+
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, steps) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, steps))
+
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL], steps).astype(np.uint64) for i in range(2 * _POOL)]
+    # Pairs of uint32 words read as little-endian uint64 words; each row of
+    # the stack is contiguous, as PCG64 reads it.
+    seeds = np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
+    raw = np.empty((count, width), dtype=np.uint64)
+    for k, row in enumerate(seeds):
+        raw[k] = PCG64(_Words(row)).random_raw(width)
+    return (raw >> 11) * 2.0**-53
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiplier) pairs of successive `hashmix` calls: the hash
+    constant before and after each call's update."""
+    const = init
+    while True:
+        updated = const * mult & _WORD
+        yield const, updated
+        const = updated
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    """SeedSequence's `hashmix` on uint32 words, with the next hash step."""
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's `mix` of two uint32 words."""
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
 def monte_carlo_containment(
     net: Network,
     meas: MeasurementSet,
@@ -178,11 +274,12 @@ def monte_carlo_containment(
     Each sample draws the demand predictions and telemetry values uniformly
     inside their half-width boxes, re-runs the estimation, and counts the
     components whose deviation from the nominal estimate lies within the
-    halfwidth. Per-sample randomness derives from (seed, sample index), so
-    results are reproducible and order-independent. A sample counts as
-    fully non-contained when it draws a negative demand, which no network
-    can carry, or when its estimation fails (no convergence, or
-    rank-deficient or singular linear systems).
+    halfwidth. Sample k's offsets are `uniform(-1, 1) * delta_y` on the
+    stream of `np.random.default_rng((seed, k))`, drawn for all samples at
+    once (`seeded_uniforms`), so results are reproducible and
+    order-independent. A sample counts as fully non-contained when it draws
+    a negative demand, which no network can carry, or when its estimation
+    fails (no convergence, or rank-deficient or singular linear systems).
 
     Failed estimations therefore lower the fraction as much as samples
     outside the bound. On the 150-node estimator repro (15 flow and 15
@@ -202,9 +299,9 @@ def monte_carlo_containment(
     n_components = center.shape[0]
     contained = 0
 
-    for k in range(samples):
-        rng = np.random.default_rng((seed, k))
-        offsets = rng.uniform(-1.0, 1.0, size=delta_y.shape[0]) * delta_y
+    # `rng.uniform(-1.0, 1.0, size)` of each sample's generator, times delta_y.
+    sample_offsets = (-1.0 + 2.0 * seeded_uniforms(seed, samples, delta_y.shape[0])) * delta_y
+    for offsets in sample_offsets:
         demands = net.demand + offsets[n_pipes : n_pipes + n_demand]
         perturbed_meas = MeasurementSet(
             tuple(

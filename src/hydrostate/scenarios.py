@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errorlimits import block_columns, bound_from_matrix, overflowing_boxes, uncertainty_vector
+from .errorlimits import block_columns, bound_from_matrix, overflowing_boxes, seeded_uniforms
+from .errorlimits import uncertainty_vector
 from .errors import ValidationError
 from .estimator import Measurement, MeasurementSet, build_augmented, estimate_members
 from .estimator import check_meter, check_sigma, meter_column
@@ -111,8 +112,10 @@ class LabeledPattern(NamedTuple):
 def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], dict]:
     """Labeled patterns, as (pattern, label) pairs, plus a dataset manifest.
 
-    Deterministic: scenario k draws all its randomness from
-    (spec.seed, k). Scenarios that fail to solve, estimate or bound (a box
+    Deterministic: scenario k draws all its randomness from the stream of
+    `np.random.default_rng((spec.seed, k))`, and the streams of all
+    scenarios are computed in one pass (`errorlimits.seeded_uniforms`).
+    Scenarios that fail to solve, estimate or bound (a box
     center -/+ halfwidth that is not finite) are skipped and recorded in the
     manifest. Normalization ranges are the min/max of the generated interval
     bounds, padded on both sides.
@@ -131,7 +134,7 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     schedule = [
         label for label, count in spec.counts for _ in range(count)
     ]
-    true_demands = _true_demands(net, spec, schedule)
+    true_demands = _true_demands(net, spec)
     # The meters' rows, weights and half-widths, shared by all scenarios;
     # each scenario's telemetry values are read off its own true state.
     meas = MeasurementSet(
@@ -206,20 +209,25 @@ def generate(net: Network, spec: ScenarioSpec) -> tuple[list[LabeledPattern], di
     return patterns, manifest
 
 
-def _true_demands(net: Network, spec: ScenarioSpec, schedule: list[str]) -> np.ndarray:
-    """True demands per scenario (scenarios x N_p): scenario k perturbs the
-    demands by a relative noise and, for a leak class, adds the leak
-    magnitude at the leak node, all drawn from (spec.seed, k)."""
-    noise = np.empty((len(schedule), net.n_demand))
-    magnitude = np.empty(len(schedule))
-    for index in range(len(schedule)):
-        rng = np.random.default_rng((spec.seed, index))
-        noise[index] = rng.uniform(-1.0, 1.0, net.n_demand)
-        magnitude[index] = rng.uniform(spec.leak_magnitude[0], spec.leak_magnitude[1])
+def _true_demands(net: Network, spec: ScenarioSpec) -> np.ndarray:
+    """True demands per scenario (scenarios x N_p), in schedule order:
+    scenario k perturbs the demands by a relative noise and, for a leak
+    class, adds the leak magnitude at the leak node. Its draws are those of
+    `np.random.default_rng((spec.seed, k))`: `uniform(-1, 1, N_p)` for the
+    noise, then `uniform(*spec.leak_magnitude)`."""
+    # Each scenario's leak column, -1 for none, looked up once per class.
+    class_columns = [
+        net.demand_index(label[len(LEAK_PREFIX):]) if label.startswith(LEAK_PREFIX) else -1
+        for label, _ in spec.counts
+    ]
+    column = np.repeat(np.array(class_columns, dtype=np.intp), [n for _, n in spec.counts])
+    draws = seeded_uniforms(spec.seed, column.size, net.n_demand + 1)
+    lo, hi = spec.leak_magnitude
+    noise = -1.0 + 2.0 * draws[:, :-1]
+    magnitude = lo + (hi - lo) * draws[:, -1]
     demands = net.demand * (1.0 + spec.demand_noise * noise)
-    for index, label in enumerate(schedule):
-        if label.startswith(LEAK_PREFIX):
-            demands[index, net.demand_index(label[len(LEAK_PREFIX):])] += magnitude[index]
+    leaks = np.flatnonzero(column >= 0)
+    demands[leaks, column[leaks]] += magnitude[leaks]
     return demands
 
 

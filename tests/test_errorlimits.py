@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hydrostate.errorlimits
 from hydrostate import (
@@ -16,7 +18,7 @@ from hydrostate import (
     solve_steady_state,
     uncertainty_vector,
 )
-from hydrostate.errorlimits import bound_from_matrix
+from hydrostate.errorlimits import bound_from_matrix, seeded_uniforms
 from hydrostate.network import Forest
 from helpers import (
     STRUCTURE_NETWORKS,
@@ -251,6 +253,43 @@ def _nan_halfwidth(triangle):
 def test_non_negative_checks_reject_nan(triangle, build):
     with pytest.raises((ValueError, ValidationError)):
         build(triangle)
+
+
+def _per_stream_uniforms(seed, count, width, lo, hi):
+    return np.array(
+        [np.random.default_rng((seed, k)).uniform(lo, hi, width) for k in range(count)]
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**70),
+    count=st.integers(1, 64),
+    width=st.integers(1, 40),
+    bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
+)
+@example(seed=2**32 - 1, count=3, width=2, bounds=[-1.0, 1.0])
+@example(seed=2**96 + 5, count=3, width=2, bounds=[-1.0, 1.0])  # five entropy words
+@example(seed=2**200 + 3, count=2, width=5, bounds=[0.5, 1.0])  # eight entropy words
+def test_seeded_uniforms_match_default_rng(seed, count, width, bounds):
+    """Each row, scaled as `uniform` scales a draw, is the stream of
+    `default_rng((seed, k))`, bit for bit."""
+    lo, hi = bounds
+    draws = seeded_uniforms(seed, count, width)
+    assert draws.shape == (count, width)
+    assert np.array_equal(lo + (hi - lo) * draws, _per_stream_uniforms(seed, count, width, lo, hi))
+
+
+def test_seeded_uniforms_many_rows():
+    draws = seeded_uniforms(1234, 5000, 3)
+    assert np.array_equal(-1.0 + 2.0 * draws, _per_stream_uniforms(1234, 5000, 3, -1.0, 1.0))
+
+
+def test_seeded_uniforms_reject_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError):
+        seeded_uniforms(-1, 2, 3)
 
 
 def test_containment_needs_a_sample(triangle):

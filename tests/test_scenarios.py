@@ -201,6 +201,22 @@ def test_spec_validation():
     assert excinfo.value.path == "/seed"
 
 
+def _reference_true_demands(net, spec):
+    """The per-scenario draws `generate` documents, one generator per
+    scenario: scenario k's true demands from `default_rng((spec.seed, k))`."""
+    schedule = [label for label, count in spec.counts for _ in range(count)]
+    rows = []
+    for index, label in enumerate(schedule):
+        rng = np.random.default_rng((spec.seed, index))
+        noise = rng.uniform(-1.0, 1.0, net.n_demand)
+        magnitude = rng.uniform(spec.leak_magnitude[0], spec.leak_magnitude[1])
+        demands = net.demand * (1.0 + spec.demand_noise * noise)
+        if label.startswith("leak@"):
+            demands[net.demand_index(label[len("leak@"):])] += magnitude
+        rows.append(demands)
+    return np.array(rows)
+
+
 def _single_case_chain(net, spec):
     """The public single-case chain (solve, estimate, bound), scenario by
     scenario, with the per-scenario draws `generate` documents. Returns the
@@ -209,13 +225,7 @@ def _single_case_chain(net, spec):
     schedule = [label for label, count in spec.counts for _ in range(count)]
     demand_delta = tuple(spec.demand_noise * net.demand)
     lowers, uppers, labels, failures = [], [], [], []
-    for index, label in enumerate(schedule):
-        rng = np.random.default_rng((spec.seed, index))
-        noise = rng.uniform(-1.0, 1.0, net.n_demand)
-        magnitude = rng.uniform(spec.leak_magnitude[0], spec.leak_magnitude[1])
-        demands = net.demand * (1.0 + spec.demand_noise * noise)
-        if label.startswith("leak@"):
-            demands[net.demand_index(label[len("leak@"):])] += magnitude
+    for index, (label, demands) in enumerate(zip(schedule, _reference_true_demands(net, spec))):
         try:
             truth = solve_steady_state(net.with_demands(demands)).state
             meas = MeasurementSet(
@@ -263,6 +273,21 @@ def _random_network_spec(seed, n_meters, demand_noise):
     leaks = [f"leak@{net.demand_nodes[i].id}" for i in nodes[n_meters:]]
     counts = (("normal", 10), (leaks[0], 8), (leaks[1], 8))
     return net, _spec(counts=counts, meters=meters, demand_noise=demand_noise, seed=19)
+
+
+@pytest.mark.parametrize("case", ["demo", "random network"])
+def test_true_demands_match_per_scenario_generators(case, demo_dir):
+    """All scenarios' draws in one pass are the per-scenario generators'
+    draws, bit for bit, leak injections included."""
+    if case == "demo":
+        net = report_io.decode_network((demo_dir / "triangle.json").read_text())
+        spec = report_io.decode_scenario_spec((demo_dir / "scenario.json").read_text())
+    else:
+        net, spec = _random_network_spec(3, n_meters=10, demand_noise=0.02)
+        spec = replace(spec, leak_magnitude=(0.0, 3.5), seed=2**40 + 3)
+    assert np.array_equal(
+        hydrostate.scenarios._true_demands(net, spec), _reference_true_demands(net, spec)
+    )
 
 
 @pytest.mark.parametrize(
