@@ -5,10 +5,12 @@ iteration, over every member of a stacked solve) and the per-cell hyperbox
 scans of the fuzzy classifier (the expansion scan once per window of
 training examples tested together, one example wide after each change
 to a cell; the violation scan once per classification). These loops take
-little of the runtime: the solver stages' matrix products and
-factorizations take most of it on the 800-node networks, and the forest's
-depth sweeps (`Forest.tree_flows`, `Forest.path_sums`) most of each
-estimator step on the 150-node Monte Carlo containment network.
+little of the runtime. On the 800-node networks a profile is led by the
+steps of the loop-flow solve (`NewtonFactor.solve_laid_out`, the incidence
+sums of `network._entry_sum` and the `reduceat` of `Forest.tree_flows`),
+not by matrix factorizations; on the 150-node Monte Carlo containment
+network the forest's depth sweeps (`Forest.tree_flows`, `Forest.path_sums`)
+still take about two fifths of the time.
 """
 
 import numpy as np

@@ -232,11 +232,16 @@ class Forest:
     are contiguous too. Row p of A12_T, for the node order[p] and its pipe
     `tree_pipe[p]`, reads sign[p] (H_p - H_parent), with no parent term
     below a fixed-head node (`sign` is a column). Solves with A12_T and
-    A12_T^T are therefore two sweeps over the depths, a few array operations
-    per depth (`path_sums`, `tree_flows`). Their arguments and results hold
-    column blocks (..., N_p, k) with rows in `order`. Every depth adds in a
-    fixed order, so results are deterministic, and the same for each member
-    of a stack as on its own.
+    A12_T^T are therefore two sweeps over the depths (`path_sums`,
+    `tree_flows`). Their arguments and results hold column blocks
+    (..., N_p, k) with rows in `order`. A sweep copies its block once into
+    a buffer of N_p + 1 rows, each holding the row's columns of every
+    member, so a depth costs the same few numpy calls for any stack: root
+    down, a `take` of the parent rows and an in-place add; leaves up, a
+    `reduceat` over each parent's children, a `take` of the parent rows
+    added to it, and a write of those rows. Every depth adds in a fixed
+    order, so results are deterministic, and the same for each member of a
+    stack as on its own.
 
     `root_paths` holds each demand node's root path: row p lists the rows
     in `order` from p up to its root, padded with N_p. The data that depend
@@ -372,25 +377,32 @@ class Forest:
     def path_sums(self, b: np.ndarray) -> np.ndarray:
         """A12_T^-1 b, root down: per demand node, the signed sum of b over
         the tree pipes from its root to the node."""
-        n = self.order.size
-        out = np.zeros(b.shape[:-2] + (n + 1, b.shape[-1]))
-        np.multiply(b, self.sign, out=out[..., :n, :])
+        out, rows = self._rows_first(b)
+        rows[:-1] *= self.sign
         for lo, hi, parents, _, _ in self._levels:
-            out[..., lo:hi, :] += out[..., parents, :]
-        return out[..., :n, :]
+            rows[lo:hi] += rows.take(parents, axis=0)
+        return out[:-1].swapaxes(0, -2)
 
     def tree_flows(self, c: np.ndarray) -> np.ndarray:
         """(A12_T^T)^-1 c, leaves up: per tree pipe, the signed sum of c
         over the subtree the pipe feeds."""
-        n = self.order.size
-        out = np.empty(c.shape[:-2] + (n + 1, c.shape[-1]))
-        out[..., :n, :] = c
-        out[..., n, :] = 0.0
+        out, rows = self._rows_first(c)
         for lo, hi, _, starts, parents in reversed(self._levels):
-            out[..., parents, :] += np.add.reduceat(out[..., lo:hi, :], starts, axis=-2)
-        out = out[..., :n, :]
-        out *= self.sign
-        return out
+            sums = np.add.reduceat(rows[lo:hi], starts, axis=0)
+            sums += rows.take(parents, axis=0)
+            rows[parents] = sums
+        rows[:-1] *= self.sign
+        return out[:-1].swapaxes(0, -2)
+
+    def _rows_first(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of `block` (..., N_p, k) for a sweep, its rows axis
+        swapped to the front, with a zero row N_p appended (where the
+        fixed-head parents point); and the same buffer seen as N_p + 1 rows
+        that hold every member's columns side by side."""
+        moved = block.swapaxes(0, -2)
+        out = np.zeros((moved.shape[0] + 1,) + moved.shape[1:])
+        out[:-1] = moved
+        return out, out.reshape(out.shape[0], -1)
 
     def loop_gram(self, weights: np.ndarray) -> np.ndarray:
         """The lower triangles of Z^T diag(w) Z (members x n_loops x
@@ -458,12 +470,14 @@ def _entry_sum(source, target, sign, size, v, axis):
 
     One weighted bincount makes every sum: its bins run over the stacked
     members, the targets and, for axis=-2, the columns, in the layout of
-    the result, and it adds each bin's weights in the order they come."""
+    the result, and it adds each bin's weights in the order they come. A
+    single member's bins are the targets themselves, so its fixed cost is
+    the gather, the bincount and, for a column block, one outer sum."""
     lead, tail = v.shape[: v.ndim + axis], v.shape[v.ndim + axis + 1 :]
     members, columns = math.prod(lead), math.prod(tail)
     terms = v[(Ellipsis, source) + (slice(None),) * len(tail)]
     terms *= sign.reshape(sign.shape + (1,) * len(tail))
-    bins = np.add.outer(np.arange(members) * size, target)
+    bins = target if members == 1 else np.add.outer(np.arange(members) * size, target)
     if columns != 1:
         bins = np.add.outer(bins * columns, np.arange(columns))
     out = np.bincount(bins.ravel(), terms.ravel(), minlength=members * size * columns)

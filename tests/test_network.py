@@ -15,8 +15,10 @@ from helpers import (
     STRUCTURE_NETWORKS,
     TOPOLOGIES,
     headloss_diagonal,
+    random_network,
     reference_loop_entries,
     reference_unit_columns,
+    with_reservoirs,
 )
 
 SINGLE_PIPE_TEXT = """
@@ -346,6 +348,88 @@ def test_forest_sweeps_match_dense_solves(topology):
         assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
         np.testing.assert_array_equal(sweep(b[1]), x[1])
         np.testing.assert_array_equal(sweep(b[2:]), x[2:])
+
+
+def _reference_path_sums(forest, b):
+    """The earlier `Forest.path_sums`: the member axes kept in front, one
+    slice add per depth."""
+    n = forest.order.size
+    out = np.zeros(b.shape[:-2] + (n + 1, b.shape[-1]))
+    np.multiply(b, forest.sign, out=out[..., :n, :])
+    for lo, hi, parents, _, _ in forest._levels:
+        out[..., lo:hi, :] += out[..., parents, :]
+    return out[..., :n, :]
+
+
+def _reference_tree_flows(forest, c):
+    """The earlier `Forest.tree_flows`, laid out as `_reference_path_sums`."""
+    n = forest.order.size
+    out = np.empty(c.shape[:-2] + (n + 1, c.shape[-1]))
+    out[..., :n, :] = c
+    out[..., n, :] = 0.0
+    for lo, hi, _, starts, parents in reversed(forest._levels):
+        out[..., parents, :] += np.add.reduceat(out[..., lo:hi, :], starts, axis=-2)
+    out = out[..., :n, :]
+    out *= forest.sign
+    return out
+
+
+def wide_fan() -> Network:
+    """A reservoir feeding a, with 20 demand children, and b, with 3; a
+    chord joins a child of each: a depth where one parent sums 20 rows."""
+    fan = [f"c{i}" for i in range(20)] + ["e0", "e1", "e2"]
+    nodes = [Node("r", "fixed-head", head=100.0)] + [
+        Node(i, "demand", demand=1.0) for i in ["a", "b"] + fan
+    ]
+    pipes = [Pipe("ra", "r", "a", 1.0), Pipe("rb", "r", "b", 1.0)]
+    pipes += [Pipe(f"p{i}", "a" if i.startswith("c") else "b", i, 1.0) for i in fan]
+    return Network(nodes, pipes + [Pipe("chord", "c0", "e0", 1.0)])
+
+
+@pytest.mark.parametrize("network", [*STRUCTURE_NETWORKS, "wide fan"])
+def test_forest_sweeps_match_reference_bit_for_bit(network):
+    """The rows-first sweeps give the earlier sweeps' bytes, sign of zero
+    included, on a shared block, one member and three stacked members of
+    1, 5 and 80 columns with rows of exact +0.0 and -0.0, and leave their
+    argument as it was. The networks with two and three reservoirs have
+    fixed-head parents below depth 1, whose zero row the sweeps read."""
+    net = wide_fan() if network == "wide fan" else STRUCTURE_NETWORKS[network]()
+    forest = net.forest
+    n = net.n_demand
+    rng = np.random.default_rng(337)
+    for lead in ((), (1,), (3,)):
+        for k in (1, 5, 80):
+            b = rng.standard_normal(lead + (n, k))
+            b[..., ::3, :] = 0.0
+            b[..., 1::3, :] *= 0.0  # -0.0 where the draw was negative
+            kept = b.copy()
+            for sweep, reference in ((forest.path_sums, _reference_path_sums),
+                                     (forest.tree_flows, _reference_tree_flows)):
+                got, expected = sweep(b), reference(forest, b)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert b.tobytes() == kept.tobytes()
+
+
+def test_entry_sums_alternate_directions_of_equal_size():
+    """`dot` and `tdot` of the A12 of a one-reservoir tree, whose pipes
+    and demand nodes are as many, called in turn with 1, 3, 2,000 and
+    again 1 members of 1, 5 and 80 columns, on both axes, equal the padded
+    product each time."""
+    net = with_reservoirs(random_network(11, 12), 1)
+    tree = Network(list(net.nodes), [net.pipes[j] for j in sorted(net.forest.tree_pipe)])
+    inc = tree.a12
+    assert inc.shape[0] == inc.shape[1]
+    size = inc.shape[0]
+    rng = np.random.default_rng(339)
+    for members in (1, 3, 2000, 1):
+        for k in (1, 5, 80):
+            for shape, axis in (((members, size, k), -2), ((members, k, size), -1)):
+                v, u = rng.standard_normal(shape), rng.standard_normal(shape)
+                dot = _reference_incidence_product(inc.pipe, inc.node, inc.sign, size, v, axis)
+                tdot = _reference_incidence_product(inc.node, inc.pipe, inc.sign, size, u, axis)
+                assert np.array_equal(inc.dot(v, axis=axis), dot)
+                assert np.array_equal(inc.tdot(u, axis=axis), tdot)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
