@@ -10,8 +10,9 @@ a model, `network.Forest` for connectivity), and a violation
 is a ValidationError located by a JSON pointer, a wrong shape included.
 Misused library arguments that no file carries raise a plain ValueError
 instead: a wrong shape of `delta_y`, `IntervalState.halfwidth` or the
-demands of `Network.with_demands`, `samples < 1`, a tolerance that is not
-> 0, a negative `max_iter`, or a half-width on an energy row of `delta_y`.
+demands of `Network.with_demands`, `samples < 1`, an `omega` outside
+(0, 1.5], a half-width on an energy row of `delta_y`, and a tolerance not
+> 0 or a negative `max_iter`, checked once in `linearization._lockstep`.
 """
 
 

@@ -2,24 +2,24 @@
 
 Telemetry rows extend the steady-state system with unit selector rows
 picking the measured flow or head, turning it into an overdetermined
-system. Estimation iterates the linearization at the current
-iterate, which `linearization.AugmentedSystem` keeps in blocks and never
-assembles: the correction solves
+system. Estimation iterates the linearization at the current iterate:
+the correction solves
 
     min || W^(1/2) (A_k dx - rhs_k) ||_2,    x <- x + omega * dx,
 
 where A_k carries the derivative diagonal in its energy block and rhs_k is
 the negated augmented residual. Row weights are 1/sigma^2 per row class:
 energy rows use a small near-exact sigma, continuity rows the demand sigma,
-telemetry rows their per-measurement sigma.
-
-The correction solves the normal equations
-A_k^T W A_k dx = A_k^T W rhs_k without forming them (see
-`linearization.AugmentedSystem`).
+telemetry rows their per-measurement sigma. The correction solves the
+normal equations A_k^T W A_k dx = A_k^T W rhs_k without forming them or
+A_k (see `linearization.AugmentedSystem`).
 
 `estimate_members` runs the iteration in lockstep for members that share
 the network and the meters and differ in their telemetry values;
-`estimate_state` is its single-member case.
+`estimate_state` is its single-member case. It hands its augmented
+residual, weighted step and omega update to the driver
+`linearization._lockstep`, which owns the checks, active set, failures,
+history, counts and stop test, on the full correction dx.
 """
 
 import math
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HydrostateError, NonConvergence, RankDeficient, ValidationError
+from .errors import RankDeficient, ValidationError
 from .hydraulics import (
     DEFAULT_MAX_ITER,
     StateVector,
@@ -35,7 +35,7 @@ from .hydraulics import (
     jacobian_coefficients,
     member_residuals,
 )
-from .linearization import AugmentedSystem, drop_failed, non_finite_members
+from .linearization import AugmentedSystem, _lockstep, non_finite_members
 from .network import Network
 
 KIND_PIPE_FLOW = "pipe-flow"
@@ -233,8 +233,6 @@ def estimate_state(
     Stops when the correction max-norm drops to tol_x. omega is the
     relaxation factor applied to each accepted correction, in (0, 1.5].
     """
-    if not 0 < omega <= 1.5:
-        raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     aug = build_augmented(net, meas, energy_sigma=energy_sigma)
     x, iterations, step_norms, failures = estimate_members(
         aug, aug.values[None], tol_x=tol_x, max_iter=max_iter, omega=omega
@@ -242,10 +240,8 @@ def estimate_state(
     if failures:
         raise failures[0]
     state = StateVector.from_vector(net, x[0])
-    done = int(iterations[0])
-    return EstimateReport(
-        state, done, _weighted_norm(net, aug, state), True, step_norms[:done, 0].tolist()
-    )
+    norm = _weighted_norm(net, aug, state)
+    return EstimateReport(state, int(iterations[0]), norm, True, step_norms[:, 0].tolist())
 
 
 def estimate_members(
@@ -257,51 +253,29 @@ def estimate_members(
     omega: float = DEFAULT_OMEGA,
 ):
     """`estimate_state` in lockstep for members that differ only in their
-    telemetry values (members x telemetry rows).
-
-    `system` holds the network, the row weights and the telemetry columns
-    shared by all members; the demand rows use the network's demands.
-    Every member follows the single-case iteration on its own. Returns the
-    final iterates x = (q, H) (members x (L + N_p)), each member's
-    iteration count, the correction max-norms (one row per iteration run,
-    by members; NaN past a member's count), and a dict from the position of
-    each failed member to its NonConvergence or RankDeficient error. A
-    tolerance that is not > 0 or a negative max_iter is a ValueError.
+    telemetry values (members x telemetry rows), each with its own
+    failures (NonConvergence or RankDeficient). `system` holds the network,
+    the row weights and the telemetry columns shared by all members; the
+    demand rows use the network's demands. Returns as
+    `linearization._lockstep` does, with the max-norm of each full
+    correction, before omega scales it, as the history. An omega outside
+    (0, 1.5] is a ValueError.
     """
-    if not tol_x > 0:
-        raise ValueError(f"tol_x must be > 0, got {tol_x}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not 0 < omega <= 1.5:
+        raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     net = system.net
-    members = values.shape[0]
-    x = np.repeat(initial_state(net).vector[None], members, axis=0)
-    step_norms = []
-    iterations = np.zeros(members, dtype=int)
-    failures: dict[int, HydrostateError] = {}
-    active = np.arange(members)
+    x = np.repeat(initial_state(net).vector[None], values.shape[0], axis=0)
 
-    for iteration in range(1, max_iter + 1):
-        if not active.size:
-            break
+    def step(active):
         current = x[active]
         r = _augmented_residuals(net, system.telemetry_columns, current, values[active])
-        dx, failed = weighted_step(
-            system, jacobian_coefficients(net, current[:, : net.n_pipes]), -r
-        )
-        active, current, dx = drop_failed(active, failed, failures, current, dx)
-        x[active] = current + omega * dx
-        norm = np.max(np.abs(dx), axis=1)
-        step_norms.append(np.full(members, np.nan))
-        step_norms[-1][active] = norm
-        iterations[active] = iteration
-        active = active[~(norm <= tol_x)]
+        return weighted_step(system, jacobian_coefficients(net, current[:, : net.n_pipes]), -r)
 
-    # With max_iter = 0 no step is taken, and there is no norm to report.
-    last = step_norms[-1] if step_norms else np.full(members, np.nan)
-    for member in active:
-        failures[int(member)] = NonConvergence(max_iter, float(last[member]))
-    step_norms = np.array(step_norms).reshape(len(step_norms), members)
-    return x, iterations, step_norms, dict(sorted(failures.items()))
+    def advance(active, dx):
+        x[active] += omega * dx
+        return np.max(np.abs(dx), axis=1)
+
+    return _lockstep(x, step, advance, "tol_x", tol_x, max_iter)
 
 
 def _weighted_norm(net: Network, aug: AugmentedSystem, x: StateVector) -> float:

@@ -13,7 +13,9 @@ solves each Newton step without forming that matrix.
 
 `solve_members` runs the iteration in lockstep for members that share the
 network's topology and differ in their demands; `solve_steady_state` is
-its single-member case.
+its single-member case. It hands its start residual, Newton step and
+halving line search to the driver `linearization._lockstep`, which owns
+the checks, active set, failures, history, counts and stop test.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import HydrostateError, NonConvergence
-from .linearization import drop_failed, newton_step
+from .linearization import _lockstep, newton_step
 from .network import FLOW_FLOOR, Network, headloss_coefficients
 
 DEFAULT_TOL_R = 1e-8
@@ -135,9 +136,9 @@ def solve_steady_state(
     )
     if failures:
         raise failures[0]
-    done = int(iterations[0])
-    norms = history[: done + 1, 0].tolist()
-    return SolveReport(StateVector.from_vector(net, x[0]), done, norms[-1], True, norms)
+    norms = history[:, 0].tolist()
+    state = StateVector.from_vector(net, x[0])
+    return SolveReport(state, int(iterations[0]), norms[-1], True, norms)
 
 
 def solve_members(
@@ -148,38 +149,21 @@ def solve_members(
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """`solve_steady_state` in lockstep for members that differ only in
-    their demands (members x N_p).
-
-    Every member follows the single-case iteration on its own: its own
-    line search, convergence test and failures. Returns the final iterates
-    x = (q, H) (members x (L + N_p)), each member's iteration count, the
-    residual max-norm history (one row for the start and one per iteration
-    run, by members; entries past a member's count are NaN), and a dict
-    from the position of each failed member to its NonConvergence or
-    SingularSystem error. A tolerance that is not > 0 or a negative
-    max_iter is a ValueError.
+    their demands (members x N_p), each with its own line search and
+    failures (NonConvergence or SingularSystem). Returns as
+    `linearization._lockstep` does, with the residual max-norm at the start
+    and after each iteration as the history.
     """
-    if not tol_r > 0:
-        raise ValueError(f"tol_r must be > 0, got {tol_r}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    members = demand.shape[0]
     x = initial_states(net, demand)
     r = member_residuals(net, x, demand)
     merit = _squared_norms(r)
-    history = [np.max(np.abs(r), axis=1)]
-    iterations = np.zeros(members, dtype=int)
-    failures: dict[int, HydrostateError] = {}
-    active = np.flatnonzero(~(history[0] <= tol_r))
 
-    for iteration in range(1, max_iter + 1):
-        if not active.size:
-            break
-        step, failed = newton_step(
+    def step(active):
+        return newton_step(
             net, jacobian_coefficients(net, x[active, : net.n_pipes]), r[active]
         )
-        active, step = drop_failed(active, failed, failures, step)
 
+    def advance(active, steps):
         # Halving line search: a member stops at its first candidate that
         # does not raise the merit, or else takes its last candidate.
         base, base_merit = x[active], merit[active]
@@ -187,7 +171,7 @@ def solve_members(
         searching = np.arange(active.size)
         for _ in range(_MAX_HALVINGS + 1):
             moved = active[searching]
-            candidate = base[searching] + alpha[searching, None] * step[searching]
+            candidate = base[searching] + alpha[searching, None] * steps[searching]
             cand_r = member_residuals(net, candidate, demand[moved])
             cand_merit = _squared_norms(cand_r)
             x[moved], r[moved], merit[moved] = candidate, cand_r, cand_merit
@@ -195,16 +179,9 @@ def solve_members(
             if not searching.size:
                 break
             alpha[searching] *= 0.5
+        return np.max(np.abs(r[active]), axis=1)
 
-        norm = np.max(np.abs(r[active]), axis=1)
-        history.append(np.full(members, np.nan))
-        history[-1][active] = norm
-        iterations[active] = iteration
-        active = active[~(norm <= tol_r)]
-
-    for member in active:
-        failures[int(member)] = NonConvergence(max_iter, float(history[-1][member]))
-    return x, iterations, np.stack(history), dict(sorted(failures.items()))
+    return _lockstep(x, step, advance, "tol_r", tol_r, max_iter, np.max(np.abs(r), axis=1))
 
 
 def _squared_norms(r: np.ndarray) -> np.ndarray:

@@ -30,6 +30,9 @@ the solve as follows.
   of the normal equations A^T W A, which are never formed: one factor of J
   and an m x m telemetry update per linearization serve both
   (`AugmentedSystem`, which derives them).
+- The solver and the estimator iterate through one driver, `_lockstep`,
+  which owns the tol and max_iter checks, the active set, the dropped
+  failures, the norm history, the counts, the stop test and NonConvergence.
 
 Every routine here is batch-native: it takes members stacked along a
 leading axis, all on one network topology, which differ only in their
@@ -51,7 +54,7 @@ which numpy lacks, are matrix products too. With 2 OpenBLAS threads on a
 
 import numpy as np
 
-from .errors import HydrostateError, RankDeficient, SingularSystem
+from .errors import HydrostateError, NonConvergence, RankDeficient, SingularSystem
 from .network import Forest, Network
 
 # Block order of the Cholesky factor. Each block column costs one small
@@ -163,6 +166,50 @@ def drop_failed(members: np.ndarray, failed: dict, failures: dict, *stacks: np.n
         failures[int(members[position])] = error
         keep[position] = False
     return (members[keep], *(stack[keep] for stack in stacks))
+
+
+def _lockstep(x, step, advance, tol_name: str, tol: float, max_iter: int, start=None):
+    """The solver's and the estimator's iteration, in lockstep over the
+    members (rows) of the iterates x = (q, H) (members x (L + N_p)).
+
+    Each iteration, `step(active)` returns the active members' steps and a
+    dict from position to error for the steps that failed; those members
+    are dropped. `advance(active, steps)` moves the rest, in x, and returns
+    their norms; a member stops once its norm is <= tol. `start` norms, if
+    given, head the history and stop the members already within tol.
+
+    Returns x, each member's iteration count, the norm history (a row per
+    `start` and per iteration run, by members; NaN past a member's count)
+    and a dict from each failed member's position to its error: its step's,
+    or NonConvergence with its last norm (NaN if none) if still active after
+    max_iter. A tol that is not > 0 or a negative max_iter is a ValueError.
+    """
+    if not tol > 0:
+        raise ValueError(f"{tol_name} must be > 0, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    members = x.shape[0]
+    history = [] if start is None else [start]
+    active = np.arange(members) if start is None else np.flatnonzero(~(start <= tol))
+    iterations = np.zeros(members, dtype=int)
+    failures: dict[int, HydrostateError] = {}
+
+    for iteration in range(1, max_iter + 1):
+        if not active.size:
+            break
+        steps, failed = step(active)
+        active, steps = drop_failed(active, failed, failures, steps)
+        norm = advance(active, steps)
+        history.append(np.full(members, np.nan))
+        history[-1][active] = norm
+        iterations[active] = iteration
+        active = active[~(norm <= tol)]
+
+    last = history[-1] if history else np.full(members, np.nan)
+    for member in active:
+        failures[int(member)] = NonConvergence(max_iter, float(last[member]))
+    history = np.array(history).reshape(len(history), members)
+    return x, iterations, history, dict(sorted(failures.items()))
 
 
 def non_finite_members(values: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -266,11 +268,15 @@ def _per_stream_uniforms(seed, count, width, lo, hi):
     seed=st.integers(0, 2**70),
     count=st.integers(1, 64),
     width=st.integers(1, 40),
-    bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted),
+    # -0.0 sorts before 0.0: numpy's `uniform(0.0, -0.0)` rejects high - low.
+    bounds=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(
+        lambda b: sorted(b, key=lambda v: (v, math.copysign(1.0, v)))
+    ),
 )
 @example(seed=2**32 - 1, count=3, width=2, bounds=[-1.0, 1.0])
 @example(seed=2**96 + 5, count=3, width=2, bounds=[-1.0, 1.0])  # five entropy words
 @example(seed=2**200 + 3, count=2, width=5, bounds=[0.5, 1.0])  # eight entropy words
+@example(seed=0, count=1, width=1, bounds=[-0.0, 0.0])  # signed zeros
 def test_seeded_uniforms_match_default_rng(seed, count, width, bounds):
     """Each row, scaled as `uniform` scales a draw, is the stream of
     `default_rng((seed, k))`, bit for bit."""

@@ -132,9 +132,20 @@ def test_misused_iteration_arguments_are_value_errors(triangle, options, message
 
 
 def test_zero_iterations_are_legal(triangle):
+    """With no iteration to run, each member fails with its start residual
+    max-norm, the one row of its history."""
     with pytest.raises(NonConvergence) as excinfo:
         solve_steady_state(triangle, max_iter=0)
     assert excinfo.value.iterations == 0
+    start = np.max(np.abs(residual(triangle, initial_state(triangle))))
+    assert excinfo.value.residual == start
+    demands = triangle.demand * np.array([[1.0], [2.0]])
+    x, iterations, history, failures = solve_members(triangle, demands, max_iter=0)
+    assert history.shape == (1, 2)
+    assert history[0, 0] == start
+    assert [failures[m].residual for m in failures] == history[0].tolist()
+    assert not iterations.any()
+    np.testing.assert_array_equal(x, initial_states(triangle, demands))
 
 
 def test_singular_linear_system():
