@@ -168,7 +168,7 @@ def sensitivity_bound(
         raise ValueError("delta_y entries on energy rows must be 0")
     halfwidth, failures = bound_from_matrix(aug, jacobian_coefficients(net, x_star.q)[None], delta_y)
     if failures:
-        raise failures[0]
+        raise failures.pop(0)  # a local left holding it would form a cycle with its traceback
     return IntervalState(x_star.copy(), halfwidth[0])
 
 

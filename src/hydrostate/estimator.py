@@ -238,7 +238,7 @@ def estimate_state(
         aug, aug.values[None], tol_x=tol_x, max_iter=max_iter, omega=omega
     )
     if failures:
-        raise failures[0]
+        raise failures.pop(0)  # a local left holding it would form a cycle with its traceback
     state = StateVector.from_vector(net, x[0])
     norm = _weighted_norm(net, aug, state)
     return EstimateReport(state, int(iterations[0]), norm, True, step_norms[:, 0].tolist())

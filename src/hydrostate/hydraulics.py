@@ -135,7 +135,7 @@ def solve_steady_state(
         net, net.demand[None], tol_r=tol_r, max_iter=max_iter
     )
     if failures:
-        raise failures[0]
+        raise failures.pop(0)  # a local left holding it would form a cycle with its traceback
     norms = history[:, 0].tolist()
     state = StateVector.from_vector(net, x[0])
     return SolveReport(state, int(iterations[0]), norms[-1], True, norms)

@@ -15,7 +15,9 @@ is one sum over the entries, in entry order.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -54,63 +56,113 @@ class Network:
 
     Node and pipe ordering is the construction order; it defines the
     canonical ordering of the unknowns (q in pipe order, H in demand-node
-    order), which `unknowns` names. `a12` and `a10` hold the signed
-    incidence on the demand and on the fixed-head nodes in sparse form,
-    `fixed_head_term` is A10 @ fixed_heads, and `forest` is the
-    breadth-first spanning tree cut at the fixed-head nodes with the loop
-    basis of its co-tree (see `Forest`); they are built once per topology.
+    order), which `unknowns` names. The entries are kept as columns, and
+    the `nodes`, `pipes`, `demand_nodes` and `fixed_nodes` tuples are built
+    when first read. One array pass checks every entry; the duplicate-id
+    test, `check_node` or `check_pipe` runs on the first one it flags only.
+    `a12` and `a10` hold the signed incidence on the demand and on the
+    fixed-head nodes in sparse form, `fixed_head_term` is A10 @ fixed_heads,
+    and `forest` is the breadth-first spanning tree cut at the fixed-head
+    nodes with the loop basis of its co-tree (see `Forest`); they are built
+    once per topology.
     """
 
     def __init__(self, nodes: list[Node], pipes: list[Pipe]):
-        self.nodes = tuple(nodes)
-        self.pipes = tuple(pipes)
-        position = _validate(self.nodes, self.pipes)
+        self.nodes, self.pipes = tuple(nodes), tuple(pipes)
+        i = self._node_pass(*_fields(Node, self.nodes))
+        if i < len(self.nodes):
+            self._check_unique("nodes", i)
+            check_node(self.nodes[i], f"/nodes/{i}")
+        i = self._pipe_pass(*_fields(Pipe, self.pipes))
+        if i < len(self.pipes):
+            self._check_unique("pipes", i)
+            check_pipe(self.pipes[i], self._position, f"/pipes/{i}")
+        self._build()
 
-        self.demand_nodes = tuple(n for n in self.nodes if n.kind == KIND_DEMAND)
-        self.fixed_nodes = tuple(n for n in self.nodes if n.kind == KIND_FIXED)
-        self._demand_index = {n.id: i for i, n in enumerate(self.demand_nodes)}
-        self._fixed_index = {n.id: i for i, n in enumerate(self.fixed_nodes)}
-        self._pipe_index = {p.id: j for j, p in enumerate(self.pipes)}
+    def _node_pass(self, ids, kinds, heads, demands) -> int:
+        """Sets the node columns from the nodes' fields (None where absent);
+        returns the first node that `check_node` rejects or whose id repeats
+        an earlier one, or the node count where there is none."""
+        self._node_ids, self._position = tuple(ids), dict(zip(ids, range(len(ids))))
+        self._is_demand = is_demand = np.array([kind == KIND_DEMAND for kind in kinds], dtype=bool)
+        is_fixed = np.array([kind == KIND_FIXED for kind in kinds], dtype=bool)
+        has_head = np.array([value is not None for value in heads], dtype=bool)
+        has_demand = np.array([value is not None for value in demands], dtype=bool)
+        head, demand = np.array(heads, dtype=float), np.array(demands, dtype=float)
+        self.demand, self.fixed_heads = demand[is_demand], head[~is_demand]
+        # A field that is None reads as NaN, which fails every bound.
+        ok = np.where(
+            is_demand, ~has_head & (demand >= 0) & (demand < np.inf),
+            is_fixed & ~has_demand & np.isfinite(head),
+        )
+        return _first_fault(ok, ids, self._position)
 
-        self.demand = np.array([n.demand for n in self.demand_nodes], dtype=float)
-        self.fixed_heads = np.array([n.head for n in self.fixed_nodes], dtype=float)
-        self.resistance = np.array([p.resistance for p in self.pipes], dtype=float)
-        self.exponent = np.array([p.exponent for p in self.pipes], dtype=float)
+    def _pipe_pass(self, ids, frm, to, resistances, exponents) -> int:
+        """Sets the pipe columns from the pipes' fields; returns the first
+        pipe that `check_pipe` rejects against the node columns or whose id
+        repeats an earlier one, or the pipe count where there is none."""
+        self._pipe_ids, self._pipe_index = tuple(ids), dict(zip(ids, range(len(ids))))
+        self._ends = ends = np.empty((len(ids), 2), dtype=np.intp)
+        for end, keys in enumerate((frm, to)):
+            ends[:, end] = np.fromiter(map(self._position.get, keys, repeat(-1)), np.intp)
+        self.resistance = r = np.array(resistances, dtype=float)
+        self.exponent = n = np.array(exponents, dtype=float)
+        ok = (ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])
+        ok &= (r > 0) & (r < np.inf) & (n > 1) & (n < np.inf)
+        return _first_fault(ok, ids, self._pipe_index)
 
-        # Each pipe's (from, to) node positions, and each node position's
-        # index among the demand and among the fixed-head nodes.
-        ends = np.array(
-            [(position[p.from_node], position[p.to_node]) for p in self.pipes], dtype=np.intp
-        ).reshape(-1, 2)
-        is_demand = np.array([n.kind == KIND_DEMAND for n in self.nodes])
+    def _check_unique(self, array: str, i: int) -> None:
+        """Raises the duplicate-id error of entry i of `array` if it has one."""
+        ids = self._node_ids if array == "nodes" else self._pipe_ids
+        if i < len(ids) and ids.index(ids[i]) < i:
+            raise ValidationError(
+                f"/{array}/{i}/id", f"unique {array[:-1]} id", f"duplicate id {ids[i]!r}"
+            )
+
+    def _build(self) -> None:
+        """Sets up the rest from the columns the passes found no fault in."""
+        is_demand, ends = self._is_demand, self._ends
+        if is_demand.all():
+            raise ValidationError("/nodes", "at least one fixed-head node", "none")
+        if not is_demand.any():
+            raise ValidationError("/nodes", "at least one demand node", "none")
+        demand_ids = list(compress(self._node_ids, is_demand.tolist()))
+        self._demand_index = dict(zip(demand_ids, range(len(demand_ids))))
+
+        # Each node position's index among the demand and the fixed-head nodes.
         demand_at, fixed_at = _set_index(is_demand), _set_index(~is_demand)
         self.a12 = Incidence(ends, demand_at, self.n_demand)
         self.a10 = Incidence(ends, fixed_at, self.n_fixed)
         # A10 @ fixed_heads: the fixed-head term of every energy row.
         self.fixed_head_term = self.a10.dot(self.fixed_heads)
-        for arr in (
-            self.demand, self.fixed_heads, self.resistance, self.exponent,
-            self.fixed_head_term,
-        ):
+        for arr in (is_demand, ends, self.demand, self.fixed_heads, self.resistance,
+                    self.exponent, self.fixed_head_term):
             arr.setflags(write=False)
         self.forest = Forest(self, ends, demand_at)
         # The names of x = (q, H) in order: ("q", pipe id) per pipe, then
         # ("H", node id) per demand node.
-        self.unknowns = tuple(("q", p.id) for p in self.pipes) + tuple(
-            ("H", n.id) for n in self.demand_nodes
+        self.unknowns = (*zip(repeat("q"), self._pipe_ids), *zip(repeat("H"), demand_ids))
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        heads, demands = iter(self.fixed_heads.tolist()), iter(self.demand.tolist())
+        return tuple(
+            Node(i, KIND_DEMAND, None, next(demands)) if d else Node(i, KIND_FIXED, next(heads))
+            for i, d in zip(self._node_ids, self._is_demand.tolist())
         )
 
-    @property
-    def n_pipes(self) -> int:
-        return len(self.pipes)
+    @cached_property
+    def pipes(self) -> tuple[Pipe, ...]:
+        frm, to = np.array(self._node_ids, dtype=object)[self._ends].T.tolist()
+        columns = self.resistance.tolist(), self.exponent.tolist()
+        return tuple(map(Pipe, self._pipe_ids, frm, to, *columns))
 
-    @property
-    def n_demand(self) -> int:
-        return len(self.demand_nodes)
+    demand_nodes = cached_property(lambda self: tuple(compress(self.nodes, self._is_demand)))
+    fixed_nodes = cached_property(lambda self: tuple(compress(self.nodes, ~self._is_demand)))
 
-    @property
-    def n_fixed(self) -> int:
-        return len(self.fixed_nodes)
+    n_pipes = property(lambda self: self.resistance.size)
+    n_demand = property(lambda self: self.demand.size)
+    n_fixed = property(lambda self: self.fixed_heads.size)
 
     def pipe_index(self, pipe_id: str) -> int:
         return self._pipe_index[pipe_id]
@@ -128,24 +180,19 @@ class Network:
         """Copy of the network with the demand vector replaced.
 
         The copy shares this network's pipes, incidence and spanning
-        forest: only demands change, so only they are validated again.
-        """
-        demands = np.asarray(demands, dtype=float)
+        forest: only demands change, so only they are checked again, in one
+        mask; `check_node` raises on the first bad one."""
+        demands = np.array(demands, dtype=float)
         if demands.shape != (self.n_demand,):
-            raise ValueError(
-                f"expected {self.n_demand} demands, got shape {demands.shape}"
-            )
-        new_nodes = list(self.nodes)
-        k = 0
-        for i, node in enumerate(self.nodes):
-            if node.kind == KIND_DEMAND:
-                new_nodes[i] = Node(node.id, node.kind, demand=float(demands[k]))
-                _check_demand(new_nodes[i], f"/nodes/{i}")
-                k += 1
+            raise ValueError(f"expected {self.n_demand} demands, got shape {demands.shape}")
+        k = int(np.argmin(np.append((demands >= 0) & (demands < np.inf), False)))
+        if k < demands.size:
+            i = int(np.flatnonzero(self._is_demand)[k])
+            check_node(Node(self._node_ids[i], KIND_DEMAND, None, demands.item(k)), f"/nodes/{i}")
         new = copy.copy(self)
-        new.nodes = tuple(new_nodes)
-        new.demand_nodes = tuple(n for n in new.nodes if n.kind == KIND_DEMAND)
-        new.demand = np.array(demands)
+        for stale in ("nodes", "demand_nodes"):
+            new.__dict__.pop(stale, None)
+        new.demand = demands
         new.demand.setflags(write=False)
         return new
 
@@ -267,13 +314,13 @@ class Forest:
         # (`ends` holds each pipe's, `demand_at` maps them to demand indices
         # and fixed-head nodes to n_demand) and sign +1 where the pipe
         # leaves the parent; and each node's depth.
-        n_demand = net.n_demand
-        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in net.nodes]
+        n_demand, n_nodes = net.n_demand, demand_at.size
+        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in range(n_nodes)]
         for j, (a, b) in enumerate(ends.tolist()):
             adjacency[a].append((j, b, +1.0))
             adjacency[b].append((j, a, -1.0))
         root = int(np.argmax(demand_at == n_demand))
-        depth = [-1] * len(net.nodes)
+        depth = [-1] * n_nodes
         depth[root] = 0
         visit, tree = [root], []
         for up in visit:
@@ -282,8 +329,8 @@ class Forest:
                     depth[node] = depth[up] + 1
                     visit.append(node)
                     tree.append((node, up, j, sign))
-        if len(visit) < len(net.nodes):
-            missing = sorted(n.id for i, n in enumerate(net.nodes) if depth[i] < 0)
+        if len(visit) < n_nodes:
+            missing = sorted(i for i, d in zip(net._node_ids, depth) if d < 0)
             raise ValidationError(
                 "/pipes", "connected graph",
                 f"unreachable node(s) {', '.join(repr(m) for m in missing)}",
@@ -295,7 +342,7 @@ class Forest:
         node, up, pipe, sign = (np.array(column) for column in zip(*tree))
         demand = demand_at[node] < n_demand
         node, up, pipe, sign = node[demand], up[demand], pipe[demand], sign[demand]
-        row = np.full(len(net.nodes), n_demand, dtype=np.intp)
+        row = np.full(n_nodes, n_demand, dtype=np.intp)
         row[node] = np.arange(n_demand)
         self.order = demand_at[node]
         self.tree_pipe = pipe.astype(np.intp)
@@ -494,7 +541,14 @@ def check_node(node: Node, path: str = "") -> None:
                 path, "demand node with demand only",
                 f"node {node.id!r} fields do not match kind",
             )
-        _check_demand(node, path)
+        if not node.demand >= 0:
+            raise ValidationError(
+                f"{path}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
+            )
+        if not math.isfinite(node.demand):
+            raise ValidationError(
+                f"{path}/demand", "finite demand", f"{node.demand} on node {node.id!r}"
+            )
     elif node.kind == KIND_FIXED:
         if node.head is None or node.demand is not None:
             raise ValidationError(
@@ -507,17 +561,6 @@ def check_node(node: Node, path: str = "") -> None:
             )
     else:
         raise ValidationError(f"{path}/kind", "'demand' or 'fixed-head'", repr(node.kind))
-
-
-def _check_demand(node: Node, path: str) -> None:
-    if not node.demand >= 0:
-        raise ValidationError(
-            f"{path}/demand", "demand >= 0", f"{node.demand} on node {node.id!r}"
-        )
-    if not math.isfinite(node.demand):
-        raise ValidationError(
-            f"{path}/demand", "finite demand", f"{node.demand} on node {node.id!r}"
-        )
 
 
 def check_pipe(pipe: Pipe, node_ids, path: str = "") -> None:
@@ -550,31 +593,15 @@ def check_pipe(pipe: Pipe, node_ids, path: str = "") -> None:
             )
 
 
-def _validate(nodes, pipes) -> dict[str, int]:
-    """Checks the nodes and pipes, all but connectivity (see `Forest`), and
-    returns the map from node id to position. Each entry's own invariants
-    are checked in turn with the uniqueness of its id; that the network has
-    a node of each kind, after them."""
-    position: dict[str, int] = {}
-    for i, node in enumerate(nodes):
-        if node.id in position:
-            raise ValidationError(
-                f"/nodes/{i}/id", "unique node id", f"duplicate id {node.id!r}"
-            )
-        position[node.id] = i
-        check_node(node, f"/nodes/{i}")
+def _fields(cls, entries) -> list[list]:
+    """The fields of the `cls` entries, one list per field, in field order."""
+    return [[getattr(entry, field.name) for entry in entries] for field in fields(cls)]
 
-    seen_pipes = set()
-    for j, pipe in enumerate(pipes):
-        if pipe.id in seen_pipes:
-            raise ValidationError(
-                f"/pipes/{j}/id", "unique pipe id", f"duplicate id {pipe.id!r}"
-            )
-        seen_pipes.add(pipe.id)
-        check_pipe(pipe, position, f"/pipes/{j}")
 
-    if not any(n.kind == KIND_FIXED for n in nodes):
-        raise ValidationError("/nodes", "at least one fixed-head node", "none")
-    if not any(n.kind == KIND_DEMAND for n in nodes):
-        raise ValidationError("/nodes", "at least one demand node", "none")
-    return position
+def _first_fault(ok: np.ndarray, ids, index: dict) -> int:
+    """The first position where `ok` is False or whose id repeats an earlier
+    one (`index` maps the ids to positions), len(ids) where there is none."""
+    if len(index) < len(ids):
+        seen: dict = {}
+        ok = ok & np.array([seen.setdefault(key, i) == i for i, key in enumerate(ids)])
+    return int(np.argmin(np.append(ok, False)))

@@ -2,16 +2,17 @@
 or writes, with located schema errors.
 
 Decoders check JSON types, field presence, array lengths and targets in
-another file; the types they build check their own invariants, and a node,
-pipe or cell is checked as it is read, so the first bad entry in a file
-raises. Each array of objects is read through one located loop
+another file; the types they build check their own invariants (a cell as it
+is read, a network's entries in one array pass), so the first bad entry in a
+file raises. Each array of objects is read through one located loop
 (`_entries`), and each array of numbers element by element, so every
 rejection points at the offending location with a JSON-pointer path. A
-network file's arrays and a pattern file's rows are first read in one pass
-that only accepts; whatever it rejects is read again through the located
-loop, which alone builds the error. Encoders are deterministic:
-keys sorted, entities in canonical (file) order, numbers as shortest
-round-trip decimals. decode(encode(value)) reproduces the value exactly.
+network file's arrays and a pattern file's rows are first read in a type
+pass that only accepts; what it or the array pass rejects is read again
+through the located loop, which alone builds the error. Encoders are
+deterministic: keys sorted, entities in canonical (file) order, numbers as
+shortest round-trip decimals. decode(encode(value)) reproduces the value
+exactly.
 """
 
 import csv
@@ -29,7 +30,7 @@ from .estimator import Measurement, MeasurementSet, meter_column
 from .errorlimits import IntervalState
 from .fuzzy import Cell, ClassifierModel, Pattern
 from .hydraulics import StateVector
-from .network import DEFAULT_EXPONENT, Network, Node, Pipe, check_node, check_pipe
+from .network import DEFAULT_EXPONENT, Network, Node, Pipe, _fields, check_node, check_pipe
 from .scenarios import MeterSpec, ScenarioSpec
 
 VERSION = 1
@@ -205,67 +206,52 @@ def _check_version(obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def encode_network(net: Network) -> str:
-    nodes = []
-    for node in net.nodes:
-        entry: dict = {"id": node.id, "kind": node.kind}
-        if node.head is not None:
-            entry["head"] = float(node.head)
-        if node.demand is not None:
-            entry["demand"] = float(node.demand)
-        nodes.append(entry)
+    nodes = [
+        {"id": node.id, "kind": node.kind}
+        | ({"demand": float(node.demand)} if node.head is None else {"head": float(node.head)})
+        for node in net.nodes
+    ]
     pipes = [
-        {
-            "id": pipe.id,
-            "from": pipe.from_node,
-            "to": pipe.to_node,
-            "resistance": float(pipe.resistance),
-            "exponent": float(pipe.exponent),
-        }
+        {"id": pipe.id, "from": pipe.from_node, "to": pipe.to_node,
+         "resistance": float(pipe.resistance), "exponent": float(pipe.exponent)}
         for pipe in net.pipes
     ]
     return dumps({"version": VERSION, "nodes": nodes, "pipes": pipes})
 
 
 def decode_network(text: str) -> Network:
-    """Build a validated Network from network-file JSON text. Each node and
-    pipe is checked as it is read, a pipe's endpoints against the nodes
-    read before it, so the first bad entry in the file raises; the checks
-    on the whole network (unique ids, a node of each kind, connectivity)
-    follow."""
-    return Network(*_network_entries(text))
-
-
-def _network_entries(text: str) -> tuple[list[Node], list[Pipe]]:
-    """The checked nodes and pipes of network-file JSON text. Each array is
-    read in one pass (`_bulk_entries`); an array that it rejects is read
-    again through the located loop (`_entries`), which raises the first bad
-    entry's error. The parsed document and the field lists are released on
-    return, before the network is built."""
+    """Build a validated Network from network-file JSON text. Each array is
+    read in one type pass per key (`_bulk_entries`) into the network's
+    array pass, the nodes' before the pipes are read, and builds no `Node`
+    or `Pipe`. An array that either pass rejects is read again through the
+    located loop (`_entries`), which raises its first bad entry's error;
+    repeated ids, a node of each kind and connectivity are checked last."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
+    net = Network.__new__(Network)
     items = _get(doc, "nodes", "")
-    nodes = _bulk_entries(
-        items, Node, check_node, ("id", "kind"), (), {"head": None, "demand": None}
-    )
-    if nodes is None:
-        nodes = _entries(items, "/nodes", _node)
-    node_ids = {node.id for node in nodes}
+    fields = _bulk_entries(items, ("id", "kind"), (), {"head": None, "demand": None})
+    node_fault = net._node_pass(*(fields or _fields(Node, _entries(items, "/nodes", _node))))
+    if node_fault < len(net._node_ids):
+        _entries(items, "/nodes", _node)
 
     def pipe(obj: dict, path: str) -> Pipe:
         exponent = _number_field(obj, "exponent", path) if "exponent" in obj else DEFAULT_EXPONENT
         ids = [_string(obj, key, path) for key in ("id", "from", "to")]
         entry = Pipe(*ids, _number_field(obj, "resistance", path), exponent)
-        check_pipe(entry, node_ids)
+        check_pipe(entry, net._position)
         return entry
 
     items = _get(doc, "pipes", "")
-    pipes = _bulk_entries(
-        items, Pipe, lambda entry: check_pipe(entry, node_ids),
-        ("id", "from", "to"), ("resistance",), {"exponent": DEFAULT_EXPONENT},
-    )
-    if pipes is None:
-        pipes = _entries(items, "/pipes", pipe)
-    return nodes, pipes
+    keys = ("id", "from", "to"), ("resistance",), {"exponent": DEFAULT_EXPONENT}
+    fields = _bulk_entries(items, *keys)
+    pipe_fault = net._pipe_pass(*(fields or _fields(Pipe, _entries(items, "/pipes", pipe))))
+    if pipe_fault < len(net._pipe_ids):
+        _entries(items, "/pipes", pipe)
+    net._check_unique("nodes", node_fault)
+    net._check_unique("pipes", pipe_fault)
+    net._build()
+    return net
 
 
 def _node(obj: dict, path: str) -> Node:
@@ -276,48 +262,33 @@ def _node(obj: dict, path: str) -> Node:
     return node
 
 
-def _bulk_entries(items, build, check, strings, numbers, optional):
-    """`build(*fields)` of each entry of the array `items`, its fields read
-    in one type pass per key: a string at each key of `strings`, a number
-    that `_number` accepts at each key of `numbers` and, where present, at
-    each key of `optional` (a map from key to the value of an absent
-    field), numbers as floats; then `check` of each entry in file order.
-    None when `items` is not an array of objects, a field is missing or
-    breaks its type, or an entry fails its check."""
+def _bulk_entries(items, strings, numbers, optional):
+    """The fields of the entries of the array `items`, one list per key,
+    read in one type pass per key: a string at each key of `strings`, a
+    number that `_number` accepts at each key of `numbers` and, where
+    present, at each key of `optional` (a map from key to the value of an
+    absent field). None when `items` is not an array of objects, or a field
+    is missing or breaks its type."""
     if type(items) is not list or not all(type(item) is dict for item in items):
         return None
     fields = []
-    try:
-        for key in strings:
-            values = [item[key] for item in items]
-            if not _STRING.issuperset(map(type, values)):
-                return None
-            fields.append(values)
-        for key in numbers:
-            values = [item[key] for item in items]
-            if not _numbers(values):
-                return None
-            fields.append(list(map(float, values)))
-    except KeyError:
-        return None
-    for key, absent in optional.items():
-        if not _numbers([item[key] for item in items if key in item]):
+    for key in (*strings, *numbers, *optional):
+        values = [item[key] for item in items if key in item]
+        if len(values) < len(items) and key not in optional:
             return None
-        fields.append([float(item[key]) if key in item else absent for item in items])
-    entries = list(map(build, *fields))
-    try:
-        for entry in entries:
-            check(entry)
-    except ValidationError:
-        return None
-    return entries
+        if not (_STRING.issuperset(map(type, values)) if key in strings else _numbers(values)):
+            return None
+        if len(values) < len(items):
+            values = [item.get(key, optional[key]) for item in items]
+        fields.append(values)
+    return fields
 
 
 def _numbers(values: list) -> bool:
     """Whether `_number` accepts every value."""
-    return _NUMBER.issuperset(map(type, values)) and all(
-        abs(value) <= sys.float_info.max for value in values
-    )
+    if _FLOAT.issuperset(map(type, values)):
+        return all(map(math.isfinite, values))
+    return _NUMBER.issuperset(map(type, values)) and all(abs(v) <= sys.float_info.max for v in values)
 
 
 # ---------------------------------------------------------------------------

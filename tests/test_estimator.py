@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -268,6 +269,26 @@ def test_repeated_step_leaves_static_gram_unchanged():
         assert not block.flags.writeable
     np.testing.assert_array_equal(aug.model_variance, shared[1])
     np.testing.assert_array_equal(aug._telemetry_covariance, shared[2])
+
+
+@pytest.mark.parametrize("run", ["solve", "estimate"])
+def test_a_failed_run_leaves_no_reference_cycle(triangle, run):
+    """The raised error is not held by the frame that its traceback holds,
+    so that frame's arrays (an estimate's augmented system) are freed with
+    the error, not at the next cyclic collection."""
+    meas, _ = exact_measurements(triangle, seed=0)
+    calls = {
+        "solve": lambda: solve_steady_state(triangle, max_iter=1),
+        "estimate": lambda: estimate_state(triangle, meas, max_iter=0),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(NonConvergence):
+            calls[run]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_zero_iterations_raise_non_convergence(triangle):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostate import Network, Node, Pipe, ValidationError, parse_network
+from hydrostate.report_io import encode_network
 from hydrostate.network import (
     FLOW_FLOOR,
     _loop_gram_terms,
@@ -285,6 +286,102 @@ def test_with_demands(triangle):
 def test_with_demands_shares_the_forest(triangle):
     # The network was never solved: the forest is built with it, once.
     assert triangle.with_demands(np.array([0.5, 3.0])).forest is triangle.forest
+
+
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        (np.nan, "/nodes/15/demand: expected demand >= 0, found nan on node 'n15'"),
+        (-1.0, "/nodes/15/demand: expected demand >= 0, found -1.0 on node 'n15'"),
+        (np.inf, "/nodes/15/demand: expected finite demand, found inf on node 'n15'"),
+    ],
+    ids=["NaN", "negative", "inf"],
+)
+def test_with_demands_rejects_the_first_bad_demand(value, detail):
+    """Demand index 14 is node position 15, behind the one reservoir; a bad
+    demand after it is not the one reported."""
+    net = random_network(3, 30)
+    demands = np.array(net.demand)
+    demands[14] = value
+    demands[20] = -2.0
+    with pytest.raises(ValidationError) as excinfo:
+        net.with_demands(demands)
+    assert str(excinfo.value) == detail
+
+
+@pytest.mark.parametrize("build", ["entries", "file"])
+def test_with_demands_rebuilds_the_node_tuples(build):
+    """A copy does not keep the node tuples read from the original, which
+    hold the old demands; the original keeps its own."""
+    net = random_network(3, 30)
+    if build == "file":
+        net = parse_network(encode_network(net))
+    old_nodes, old_demand_nodes = net.nodes, net.demand_nodes
+    demands = np.arange(net.n_demand, dtype=float)
+    new = net.with_demands(demands)
+    assert [n.demand for n in new.demand_nodes] == demands.tolist()
+    assert new.demand_nodes == tuple(n for n in new.nodes if n.kind == "demand")
+    assert [n.id for n in new.nodes] == [n.id for n in old_nodes]
+    assert net.nodes is old_nodes and net.demand_nodes is old_demand_nodes
+    assert new.pipes == net.pipes and new.fixed_nodes == net.fixed_nodes
+
+
+def _same_array(got, expected) -> None:
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def _assert_same_network(got: Network, net: Network) -> None:
+    """Every array, lookup, incidence and forest array of `got` is that of
+    `net`, dtype included."""
+    for name in ("demand", "fixed_heads", "resistance", "exponent", "fixed_head_term",
+                 "_is_demand", "_ends"):
+        _same_array(getattr(got, name), getattr(net, name))
+    assert got.unknowns == net.unknowns
+    assert (got.n_pipes, got.n_demand, got.n_fixed) == (net.n_pipes, net.n_demand, net.n_fixed)
+    for pipe in net.pipes:
+        assert got.has_pipe(pipe.id) and got.pipe_index(pipe.id) == net.pipe_index(pipe.id)
+    for node in net.nodes:
+        assert got.has_demand_node(node.id) == net.has_demand_node(node.id)
+        if net.has_demand_node(node.id):
+            assert got.demand_index(node.id) == net.demand_index(node.id)
+    forest, expected = got.forest, net.forest
+    for a, b in ((got.a12, net.a12), (got.a10, net.a10), (forest.chords, expected.chords)):
+        assert a.shape == b.shape
+        for name in ("pipe", "node", "sign"):
+            _same_array(getattr(a, name), getattr(b, name))
+    for name in ("order", "tree_pipe", "sign", "cotree", "root_paths", "_rows"):
+        _same_array(getattr(forest, name), getattr(expected, name))
+    assert len(forest._levels) == len(expected._levels)
+    for level, expected_level in zip(forest._levels, expected._levels):
+        assert level[:2] == expected_level[:2]
+        for a, b in zip(level[2:], expected_level[2:]):
+            _same_array(a, b)
+    for a, b in zip(forest._loops + forest._gram_terms, expected._loops + expected._gram_terms):
+        _same_array(a, b)
+
+
+_CONSTRUCTED = {
+    **STRUCTURE_NETWORKS,
+    "random 800, 1 reservoir": lambda: with_reservoirs(random_network(7, 800), 1),
+    "random 800, 3 reservoirs": lambda: with_reservoirs(random_network(7, 800), 3),
+}
+
+
+@pytest.mark.parametrize("network", _CONSTRUCTED)
+def test_both_constructors_build_the_same_network(network):
+    """The network a file decodes to and the one its entries build are the
+    network the entries were written from, and their lazily built tuples
+    are those entries; the file encodes back to itself."""
+    net = _CONSTRUCTED[network]()
+    nodes, pipes = net.nodes, net.pipes
+    text = encode_network(net)
+    for got in (parse_network(text), Network(list(nodes), list(pipes))):
+        _assert_same_network(got, net)
+        assert got.nodes == nodes and got.pipes == pipes
+        assert got.demand_nodes == tuple(n for n in nodes if n.kind == "demand")
+        assert got.fixed_nodes == tuple(n for n in nodes if n.kind == "fixed-head")
+    assert encode_network(parse_network(text)) == text
 
 
 def test_unreachable_nodes_are_those_the_tree_misses():

@@ -796,13 +796,43 @@ def _inject(doc: dict, array: str, i: int, ids: list, data) -> None:
         entry[data.draw(st.sampled_from(["from", "to"]))] = "nowhere"
 
 
+def _no_node_of_kind(kind: str):
+    """A network-wide defect: every node of `kind` turned into one of the
+    other kind, so the network has none of it."""
+
+    def edit(doc: dict) -> None:
+        for i, entry in enumerate(doc["nodes"]):
+            if entry["kind"] == kind:
+                doc["nodes"][i] = (
+                    {"id": entry["id"], "kind": "fixed-head", "head": 50.0} if kind == "demand"
+                    else {"id": entry["id"], "kind": "demand", "demand": 1.0}
+                )
+
+    return edit
+
+
+# Defects of the whole network: a missing kind of node, and a node that no
+# pipe reaches.
+_NETWORK_DEFECTS = {
+    "no fixed-head node": _no_node_of_kind("fixed-head"),
+    "no demand node": _no_node_of_kind("demand"),
+    "unreachable node": lambda doc: doc["nodes"].append(
+        {"id": "island", "kind": "demand", "demand": 1.0}
+    ),
+}
+
+
 @settings(deadline=None, max_examples=400)
 @given(st.data())
 def test_bulk_network_reader_agrees_with_the_located_loop(data):
-    """With one defect, or two in different entries, the decoder raises the
-    class, path and text that the located loop raises on its own; a
-    well-formed document gives the same entries, incidence and forest."""
+    """With one defect, or two in different entries, and up to two defects
+    of the whole network, the decoder raises the class, path and text that
+    the located loop raises on its own; a well-formed document gives the
+    same entries, incidence and forest."""
     doc = json.loads(data.draw(st.sampled_from(_network_documents())))
+    defects = data.draw(st.lists(st.sampled_from(sorted(_NETWORK_DEFECTS)), max_size=2, unique=True))
+    for defect in defects:
+        _NETWORK_DEFECTS[defect](doc)
     ids = {array: [entry["id"] for entry in doc[array]] for array in ("nodes", "pipes")}
     targets = [(array, i) for array in ids for i in range(len(ids[array]))]
     chosen = data.draw(st.lists(st.sampled_from(targets), max_size=2, unique=True))
@@ -834,6 +864,106 @@ def test_bulk_network_reader_known_rejections(demo_dir, edit, expected):
         report_io.decode_network(text)
     assert str(excinfo.value) == expected
     assert _network_outcome(text) == _located_outcome(text)
+
+
+def _duplicate_node(doc: dict) -> None:
+    doc["nodes"].append(dict(doc["nodes"][1]))
+
+
+def _edits(*edits):
+    def edit(doc: dict) -> None:
+        for one in edits:
+            one(doc)
+
+    return edit
+
+
+def _set(array: str, i: int, **fields):
+    return lambda doc: doc[array][i].update(fields)
+
+
+def _island(kind: str, **fields):
+    """A node "n3" that no pipe reaches."""
+    return lambda doc: doc["nodes"].append({"id": "n3", "kind": kind, **fields})
+
+
+# Two faults in the demo triangle, and the errors of the file and of the
+# network built from its entries: the decoder reports each entry's own
+# fault in file order, nodes before pipes, then repeated ids, then the
+# checks on the whole network; the constructor reports a repeated id in
+# turn with the entries' own faults.
+NETWORK_FAULT_PAIRS = {
+    "duplicate node, then zero resistance": (
+        _edits(_duplicate_node, _set("pipes", 2, resistance=0.0)),
+        "/pipes/2/resistance: expected resistance > 0, found 0.0 on pipe 'p3'",
+        "/nodes/3/id: expected unique node id, found duplicate id 'n1'",
+    ),
+    "duplicate node id, then a bad kind": (
+        _edits(_set("nodes", 2, id="n1"), _island("volts")),
+        "/nodes/3/kind: expected 'demand' or 'fixed-head', found 'volts'",
+        "/nodes/2/id: expected unique node id, found duplicate id 'n1'",
+    ),
+    "duplicate pipe id before a bad exponent": (
+        _edits(_set("pipes", 1, id="p1"), _set("pipes", 2, exponent=0.5)),
+        "/pipes/2/exponent: expected exponent > 1, found 0.5 on pipe 'p3'",
+        "/pipes/1/id: expected unique pipe id, found duplicate id 'p1'",
+    ),
+    "duplicate pipe id after a bad exponent": (
+        _edits(_set("pipes", 0, exponent=0.5), _set("pipes", 2, id="p1")),
+        "/pipes/0/exponent: expected exponent > 1, found 0.5 on pipe 'p1'",
+        "/pipes/0/exponent: expected exponent > 1, found 0.5 on pipe 'p1'",
+    ),
+    "unknown endpoint, then a self-loop": (
+        _edits(_set("pipes", 0, to="n9"), _set("pipes", 2, to="n1")),
+        "/pipes/0/to: expected existing node id, found unknown node 'n9' on pipe 'p1'",
+        "/pipes/0/to: expected existing node id, found unknown node 'n9' on pipe 'p1'",
+    ),
+    "no fixed-head node, and an unreachable node": (
+        _edits(_no_node_of_kind("fixed-head"), _island("demand", demand=1.0)),
+        "/nodes: expected at least one fixed-head node, found none",
+        "/nodes: expected at least one fixed-head node, found none",
+    ),
+    "no demand node, and an unreachable node": (
+        _edits(_no_node_of_kind("demand"), _island("fixed-head", head=80.0)),
+        "/nodes: expected at least one demand node, found none",
+        "/nodes: expected at least one demand node, found none",
+    ),
+    "unreachable node, and a duplicate pipe id": (
+        _edits(_island("demand", demand=1.0), _set("pipes", 2, id="p2")),
+        "/pipes/2/id: expected unique pipe id, found duplicate id 'p2'",
+        "/pipes/2/id: expected unique pipe id, found duplicate id 'p2'",
+    ),
+    "bad first node and bad last pipe": (
+        _edits(_set("nodes", 0, kind="volts"), _set("pipes", 2, resistance=-1.0)),
+        "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'",
+        "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'",
+    ),
+    "bad last node and bad last pipe": (
+        _edits(_set("nodes", 2, demand=-1.0), _set("pipes", 2, exponent=1.0)),
+        "/nodes/2/demand: expected demand >= 0, found -1.0 on node 'n2'",
+        "/nodes/2/demand: expected demand >= 0, found -1.0 on node 'n2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", NETWORK_FAULT_PAIRS)
+def test_network_fault_pairs_keep_their_precedence(demo_dir, pair):
+    """Each entry point reports the fault its precedence puts first, and the
+    located loop alone agrees with the decoder."""
+    edit, decoded, built = NETWORK_FAULT_PAIRS[pair]
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as excinfo:
+        report_io.decode_network(text)
+    assert str(excinfo.value) == decoded
+    assert _network_outcome(text) == _located_outcome(text)
+    nodes = [Node(n["id"], n["kind"], n.get("head"), n.get("demand")) for n in doc["nodes"]]
+    pipes = [Pipe(p["id"], p["from"], p["to"], p["resistance"], p["exponent"])
+             for p in doc["pipes"]]
+    with pytest.raises(ValidationError) as excinfo:
+        Network(nodes, pipes)
+    assert str(excinfo.value) == built
 
 
 def test_bulk_network_reader_accepts_integers(demo_dir):
