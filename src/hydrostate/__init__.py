@@ -20,11 +20,9 @@ from .errorlimits import (
     uncertainty_vector,
 )
 from .estimator import (
-    AugmentedSystem,
     EstimateReport,
     Measurement,
     MeasurementSet,
-    build_augmented,
     estimate_state,
 )
 from .fuzzy import (
@@ -40,14 +38,13 @@ from .fuzzy import (
     violation,
 )
 from .hydraulics import SolveReport, StateVector, residual, solve_steady_state
-from .network import Network, Node, Pipe, incidence_matrices
+from .network import Network, Node, Pipe
 from .report_io import decode_network as parse_network
 from .scenarios import LabeledPattern, MeterSpec, ScenarioSpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedSystem",
     "Cell",
     "ClassificationResult",
     "ClassifierModel",
@@ -74,12 +71,10 @@ __all__ = [
     "SolveReport",
     "StateVector",
     "ValidationError",
-    "build_augmented",
     "classify",
     "denormalize",
     "estimate_state",
     "generate",
-    "incidence_matrices",
     "membership",
     "monte_carlo_containment",
     "normalize",

@@ -11,8 +11,9 @@ ValidationError located by a JSON pointer, a wrong shape included.
 Misused library arguments that no file carries raise a plain ValueError
 instead: a wrong shape of `delta_y`, `IntervalState.halfwidth` or the
 demands of `Network.with_demands`, `samples < 1`, an `omega` outside
-(0, 1.5], a half-width on an energy row of `delta_y`, and a tolerance not
-> 0 or a negative `max_iter`, checked once in `linearization._lockstep`.
+(0, 1.5], an `energy_sigma` that breaks `estimator.check_sigma`'s rule, a
+half-width on an energy row of `delta_y`, and a tolerance not > 0 or a
+negative `max_iter`, checked once in `linearization._lockstep`.
 """
 
 

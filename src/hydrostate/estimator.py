@@ -31,7 +31,7 @@ from .errors import RankDeficient, ValidationError
 from .hydraulics import (
     DEFAULT_MAX_ITER,
     StateVector,
-    initial_state,
+    initial_states,
     jacobian_coefficients,
     member_residuals,
 )
@@ -144,8 +144,14 @@ def build_augmented(
     values and row weights.
 
     Each measurement selects the unknown of its `meter_column`; an unknown
-    target is a ValidationError at /measurements/k/target.
+    target is a ValidationError at /measurements/k/target. The energy rows'
+    `energy_sigma` follows `check_sigma`'s rule; one that breaks it is a
+    ValueError.
     """
+    try:
+        check_sigma(energy_sigma, "energy_sigma")
+    except ValidationError as exc:
+        raise ValueError(str(exc)) from None
     m = len(meas.measurements)
     values = np.zeros(m)
     sigmas = np.zeros(m)
@@ -165,27 +171,18 @@ def build_augmented(
             sigmas,
         ]
     )
-    with np.errstate(divide="ignore", over="ignore"):
-        weights = 1.0 / row_sigmas**2
-    if not np.isfinite(weights).all():
-        raise ValueError("a sigma is too small: its weight 1/sigma^2 overflows")
+    # `check_sigma` gives every sigma a finite weight 1/sigma^2 > 0.
+    weights = 1.0 / row_sigmas**2
     return AugmentedSystem(net, columns, values, weights)
-
-
-def augmented_residual(net: Network, aug: AugmentedSystem, x: StateVector) -> np.ndarray:
-    """(energy | continuity | telemetry) residual at x; telemetry rows are
-    selected state minus measured value."""
-    return _augmented_residuals(
-        net, aug.telemetry_columns, x.vector[None], aug.values[None]
-    )[0]
 
 
 def _augmented_residuals(
     net: Network, columns: np.ndarray, x: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """`augmented_residual` of stacked state vectors x (members x
-    (L + N_p)), with telemetry `values` (members x telemetry rows)
-    selecting the unknowns `columns`; demands are the network's."""
+    """The (energy | continuity | telemetry) residuals of stacked state
+    vectors x (members x (L + N_p)), with telemetry `values` (members x
+    telemetry rows) selecting the unknowns `columns`: a telemetry row is
+    the selected unknown minus its value. Demands are the network's."""
     return np.concatenate(
         [member_residuals(net, x, net.demand[None]), x[:, columns] - values], axis=1
     )
@@ -240,7 +237,7 @@ def estimate_state(
     if failures:
         raise failures.pop(0)  # a local left holding it would form a cycle with its traceback
     state = StateVector.from_vector(net, x[0])
-    norm = _weighted_norm(net, aug, state)
+    norm = _weighted_norm(aug, x[0])
     return EstimateReport(state, int(iterations[0]), norm, True, step_norms[:, 0].tolist())
 
 
@@ -264,7 +261,7 @@ def estimate_members(
     if not 0 < omega <= 1.5:
         raise ValueError(f"omega must be in (0, 1.5], got {omega}")
     net = system.net
-    x = np.repeat(initial_state(net).vector[None], values.shape[0], axis=0)
+    x = np.repeat(initial_states(net, net.demand[None]), values.shape[0], axis=0)
 
     def step(active):
         current = x[active]
@@ -278,6 +275,7 @@ def estimate_members(
     return _lockstep(x, step, advance, "tol_x", tol_x, max_iter)
 
 
-def _weighted_norm(net: Network, aug: AugmentedSystem, x: StateVector) -> float:
-    r = augmented_residual(net, aug, x)
+def _weighted_norm(aug: AugmentedSystem, x: np.ndarray) -> float:
+    """||W^(1/2) r|| of the augmented residual r at one state vector x."""
+    r = _augmented_residuals(aug.net, aug.telemetry_columns, x[None], aug.values[None])[0]
     return float(np.sqrt(np.sum(aug.weights * r**2)))

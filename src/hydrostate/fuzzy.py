@@ -118,9 +118,6 @@ class Cell:
             raise ValidationError("/m", "m <= M", "crossed min/max points")
         _check_finite(m=self.m, M=self.M)
 
-    def volume(self) -> float:
-        return float(np.prod(self.M - self.m))
-
 
 @dataclass(eq=False)
 class ClassifierModel:
@@ -335,9 +332,10 @@ def classify(model: ClassifierModel, pattern: Pattern) -> ClassificationResult:
     """Per-label membership degrees and the winning diagnosis.
 
     The winner is the label of the cell with the largest membership, ties
-    going to the smaller `volume()`, then the lower creation index. Each
-    label's degree is the largest membership among its cells, 0.0 if it
-    has none (binary hidden-to-output weights, max aggregation).
+    going to the smaller volume (the product of M - m, listed in the
+    model), then the lower creation index. Each label's degree is the
+    largest membership among its cells, 0.0 if it has none (binary
+    hidden-to-output weights, max aggregation).
     """
     if not model.cells:
         raise EmptyModel("model has no cells")

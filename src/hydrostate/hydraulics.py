@@ -68,9 +68,10 @@ class SolveReport:
     residual_history: list[float] = field(default_factory=list)
 
 
-def initial_state(net: Network) -> StateVector:
-    """Continuity-feasible start: the demands routed up the spanning
-    forest (`network.Forest`).
+def initial_states(net: Network, demand: np.ndarray) -> np.ndarray:
+    """Continuity-feasible starts x = (q, H), one row per row of `demand`
+    (members x N_p): the demands routed up the spanning forest
+    (`network.Forest`), as the tree flows (A12_T^T)^-1 of the demands.
 
     Each tree pipe carries the total demand of the subtree it feeds, so
     every fixed-head node supplies the subtrees hanging below it; co-tree
@@ -79,12 +80,6 @@ def initial_state(net: Network) -> StateVector:
     start leaves only the energy rows for Newton to drive down, which is
     what makes the damped iteration dependable on loopy networks.
     """
-    return StateVector.from_vector(net, initial_states(net, net.demand[None])[0])
-
-
-def initial_states(net: Network, demand: np.ndarray) -> np.ndarray:
-    """`initial_state` as stacked vectors x = (q, H), one row per row of
-    `demand` (members x N_p): the tree flows (A12_T^T)^-1 of the demands."""
     forest = net.forest
     x = np.zeros((demand.shape[0], net.n_pipes + net.n_demand))
     x[:, forest.tree_pipe] = forest.tree_flows(demand[:, forest.order, None])[..., 0]

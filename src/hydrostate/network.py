@@ -57,9 +57,9 @@ class Network:
     Node and pipe ordering is the construction order; it defines the
     canonical ordering of the unknowns (q in pipe order, H in demand-node
     order), which `unknowns` names. The entries are kept as columns, and
-    the `nodes`, `pipes`, `demand_nodes` and `fixed_nodes` tuples are built
-    when first read. One array pass checks every entry; the duplicate-id
-    test, `check_node` or `check_pipe` runs on the first one it flags only.
+    the `nodes`, `pipes` and `demand_nodes` tuples are built when first
+    read. One array pass checks every entry; the duplicate-id test,
+    `check_node` or `check_pipe` runs on the first one it flags only.
     `a12` and `a10` hold the signed incidence on the demand and on the
     fixed-head nodes in sparse form, `fixed_head_term` is A10 @ fixed_heads,
     and `forest` is the breadth-first spanning tree cut at the fixed-head
@@ -69,11 +69,13 @@ class Network:
 
     def __init__(self, nodes: list[Node], pipes: list[Pipe]):
         self.nodes, self.pipes = tuple(nodes), tuple(pipes)
-        i = self._node_pass(*_fields(Node, self.nodes))
+        ids, kinds, heads, demands = _fields(Node, self.nodes)
+        i = self._node_pass(ids, kinds, _numbers(heads), _numbers(demands))
         if i < len(self.nodes):
             self._check_unique("nodes", i)
             check_node(self.nodes[i], f"/nodes/{i}")
-        i = self._pipe_pass(*_fields(Pipe, self.pipes))
+        ids, frm, to, resistances, exponents = _fields(Pipe, self.pipes)
+        i = self._pipe_pass(ids, frm, to, _numbers(resistances), _numbers(exponents))
         if i < len(self.pipes):
             self._check_unique("pipes", i)
             check_pipe(self.pipes[i], self._position, f"/pipes/{i}")
@@ -158,7 +160,6 @@ class Network:
         return tuple(map(Pipe, self._pipe_ids, frm, to, *columns))
 
     demand_nodes = cached_property(lambda self: tuple(compress(self.nodes, self._is_demand)))
-    fixed_nodes = cached_property(lambda self: tuple(compress(self.nodes, ~self._is_demand)))
 
     n_pipes = property(lambda self: self.resistance.size)
     n_demand = property(lambda self: self.demand.size)
@@ -197,18 +198,6 @@ class Network:
         return new
 
 
-def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Signed incidence blocks (A12 over demand nodes, A10 over fixed), as
-    dense reference matrices for checks and measurements.
-
-    Entry (j, i) is +1 when pipe j enters node i under the orientation
-    convention and -1 when it leaves; each pipe row has exactly two
-    nonzeros across (A12 | A10). Built densely on each call from the
-    network's sparse incidence; the solver stages never form them.
-    """
-    return net.a12.dense(), net.a10.dense()
-
-
 def headloss_coefficients(net: Network, q: np.ndarray) -> np.ndarray:
     """Diagonal entries r_j * max(|q_j|, floor) ** (n_j - 1), over the last
     axis of q."""
@@ -241,13 +230,6 @@ class Incidence:
         self.shape = (len(ends), size)
         for arr in (self.pipe, self.node, self.sign):
             arr.setflags(write=False)
-
-    def dense(self) -> np.ndarray:
-        """The incidence as a read-only dense n_pipes x n_nodes array."""
-        out = np.zeros(self.shape)
-        out[self.pipe, self.node] = self.sign
-        out.setflags(write=False)
-        return out
 
     def dot(self, v: np.ndarray, axis: int = -1) -> np.ndarray:
         """A @ v: per pipe, sign * v[node] summed over its entries, its ends
@@ -463,15 +445,6 @@ class Forest:
         gram[:, flat] = np.add.reduceat(signed[:, signed_pipe], starts, axis=-1)
         return gram.reshape(weights.shape[0], n, n)
 
-    def loop_matrix(self) -> np.ndarray:
-        """Z as a read-only dense n_pipes x n_loops array (a reference for
-        checks; the solves never form it)."""
-        pipe, loop, sign = self._loops
-        out = np.zeros((self.tree_pipe.size + self.cotree.size, self.cotree.size))
-        out[pipe, loop] = sign
-        out.setflags(write=False)
-        return out
-
 
 def _set_index(member: np.ndarray) -> np.ndarray:
     """Per position, its index among the positions where `member` holds,
@@ -596,6 +569,12 @@ def check_pipe(pipe: Pipe, node_ids, path: str = "") -> None:
 def _fields(cls, entries) -> list[list]:
     """The fields of the `cls` entries, one list per field, in field order."""
     return [[getattr(entry, field.name) for entry in entries] for field in fields(cls)]
+
+
+def _numbers(values: list) -> list:
+    """The values with NaN for each text (str or bytes), so that the array
+    pass flags its entry and the entry's own check raises on the text."""
+    return [math.nan if isinstance(value, (str, bytes)) else value for value in values]
 
 
 def _first_fault(ok: np.ndarray, ids, index: dict) -> int:

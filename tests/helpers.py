@@ -1,17 +1,19 @@
 """Shared test utilities: seedable random connected networks, the
 topologies of the forest and loop-basis checks, exact measurement
-synthesis, dense reference builds of the linearized systems, and the
-earlier sweep and walk builds of the forest's unit columns and loop
-entries."""
+synthesis, dense reference builds of the incidence, the loop basis and the
+linearized systems, the start and the augmented residual of one state
+vector, and the earlier sweep and walk builds of the forest's unit columns
+and loop entries."""
 
 from pathlib import Path
 
 import numpy as np
 
-from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe
-from hydrostate.hydraulics import jacobian_coefficients, solve_steady_state
+from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe, StateVector
+from hydrostate.estimator import _augmented_residuals
+from hydrostate.hydraulics import initial_states, jacobian_coefficients, solve_steady_state
 from hydrostate.linearization import lay_out
-from hydrostate.network import headloss_coefficients, incidence_matrices
+from hydrostate.network import Forest, Incidence, headloss_coefficients
 from hydrostate.report_io import decode_network
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
@@ -179,6 +181,50 @@ def exact_measurements(
         )
     demand_sigma = float(rng.uniform(0.01, 1.0)) if random_weights else 0.1
     return MeasurementSet(tuple(measurements), demand_sigma=demand_sigma), truth
+
+
+def dense_incidence(incidence: Incidence) -> np.ndarray:
+    """The incidence as a read-only dense n_pipes x n_nodes array, from its
+    entries (`pipe`, `node`, `sign`)."""
+    out = np.zeros(incidence.shape)
+    out[incidence.pipe, incidence.node] = incidence.sign
+    out.setflags(write=False)
+    return out
+
+
+def incidence_matrices(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Signed incidence blocks (A12 over demand nodes, A10 over fixed), as
+    dense reference matrices built from the network's `a12` and `a10`.
+
+    Entry (j, i) is +1 when pipe j enters node i under the orientation
+    convention and -1 when it leaves; each pipe row has exactly two
+    nonzeros across (A12 | A10).
+    """
+    return dense_incidence(net.a12), dense_incidence(net.a10)
+
+
+def loop_matrix(forest: Forest) -> np.ndarray:
+    """The loop basis Z as a read-only dense n_pipes x n_loops array,
+    from the forest's loop entries (pipe, loop, sign)."""
+    pipe, loop, sign = forest._loops
+    out = np.zeros((forest.tree_pipe.size + forest.cotree.size, forest.cotree.size))
+    out[pipe, loop] = sign
+    out.setflags(write=False)
+    return out
+
+
+def initial_state(net: Network) -> StateVector:
+    """The solver's and the estimator's start on the network's own
+    demands, `hydraulics.initial_states` of one member."""
+    return StateVector.from_vector(net, initial_states(net, net.demand[None])[0])
+
+
+def augmented_residual(net: Network, aug, x: StateVector) -> np.ndarray:
+    """The (energy | continuity | telemetry) residual at one state vector
+    x of the augmented system `aug`, with its own telemetry values."""
+    return _augmented_residuals(
+        net, aug.telemetry_columns, x.vector[None], aug.values[None]
+    )[0]
 
 
 def headloss_diagonal(net: Network, q: np.ndarray) -> np.ndarray:

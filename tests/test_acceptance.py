@@ -36,10 +36,9 @@ from hydrostate import (
     violation,
 )
 from hydrostate import report_io
-from hydrostate.network import incidence_matrices
 
 from conftest import DEMO_DIR
-from helpers import exact_measurements, random_network
+from helpers import exact_measurements, incidence_matrices, random_network
 from test_report_io import fuzz_decoders
 
 

@@ -13,7 +13,6 @@ from hydrostate import (
     RankDeficient,
     ScenarioSpec,
     ValidationError,
-    build_augmented,
     estimate_state,
     monte_carlo_containment,
     sensitivity_bound,
@@ -21,6 +20,7 @@ from hydrostate import (
     uncertainty_vector,
 )
 from hydrostate.errorlimits import bound_from_matrix, seeded_uniforms
+from hydrostate.estimator import build_augmented
 from hydrostate.network import Forest
 from helpers import (
     STRUCTURE_NETWORKS,

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,19 +13,20 @@ from hydrostate import (
     NonConvergence,
     RankDeficient,
     ValidationError,
-    build_augmented,
     estimate_state,
     solve_steady_state,
 )
 from hydrostate.errorlimits import seeded_uniforms
-from hydrostate.estimator import augmented_residual, estimate_members, weighted_step
-from hydrostate.hydraulics import initial_state, jacobian_coefficients
+from hydrostate.estimator import build_augmented, estimate_members, weighted_step
+from hydrostate.hydraulics import jacobian_coefficients
 from hydrostate.linearization import newton_step
 
 from helpers import (
+    augmented_residual,
     dense_augmented_matrix,
     dense_normal_equations,
     exact_measurements,
+    initial_state,
     least_squares_reference,
     random_network,
     scaled_backward_error,
@@ -70,6 +72,29 @@ def test_unknown_targets_located(triangle, k, kind, target, expected):
     with pytest.raises(ValidationError) as excinfo:
         build_augmented(triangle, MeasurementSet(tuple(meters)))
     assert str(excinfo.value) == f"/measurements/{k}/target: expected {expected}, found {target!r}"
+
+
+@pytest.mark.parametrize(
+    "energy_sigma, expected",
+    [
+        (-1e-4, "number > 0"),
+        (math.inf, "finite number"),
+        (math.nan, "number > 0"),
+        (0.0, "number > 0"),
+        (1e-200, "sigma with a finite weight 1/sigma^2"),
+        (-1e-200, "number > 0"),
+    ],
+)
+def test_energy_sigma_checked_as_a_sigma(triangle, energy_sigma, expected):
+    """An energy sigma that `check_sigma` rejects is a plain ValueError
+    that names it, raised before any numpy work, so with no warning."""
+    meas, _ = exact_measurements(triangle, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            estimate_state(triangle, meas, energy_sigma=energy_sigma)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"energy_sigma: expected {expected}, found {energy_sigma}"
 
 
 def test_consistent_data_fixed_point(triangle):

@@ -580,9 +580,10 @@ def _reference_classify(model, pattern, events):
     for cell, degree in zip(model.cells, degrees):
         per_label[cell.label] = max(per_label[cell.label], degree)
     top = [k for k, d in enumerate(degrees) if d == max(degrees)]
-    if len({model.cells[k].volume() for k in top}) > 1:
+    volumes = [float(np.prod(cell.M - cell.m)) for cell in model.cells]
+    if len({volumes[k] for k in top}) > 1:
         events.add("equal-degree winners broken by volume")
-    best = min(top, key=lambda k: (model.cells[k].volume(), k))
+    best = min(top, key=lambda k: (volumes[k], k))
     winner = model.cells[best].label
     return per_label, winner, per_label[winner]
 

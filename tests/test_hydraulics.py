@@ -13,17 +13,17 @@ from hydrostate import (
 )
 from hydrostate.hydraulics import (
     StateVector,
-    initial_state,
     initial_states,
     jacobian_coefficients,
     solve_members,
 )
 from hydrostate.linearization import newton_step
-from hydrostate.network import incidence_matrices
 
 from helpers import (
     TOPOLOGIES,
     dense_newton_matrix,
+    incidence_matrices,
+    initial_state,
     random_network,
     scaled_backward_error,
     theta_behind_reservoir,

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 from hydrostate.errors import RankDeficient
-from hydrostate import build_augmented, errorlimits, solve_steady_state
+from hydrostate import errorlimits, solve_steady_state
 from hydrostate.errorlimits import block_columns, bound_from_matrix
-from hydrostate.estimator import weighted_step
-from hydrostate.hydraulics import initial_state, jacobian_coefficients
+from hydrostate.estimator import build_augmented, weighted_step
+from hydrostate.hydraulics import jacobian_coefficients
 from hydrostate.linearization import AugmentedSystem, GramFactor, NewtonFactor
-from hydrostate.network import Forest, incidence_matrices
+from hydrostate.network import Forest
 
 from helpers import (
     TOPOLOGIES,
     dense_newton_matrix,
     exact_measurements,
+    incidence_matrices,
+    initial_state,
     random_network,
     scaled_backward_error,
 )
