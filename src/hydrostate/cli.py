@@ -270,8 +270,9 @@ _COMMANDS = {
 }
 
 
-def dispatch(argv) -> int:
-    """Run one subcommand; returns the process exit status.
+def main(argv=None) -> int:
+    """Run one subcommand, from `argv` or else `sys.argv[1:]`; returns the
+    process exit status.
 
     0 on success, 1 on domain errors (with a JSON error object on stdout),
     2 on usage errors (argparse reports those itself). Floating-point
@@ -293,7 +294,3 @@ def dispatch(argv) -> int:
         sys.stdout.write(report_io.dumps({"error": "FileError", "detail": str(exc)}))
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)

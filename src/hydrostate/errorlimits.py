@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient, SingularSystem, ValidationError
-from .estimator import DEFAULT_TOL_X, MeasurementSet, build_augmented, estimate_state
-from .hydraulics import DEFAULT_MAX_ITER, StateVector, jacobian_coefficients
+from .errors import NonConvergence, RankDeficient, ValidationError
+from .estimator import MeasurementSet, build_augmented, estimate_state
+from .hydraulics import StateVector, jacobian_coefficients
 from .linearization import AugmentedSystem, non_finite_members
 from .network import Network
 
@@ -265,9 +265,6 @@ def monte_carlo_containment(
     delta_y: np.ndarray,
     samples: int,
     seed: int,
-    *,
-    tol_x: float = DEFAULT_TOL_X,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Fraction of resampled state components that stay inside the bound.
 
@@ -279,7 +276,7 @@ def monte_carlo_containment(
     once (`seeded_uniforms`), so results are reproducible and
     order-independent. A sample counts as fully non-contained when it draws
     a negative demand, which no network can carry, or when its estimation
-    fails (no convergence, or rank-deficient or singular linear systems).
+    fails (no convergence, or a rank-deficient linear system).
 
     Failed estimations therefore lower the fraction as much as samples
     outside the bound. On the 150-node estimator repro (15 flow and 15
@@ -290,7 +287,7 @@ def monte_carlo_containment(
         raise ValueError("samples must be >= 1")
     delta_y = np.asarray(delta_y, dtype=float)
 
-    nominal = estimate_state(net, meas, tol_x=tol_x, max_iter=max_iter)
+    nominal = estimate_state(net, meas)
     interval = sensitivity_bound(net, meas, nominal.state, delta_y)
     center = interval.center.vector
     halfwidth = interval.halfwidth
@@ -313,10 +310,8 @@ def monte_carlo_containment(
         )
         try:
             sample_net = net.with_demands(demands)
-            report = estimate_state(
-                sample_net, perturbed_meas, tol_x=tol_x, max_iter=max_iter
-            )
-        except (ValidationError, NonConvergence, RankDeficient, SingularSystem):
+            report = estimate_state(sample_net, perturbed_meas)
+        except (ValidationError, NonConvergence, RankDeficient):
             continue
         deviation = np.abs(report.state.vector - center)
         contained += int(np.count_nonzero(deviation <= halfwidth))

@@ -55,7 +55,7 @@ which numpy lacks, are matrix products too. With 2 OpenBLAS threads on a
 import numpy as np
 
 from .errors import HydrostateError, NonConvergence, RankDeficient, SingularSystem
-from .network import Forest, Network
+from .network import Network
 
 # Block order of the Cholesky factor. Each block column costs one small
 # `np.linalg.cholesky`, one inverse of its diagonal block and a few
@@ -251,11 +251,15 @@ class NewtonFactor:
         tree part of Z w is -(A12_T^T)^-1 A12_C^T w.
         """
         forest = self.net.forest
-        return self.solve_laid_out(lay_out(forest, b[..., forest.tree_pipe, :], b[..., forest.cotree, :],
-                                           b[..., self.net.n_pipes + forest.order, :]))
+        continuity = b[..., self.net.n_pipes + forest.order, :]
+        return self.solve_laid_out((b[..., forest.tree_pipe, :], b[..., forest.cotree, :],
+                                    continuity, forest.tree_flows(continuity)))
 
     def solve_laid_out(self, columns: tuple) -> np.ndarray:
-        """`solve` from the tree flows on, for columns laid out by `lay_out`."""
+        """`solve` from the tree flows on, for columns in forest order: the
+        energy rows of the tree and the co-tree pipes (either may be a
+        scalar 0.0), the continuity rows in `forest.order`, and the tree
+        flows of those continuity rows (`Forest.tree_flows`)."""
         tree_energy, loop_energy, continuity, flows = columns
         forest, n_pipes = self.net.forest, self.net.n_pipes
         heads = forest.path_sums(tree_energy - self.tree_jac * flows)
@@ -270,14 +274,6 @@ class NewtonFactor:
         x[:, forest.cotree] = loop_flows
         x[:, n_pipes + forest.order] = heads
         return x
-
-
-def lay_out(forest: Forest, tree_energy, loop_energy, continuity: np.ndarray) -> tuple:
-    """The first stage of `NewtonFactor.solve`, free of the derivative
-    diagonals: columns in forest order (the energy rows of the tree and the
-    co-tree pipes, either may be a scalar 0.0, and the continuity rows in
-    `forest.order`) with the tree flows of their continuity rows."""
-    return tree_energy, loop_energy, continuity, forest.tree_flows(continuity)
 
 
 def newton_step(net: Network, jac: np.ndarray, residual: np.ndarray):
@@ -342,7 +338,8 @@ class AugmentedSystem:
         self.shape = (weights.shape[0], n)
         self.model_variance = (1.0 / weights[:n])[:, None]
         rows = (forest.tree_pipe, forest.cotree, net.n_pipes + forest.order)
-        self.selectors = lay_out(forest, *((r[:, None] == telemetry_columns).astype(float) for r in rows))
+        *energy, continuity = ((r[:, None] == telemetry_columns).astype(float) for r in rows)
+        self.selectors = (*energy, continuity, forest.tree_flows(continuity))
         for block in self.selectors:
             block.setflags(write=False)
         self._telemetry_covariance = np.diag(1.0 / weights[n:])

@@ -183,17 +183,18 @@ class Network:
         The copy shares this network's pipes, incidence and spanning
         forest: only demands change, so only they are checked again, in one
         mask; `check_node` raises on the first bad one."""
-        demands = np.array(demands, dtype=float)
-        if demands.shape != (self.n_demand,):
-            raise ValueError(f"expected {self.n_demand} demands, got shape {demands.shape}")
-        k = int(np.argmin(np.append((demands >= 0) & (demands < np.inf), False)))
-        if k < demands.size:
+        if np.shape(demands) != (self.n_demand,):
+            raise ValueError(f"expected {self.n_demand} demands, got shape {np.shape(demands)}")
+        values = np.array(_numbers(demands), dtype=float)
+        k = int(np.argmin(np.append((values >= 0) & (values < np.inf), False)))
+        if k < values.size:
             i = int(np.flatnonzero(self._is_demand)[k])
-            check_node(Node(self._node_ids[i], KIND_DEMAND, None, demands.item(k)), f"/nodes/{i}")
+            value = demands[k] if isinstance(demands[k], (str, bytes)) else values.item(k)
+            check_node(Node(self._node_ids[i], KIND_DEMAND, None, value), f"/nodes/{i}")
         new = copy.copy(self)
         for stale in ("nodes", "demand_nodes"):
             new.__dict__.pop(stale, None)
-        new.demand = demands
+        new.demand = values
         new.demand.setflags(write=False)
         return new
 

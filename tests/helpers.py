@@ -12,7 +12,6 @@ import numpy as np
 from hydrostate import Measurement, MeasurementSet, Network, Node, Pipe, StateVector
 from hydrostate.estimator import _augmented_residuals
 from hydrostate.hydraulics import initial_states, jacobian_coefficients, solve_steady_state
-from hydrostate.linearization import lay_out
 from hydrostate.network import Forest, Incidence, headloss_coefficients
 from hydrostate.report_io import decode_network
 
@@ -279,9 +278,9 @@ def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> f
 def reference_unit_columns(forest, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`Forest.unit_columns` as the bound built them before root paths: the
     unit columns by comparing `order` with `nodes`, and their tree flows by
-    a `lay_out` sweep."""
+    a `Forest.tree_flows` sweep."""
     unit = (forest.order[:, None] == nodes).astype(float)
-    return lay_out(forest, 0.0, 0.0, unit)[2:]
+    return unit, forest.tree_flows(unit)
 
 
 def reference_loop_entries(net: Network) -> list[tuple[int, int, float]]:

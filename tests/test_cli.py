@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -32,6 +33,12 @@ def test_reports_are_byte_identical(capsys):
     _, first = run(capsys, "solve", TRIANGLE)
     _, second = run(capsys, "solve", TRIANGLE)
     assert first == second
+
+
+def test_main_without_argv_reads_the_command_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hydrostate", "solve", TRIANGLE])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, "solve", TRIANGLE)[1]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

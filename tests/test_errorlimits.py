@@ -298,6 +298,14 @@ def test_seeded_uniforms_reject_negative_seed():
         seeded_uniforms(-1, 2, 3)
 
 
+def test_seeded_uniforms_reject_a_count_beyond_one_entropy_word():
+    """The count is checked before any array is made: 2^32 + 1 rows of
+    entropy words alone would take gigabytes."""
+    with pytest.raises(ValueError) as excinfo:
+        seeded_uniforms(0, 2**32 + 1, 1)
+    assert str(excinfo.value) == "count must be <= 2^32, so that k is one entropy word"
+
+
 def test_containment_needs_a_sample(triangle):
     meas, _ = _triangle_setup(triangle)
     delta = uncertainty_vector(triangle, meas)

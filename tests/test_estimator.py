@@ -97,6 +97,16 @@ def test_energy_sigma_checked_as_a_sigma(triangle, energy_sigma, expected):
     assert str(excinfo.value) == f"energy_sigma: expected {expected}, found {energy_sigma}"
 
 
+def test_demand_delta_of_another_length_is_a_value_error(triangle):
+    """A measurement set names no network, so its demand half-widths are
+    counted against the network only when they are read."""
+    meas = MeasurementSet(demand_delta=(0.1, 0.1, 0.1))
+    with pytest.raises(ValueError) as excinfo:
+        meas.demand_delta_vector(triangle)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "demand_delta has length 3, expected 2"
+
+
 def test_consistent_data_fixed_point(triangle):
     meas, truth = exact_measurements(triangle, seed=0)
     report = estimate_state(triangle, meas)

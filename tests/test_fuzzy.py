@@ -65,6 +65,23 @@ def test_pattern_requires_ordered_bounds():
         Pattern(np.array([0.5]), np.array([0.4]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Pattern(np.zeros(2), np.zeros(3)),
+         "inf and sup must be 1-d vectors of equal length"),
+        (lambda: Pattern.stack(np.zeros(2), np.zeros(2)),
+         "inf and sup must be (N, d) stacks of equal shape"),
+    ],
+    ids=["unequal lengths", "1-d stack"],
+)
+def test_pattern_shapes_are_checked(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
+
+
 def test_array_holding_types_compare_by_identity():
     """Their fields hold arrays, whose `==` is elementwise, so they compare
     and hash as plain objects do instead of raising."""

@@ -249,6 +249,12 @@ def test_state_vector_rejects_non_finite():
         StateVector(np.array([np.nan]), np.array([1.0]))
 
 
+def test_state_vector_rejects_a_2d_flow_vector():
+    with pytest.raises(ValueError) as excinfo:
+        StateVector(np.zeros((2, 1)), np.zeros(1))
+    assert str(excinfo.value) == "q and H must be 1-d vectors"
+
+
 def test_multigraph_and_reservoir_link():
     """Parallel pipes and a reservoir-to-reservoir pipe are legal
     topologies and solve cleanly."""

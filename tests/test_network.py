@@ -162,6 +162,24 @@ def test_bool_demand_builds():
     assert _two_node_network(demand=True).demand.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("value", ["3", b"3", "x"], ids=["numeric str", "bytes", "str"])
+def test_text_demand_in_with_demands_is_the_constructors_type_error(value):
+    """`with_demands` reads text as the constructor does, not as the number
+    it spells: the first bad demand is the text, ahead of a negative one,
+    and `check_node` raises on it the constructor's TypeError."""
+    with pytest.raises(TypeError) as built:
+        _two_node_network(demand=value)
+    net = random_network(3, 30)
+    demands = net.demand.tolist()
+    demands[14] = value
+    demands[20] = -2.0
+    with pytest.raises(TypeError) as swapped:
+        net.with_demands(demands)
+    kind = type(value).__name__
+    assert str(swapped.value) == str(built.value)
+    assert str(swapped.value) == f"'>=' not supported between instances of '{kind}' and 'int'"
+
+
 def test_incidence_single_pipe(single_pipe):
     # Orientation convention: +1 where the pipe enters the node, -1 where
     # it leaves, so that continuity reads A12^T q = Q for positive demand.
@@ -304,6 +322,12 @@ def test_headloss_odd_above_floor(triangle):
     loss = headloss_coefficients(triangle, q) * q
     loss_neg = headloss_coefficients(triangle, -q) * (-q)
     np.testing.assert_allclose(loss_neg, -loss, rtol=1e-14)
+
+
+def test_headloss_coefficients_reject_another_flow_count(triangle):
+    with pytest.raises(ValueError) as excinfo:
+        headloss_coefficients(triangle, np.zeros(2))
+    assert str(excinfo.value) == "expected 3 flows, got shape (2,)"
 
 
 def test_with_demands(triangle):

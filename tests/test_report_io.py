@@ -308,6 +308,19 @@ def test_dumps_writes_the_stdlib_text(doc):
     assert report_io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "doc, kind",
+    [({"a": {1, 2}}, "set"), ([1.0, np.float32(2.0)], "float32"), ({"n": np.int64(3)}, "int64")],
+    ids=["set", "float32 in a list", "int64"],
+)
+def test_dumps_rejects_what_the_stdlib_rejects(doc, kind):
+    with pytest.raises(TypeError) as ours:
+        report_io.dumps(doc)
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(doc, sort_keys=True, indent=2)
+    assert str(ours.value) == str(stdlib.value) == f"Object of type {kind} is not JSON serializable"
+
+
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1e16, 1e22, -1.7e308]),
