@@ -116,8 +116,8 @@ def bound_from_matrix(system: AugmentedSystem, jac: np.ndarray, delta_y: np.ndar
     rows: Newton solves of unit continuity columns with zero energy rows,
     `block_columns` at a time, each block added into the bound as
     |columns| delta_y before the next. Each block's columns and their tree
-    flows are written in forest order from the forest's root paths
-    (`Forest.unit_columns`), with no sweep.
+    flows are written in forest order by climbing the forest's parent
+    pointers (`Forest.unit_columns`), with no sweep.
     `delta_y` is shared by all members.
     Returns the bounds (members x unknowns) and a dict from member position
     to RankDeficient for the members whose factorization or update failed.

@@ -273,12 +273,13 @@ class Forest:
     order, so results are deterministic, and the same for each member of a
     stack as on its own.
 
-    `root_paths` holds each demand node's root path: row p lists the rows
-    in `order` from p up to its root, padded with N_p. The data that depend
-    on the tree alone come from it without a sweep: a unit continuity
-    column's tree flows are the signs of the tree pipes on its node's root
-    path (`unit_columns`), and each loop's tree pipes are those on just one
-    of its co-tree pipe's two ends' root paths.
+    Each row also keeps its parent row and its depth (`_parent`, `_depth`),
+    and a sentinel row N_p, of parent N_p and depth -1, lies above every
+    root. The data that depend on the tree alone come from climbing the
+    parents, without a sweep: a unit continuity column's tree flows are the
+    signs of the tree pipes on its node's root path, from the node up to
+    its root (`unit_columns`), and each loop's tree pipes are those its
+    co-tree pipe's two ends climb through until they meet.
 
     The other pipes, `cotree`, include the pipes that end at a fixed-head
     node other than a root and the pipes between two fixed-head nodes; their
@@ -345,14 +346,10 @@ class Forest:
                 starts = np.flatnonzero(np.diff(parents, prepend=-1))
                 self._levels.append((lo, hi, parents, starts, parents[starts]))
 
-        # Root paths: row p holds the rows of the demand nodes from order[p]
-        # up to its root, one per column, then n_demand; row n_demand is all
-        # n_demand. A depth with a demand parent lengthens a path by one.
-        paths = np.full((n_demand + 1, len(self._levels) + 1), n_demand, dtype=np.intp)
-        paths[:n_demand, 0] = np.arange(n_demand)
-        for lo, hi, parents, _, _ in self._levels:
-            paths[lo:hi, 1:] = paths[parents, :-1]
-        self.root_paths = paths
+        # Per row, and for a sentinel row n_demand above every root, its
+        # parent row and depth in the breadth-first search.
+        self._parent = np.append(parent, n_demand)
+        self._depth = np.append(depth, -1)
 
         in_tree = np.zeros(net.n_pipes, dtype=bool)
         in_tree[self.tree_pipe] = True
@@ -360,31 +357,29 @@ class Forest:
         self.chords = Incidence(ends[self.cotree], row, n_demand)
 
         # Loop entries (pipe, loop, sign): each co-tree pipe, then the tree
-        # pipes on just one of its ends' root paths, which close it into a
-        # loop or join both ends to roots; those on the path of its `to` end
-        # run against the loop. Row r lies on the root path of row e just
-        # when e's ancestor length[e] - length[r] steps up is r.
+        # pipes between its two ends, which close it into a loop or join
+        # both ends to roots; those above its `to` end run against the
+        # loop. The ends of all loops climb in lockstep: each step lifts the
+        # deeper end, or both at equal depth, until they meet or both have
+        # passed their roots.
         n_loops = self.cotree.size
-        length = np.count_nonzero(paths < n_demand, axis=1)
-
-        def off_path(path, end):
-            step = length[end, None] - length[path]
-            ancestor = paths[end[:, None], np.clip(step, 0, paths.shape[1] - 1)]
-            return (path < n_demand) & ((step < 0) | (ancestor != path))
-
-        to_end, frm_end = row[ends[self.cotree, 1]], row[ends[self.cotree, 0]]
-        to, frm = paths[to_end], paths[frm_end]
-        only_to, only_frm = off_path(to, frm_end), off_path(frm, to_end)
-        to, frm = to[only_to], frm[only_frm]
-        pipe = np.concatenate([self.cotree, self.tree_pipe[to], self.tree_pipe[frm]])
-        loop = np.concatenate(
-            [np.arange(n_loops), np.nonzero(only_to)[0], np.nonzero(only_frm)[0]]
-        )
-        loop_sign = np.concatenate([np.ones(n_loops), -self.sign[to, 0], self.sign[frm, 0]])
+        loop, at = np.arange(n_loops), row[ends[self.cotree]]
+        entries = [(self.cotree, loop, np.ones(n_loops))]
+        while loop.size:
+            apart = at[:, 0] != at[:, 1]
+            loop, at = loop[apart], at[apart]
+            depth_at = self._depth[at]
+            lift = depth_at >= depth_at[:, ::-1]
+            k, end = np.nonzero(lift)
+            lifted = at[lift]
+            signs = self.sign[lifted, 0] * (1 - 2 * end)  # -sign at the `to` end
+            entries.append((self.tree_pipe[lifted], loop[k], signs))
+            at[lift] = self._parent[lifted]
+        pipe, loop, loop_sign = map(np.concatenate, zip(*entries))
         self._loops = (pipe, loop, loop_sign)
         self._gram_terms = _loop_gram_terms(pipe, loop, loop_sign, net.n_pipes, n_loops)
-        for arr in (self.order, self.tree_pipe, self.sign, self.cotree, self._rows, paths,
-                    pipe, loop, loop_sign):
+        for arr in (self.order, self.tree_pipe, self.sign, self.cotree, self._rows,
+                    self._parent, self._depth, pipe, loop, loop_sign):
             arr.setflags(write=False)
 
     def unit_columns(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,14 +387,17 @@ class Forest:
         indices), rows in `order`, and their `tree_flows`: the subtree a
         tree pipe feeds holds a column's node just when the pipe lies on
         that node's root path, so each column's tree flows are the signs of
-        the pipes on its root path and zero elsewhere, written from
-        `root_paths` without a sweep."""
+        the pipes on its root path and zero elsewhere, marked by climbing
+        the parents from its node, without a sweep."""
         n, columns = self.order.size, np.arange(nodes.size)
         rows = self._rows[nodes]
         unit = np.zeros((n, nodes.size))
         unit[rows, columns] = 1.0
         flows = np.zeros((n + 1, nodes.size))
-        flows[self.root_paths[rows], columns[:, None]] = 1.0
+        # The way up holds the node and at most one row per `_levels` depth.
+        for _ in range(len(self._levels) + 1):
+            flows[rows, columns] = 1.0
+            rows = self._parent[rows]
         flows = flows[:n]
         flows *= self.sign
         return unit, flows

@@ -1,9 +1,9 @@
-"""Shared test utilities: seedable random connected networks, the
-topologies of the forest and loop-basis checks, exact measurement
-synthesis, dense reference builds of the incidence, the loop basis and the
-linearized systems, the start and the augmented residual of one state
-vector, and the earlier sweep and walk builds of the forest's unit columns
-and loop entries."""
+"""Shared test utilities: seedable random connected networks, chains and
+street grids, the topologies of the forest and loop-basis checks, exact
+measurement synthesis, dense reference builds of the incidence, the loop
+basis and the linearized systems, the start and the augmented residual of
+one state vector, and the sweep and walk builds of the forest's unit
+columns and loop entries."""
 
 from pathlib import Path
 
@@ -141,6 +141,59 @@ STRUCTURE_NETWORKS = {
 }
 
 
+def chain(n: int, chords, demand: float = 1.0) -> Network:
+    """A reservoir r feeding demand nodes n1..n`n` in a chain, with one more
+    pipe per (a, b) in `chords` between na and nb. Each pipe runs either way
+    along the chain, drawn with its resistance."""
+    rng = np.random.default_rng((103, n))
+    ids = ["r"] + [f"n{i}" for i in range(1, n + 1)]
+    nodes = [Node("r", "fixed-head", head=100.0)]
+    nodes += [Node(i, "demand", demand=demand) for i in ids[1:]]
+    ends = [(ids[i - 1], ids[i]) for i in range(1, n + 1)]
+    ends += [(ids[a], ids[b]) for a, b in chords]
+    return Network(nodes, _drawn_pipes(ends, rng))
+
+
+def street_grid(n: int, reservoirs: int) -> Network:
+    """An n x n street grid, its nodes g{i}_{j} in row-major order, of which
+    the first `reservoirs` corners of (0, 0), (0, n-1), (n-1, 0) and
+    (n-1, n-1) are fixed-head nodes and the rest demand nodes. The tree
+    grows from (0, 0) and reaches the other reservoirs mid-tree. Each pipe
+    runs either way along its street, drawn with its resistance."""
+    rng = np.random.default_rng((104, n, reservoirs))
+    corners = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)][:reservoirs]
+    nodes = [
+        Node(f"g{i}_{j}", "fixed-head", head=100.0 + corners.index((i, j)))
+        if (i, j) in corners
+        else Node(f"g{i}_{j}", "demand", demand=float(rng.uniform(0.5, 2.5)))
+        for i in range(n)
+        for j in range(n)
+    ]
+    ends = [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(n) for j in range(n - 1)]
+    ends += [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(n - 1) for j in range(n)]
+    return Network(nodes, _drawn_pipes(ends, rng))
+
+
+# Trees far deeper than those of STRUCTURE_NETWORKS (depth 12 at most), on
+# which the forest is checked against its earlier builds: a long main whose
+# chords close loops hundreds of pipes long, and a street grid whose other
+# reservoirs cut the tree mid-way. Kept apart so the bound tests stay fast.
+DEEP_NETWORKS = {
+    "chain 400, 3 chords": lambda: chain(400, [(20, 250), (100, 400), (180, 320)]),
+    "grid 12 x 12, 3 reservoirs": lambda: street_grid(12, 3),
+}
+
+
+def _drawn_pipes(ends, rng) -> list[Pipe]:
+    """A pipe per (a, b) in `ends`, from a to b or from b to a."""
+    pipes = []
+    for a, b in ends:
+        if rng.random() < 0.5:
+            a, b = b, a
+        pipes.append(_pipe(len(pipes), a, b, rng))
+    return pipes
+
+
 def _pipe(index: int, a: str, b: str, rng) -> Pipe:
     return Pipe(
         f"p{index}",
@@ -276,16 +329,16 @@ def scaled_backward_error(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> f
 
 
 def reference_unit_columns(forest, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`Forest.unit_columns` as the bound built them before root paths: the
-    unit columns by comparing `order` with `nodes`, and their tree flows by
-    a `Forest.tree_flows` sweep."""
+    """`Forest.unit_columns` as the bound first built them, with a sweep:
+    the unit columns by comparing `order` with `nodes`, and their tree flows
+    by a `Forest.tree_flows` sweep."""
     unit = (forest.order[:, None] == nodes).astype(float)
     return unit, forest.tree_flows(unit)
 
 
 def reference_loop_entries(net: Network) -> list[tuple[int, int, float]]:
-    """The forest's loop entries (pipe, loop, sign) as the Python walk built
-    them before root paths: per co-tree pipe, the pipe, then the tree path
+    """The forest's loop entries (pipe, loop, sign) as a Python walk builds
+    them, one loop at a time: per co-tree pipe, the pipe, then the tree path
     between its ends, walked up from the deeper end until the ends meet or
     both have passed a root. Parents and depths come from the tree pipes."""
     forest = net.forest

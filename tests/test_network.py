@@ -12,8 +12,10 @@ from hydrostate.network import (
 )
 
 from helpers import (
+    DEEP_NETWORKS,
     STRUCTURE_NETWORKS,
     TOPOLOGIES,
+    chain,
     headloss_diagonal,
     incidence_matrices,
     loop_matrix,
@@ -32,6 +34,10 @@ SINGLE_PIPE_TEXT = """
   "pipes": [{"id": "p1", "from": "r1", "to": "n1", "resistance": 10.0}]
 }
 """
+
+
+# The forest's own checks also run on the deep trees.
+FOREST_NETWORKS = {**STRUCTURE_NETWORKS, **DEEP_NETWORKS}
 
 
 def test_parse_minimal_network():
@@ -247,8 +253,13 @@ def test_targets_with_no_entries_get_positive_zero():
     exactly +0.0, where the padded product gave v[..., 0] * 0.0, -0.0 for a
     negative v[..., 0]: the pipe between two reservoirs in A12, and the
     co-tree pipe that joins them among the chords; and so does `tdot` for a
-    demand node on no chord."""
-    net = TOPOLOGIES["pipe between reservoirs"]()
+    demand node on no chord, a leaf c, whose one pipe is its tree pipe under
+    any spanning forest."""
+    between_reservoirs = TOPOLOGIES["pipe between reservoirs"]()
+    net = Network(
+        [*between_reservoirs.nodes, Node("c", "demand", demand=0.5)],
+        [*between_reservoirs.pipes, Pipe("p5", "b", "c", 1.0)],
+    )
     forest = net.forest
     between = net.pipe_index("p4")
     chord = list(forest.cotree).index(between)
@@ -264,9 +275,9 @@ def test_targets_with_no_entries_get_positive_zero():
     chords = forest.chords.dot(-np.ones((2, net.n_demand, 3)), axis=-2)
     assert np.array_equal(chords[:, chord], np.zeros((2, 3)))
     assert not np.signbit(chords[:, chord]).any()
-    off_chords = np.setdiff1d(np.arange(net.n_demand), forest.chords.node)
-    assert off_chords.size
-    sums = forest.chords.tdot(-np.ones((2, forest.cotree.size, 3)), axis=-2)[:, off_chords]
+    leaf = forest._rows[net.demand_index("c")]
+    assert leaf not in forest.chords.node
+    sums = forest.chords.tdot(-np.ones((2, forest.cotree.size, 3)), axis=-2)[:, leaf]
     assert np.array_equal(sums, np.zeros_like(sums))
     assert not np.signbit(sums).any()
 
@@ -407,7 +418,7 @@ def _assert_same_network(got: Network, net: Network) -> None:
         assert a.shape == b.shape
         for name in ("pipe", "node", "sign"):
             _same_array(getattr(a, name), getattr(b, name))
-    for name in ("order", "tree_pipe", "sign", "cotree", "root_paths", "_rows"):
+    for name in ("order", "tree_pipe", "sign", "cotree", "_parent", "_depth", "_rows"):
         _same_array(getattr(forest, name), getattr(expected, name))
     assert len(forest._levels) == len(expected._levels)
     for level, expected_level in zip(forest._levels, expected._levels):
@@ -420,6 +431,7 @@ def _assert_same_network(got: Network, net: Network) -> None:
 
 _CONSTRUCTED = {
     **STRUCTURE_NETWORKS,
+    **DEEP_NETWORKS,
     "random 800, 1 reservoir": lambda: with_reservoirs(random_network(7, 800), 1),
     "random 800, 3 reservoirs": lambda: with_reservoirs(random_network(7, 800), 3),
 }
@@ -539,14 +551,14 @@ def wide_fan() -> Network:
     return Network(nodes, pipes + [Pipe("chord", "c0", "e0", 1.0)])
 
 
-@pytest.mark.parametrize("network", [*STRUCTURE_NETWORKS, "wide fan"])
+@pytest.mark.parametrize("network", [*FOREST_NETWORKS, "wide fan"])
 def test_forest_sweeps_match_reference_bit_for_bit(network):
     """The rows-first sweeps give the earlier sweeps' bytes, sign of zero
     included, on a shared block, one member and three stacked members of
     1, 5 and 80 columns with rows of exact +0.0 and -0.0, and leave their
     argument as it was. The networks with two and three reservoirs have
     fixed-head parents below depth 1, whose zero row the sweeps read."""
-    net = wide_fan() if network == "wide fan" else STRUCTURE_NETWORKS[network]()
+    net = wide_fan() if network == "wide fan" else FOREST_NETWORKS[network]()
     forest = net.forest
     n = net.n_demand
     rng = np.random.default_rng(337)
@@ -599,13 +611,13 @@ def test_loop_gram_matches_dense(topology):
         np.testing.assert_allclose(gram[member], np.tril(reference), rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
+@pytest.mark.parametrize("network", FOREST_NETWORKS)
 def test_root_path_unit_columns_match_tree_flows(network):
-    """`unit_columns` writes each unit column and its tree flows from the
-    root paths; both equal the comparison with `order` and the `tree_flows`
-    sweep of the earlier build, for every demand node at once and for a
-    shuffled subset, sign of zero included."""
-    forest = STRUCTURE_NETWORKS[network]().forest
+    """`unit_columns` writes each unit column and its tree flows along its
+    node's root path, climbed through the parents; both equal the
+    comparison with `order` and the `tree_flows` sweep, for every demand
+    node at once and for a shuffled subset, sign of zero included."""
+    forest = FOREST_NETWORKS[network]().forest
     n = forest.order.size
     rng = np.random.default_rng(331)
     for nodes in (np.arange(n), rng.permutation(n)[: max(1, n // 3)]):
@@ -616,11 +628,12 @@ def test_root_path_unit_columns_match_tree_flows(network):
         assert np.array_equal(np.signbit(flows), np.signbit(reference_flows))
 
 
-@pytest.mark.parametrize("network", STRUCTURE_NETWORKS)
+@pytest.mark.parametrize("network", FOREST_NETWORKS)
 def test_loop_entries_match_walk(network):
-    """The loop entries taken from the root paths are, as a set of (pipe,
-    loop, sign), those of the Python walk, and give the same Gram terms."""
-    net = STRUCTURE_NETWORKS[network]()
+    """The loop entries of the lockstep climb over all loops are, as a set
+    of (pipe, loop, sign), those of the Python walk, one loop at a time,
+    and give the same Gram terms."""
+    net = FOREST_NETWORKS[network]()
     forest = net.forest
     pipe, loop, sign = forest._loops
     walked = reference_loop_entries(net)
@@ -634,3 +647,31 @@ def test_loop_entries_match_walk(network):
     for got, expected in zip(forest._gram_terms, reference):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes held by the arrays of `obj`: an array, a tuple or list of
+    them, or an object's attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(map(_array_bytes, obj))
+    return sum(map(_array_bytes, vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+
+def test_forest_memory_grows_with_the_node_count_alone():
+    """On a 3,000-node chain about 2,800 deep, the forest's arrays hold
+    under 1 kB per demand node: none of them grows with the node count
+    times the depth. Its unit columns of 50 nodes and its loop entries are
+    those of the sweep and of the walk."""
+    net = chain(3000, [(1000, 1100), (2800, 3000)], demand=1e-6)
+    forest = net.forest
+    assert _array_bytes(forest) < 1000 * net.n_demand
+    nodes = np.random.default_rng(341).permutation(net.n_demand)[:50]
+    unit, flows = forest.unit_columns(nodes)
+    reference_unit, reference_flows = reference_unit_columns(forest, nodes)
+    assert unit.tobytes() == reference_unit.tobytes()
+    assert flows.tobytes() == reference_flows.tobytes()
+    pipe, loop, sign = forest._loops
+    entries = sorted(zip(pipe.tolist(), loop.tolist(), sign.tolist()))
+    assert entries == sorted(reference_loop_entries(net))

@@ -755,8 +755,9 @@ def _network_outcome(text: str):
     forest = net.forest
     arrays = (
         net.a12.pipe, net.a12.node, net.a12.sign, net.a10.pipe, net.a10.node, net.a10.sign,
-        forest.order, forest.tree_pipe, forest.sign, forest.cotree, forest.root_paths,
-        forest.chords.pipe, forest.chords.node, forest.chords.sign, *forest._loops,
+        forest.order, forest.tree_pipe, forest.sign, forest.cotree, forest._parent,
+        forest._depth, forest.chords.pipe, forest.chords.node, forest.chords.sign,
+        *forest._loops,
     )
     return net.nodes, net.pipes, net.unknowns, [(a.dtype, a.tolist()) for a in arrays]
 
