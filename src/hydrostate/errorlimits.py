@@ -39,6 +39,18 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _WORD = 0xFFFFFFFF
 
+# The 128-bit LCG of numpy's default bit generator: its multiplier M
+# (PCG_DEFAULT_MULTIPLIER_128) and the mask of its state.
+_LCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_MASK = (1 << 128) - 1
+
+# Draws per block of `seeded_uniforms`: the streams by as many columns as
+# fit. Each step of a block's state arithmetic makes an array this size. Of
+# 2^12 to 2^17, 2^14 and 2^15 measured fastest on 200 streams of 1,501
+# draws and 2,000 of 301 (13 and 33 ms at 2^14, 13 and 30 ms at 2^15, 23
+# and 42 ms at 2^17; medians of 5, 2 vCPUs).
+_DRAW_ELEMENTS = 1 << 14
+
 
 @dataclass(eq=False)
 class IntervalState:
@@ -174,36 +186,26 @@ def sensitivity_bound(
 
 def seeded_uniforms(seed: int, count: int, width: int) -> np.ndarray:
     """The first `width` draws of `np.random.default_rng((seed, k)).random()`
-    for each k < `count` (count x width float64 in [0, 1)), with the
-    per-stream seeding done for all k at once.
+    for each k < `count` (count x width float64 in [0, 1)), computed for
+    all k at once as integer array arithmetic, with no generator built.
 
-    `default_rng((seed, k))` seeds PCG64 through a `SeedSequence` whose
-    entropy is the 32-bit words of `seed`, least significant first, then
-    k. Its hash (O'Neill's `seed_seq_fe` design: the words mixed into a
-    pool of 4 with `hashmix` and `mix`, then `generate_state(4, uint64)`)
-    depends on k only through array values, so it runs here as uint32
-    array operations over all k, whose wraparound is the C code's. Each row
-    then comes from numpy's own PCG64, seeded with its 4 words through an
-    `ISeedSequence`, as `(random_raw >> 11) * 2**-53`, which is
-    `next_double`. `rng.uniform(lo, hi, ...)` is `lo + (hi - lo) * draw`
-    on these draws. The algorithms are those numpy's stream-compatibility
-    policy (NEP 19) keeps fixed, so the rows equal the per-k generators'
-    draws bit for bit; the tests compare them with `default_rng`.
+    `default_rng((seed, k))` seeds its bit generator, PCG XSL-RR 128/64
+    (O'Neill, HMC-CS-2014-0905), through a `SeedSequence` whose entropy is
+    the 32-bit words of `seed`, least significant first, then k. Its hash
+    (O'Neill's `seed_seq_fe` design: the words mixed into a pool of 4 with
+    `hashmix` and `mix`, then `generate_state(4, uint64)`) depends on k
+    only through array values, so it runs here as uint32 array operations
+    over all k, whose wraparound is the C code's. The generator is a
+    128-bit LCG whose output permutes each state. The state behind each
+    draw comes straight from the seed words by LCG jump-ahead (Brown,
+    Trans. ANS 71, 1994), as uint64 array arithmetic on (high, low) words
+    over all k and a block of `_DRAW_ELEMENTS` draws at a time. A draw is
+    `(xsl_rr(state) >> 11) * 2**-53`, which is `next_double`, and
+    `rng.uniform(lo, hi, ...)` is `lo + (hi - lo) * draw` on these draws.
+    The algorithms are those numpy's stream-compatibility policy (NEP 19)
+    keeps fixed, so the rows equal the per-k generators' draws bit for bit;
+    the tests compare them with `default_rng`.
     """
-    # numpy.random loads here and not with the package: it would add about
-    # 13 ms to the start-up of every process, most of which never draw.
-    from numpy.random import PCG64
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Words(ISeedSequence):
-        """One stream's 4 uint64 seed words, as PCG64 asks for them."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -226,14 +228,67 @@ def seeded_uniforms(seed: int, count: int, width: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], _hashmix(word, steps))
 
     steps = _hash_steps(_INIT_B, _MULT_B)
-    state = [_hashmix(pool[i % _POOL], steps).astype(np.uint64) for i in range(2 * _POOL)]
-    # Pairs of uint32 words read as little-endian uint64 words; each row of
-    # the stack is contiguous, as PCG64 reads it.
-    seeds = np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
-    raw = np.empty((count, width), dtype=np.uint64)
-    for k, row in enumerate(seeds):
-        raw[k] = PCG64(_Words(row)).random_raw(width)
-    return (raw >> 11) * 2.0**-53
+    state = [_hashmix(pool[i % _POOL], steps).astype(np.uint64)[:, None] for i in range(2 * _POOL)]
+    # `generate_state(4, uint64)` pairs these words into w0..w3, low word
+    # first, and `pcg64_set_seed` takes initstate = w0 2^64 + w1 and
+    # initseq = w2 2^64 + w3, then inc = 2 initseq + 1: each held here as
+    # its (high, low) 64-bit words.
+    w = [low | high << 32 for low, high in zip(state[::2], state[1::2])]
+    initstate = w[0], w[1]
+    inc = w[2] << 1 | w[3] >> 63, w[3] << 1 | 1
+    # Seeding steps the LCG (state -> M state + inc) from 0 to inc, adds
+    # initstate and steps again, and each draw steps before its output, so
+    # draw j reads M^(j+2) initstate + (M^(j+2) + ... + M + 1) inc.
+    jumps = _jump_words(width)
+    draws = np.empty((count, width))
+    block = max(1, _DRAW_ELEMENTS // max(count, 1))
+    for first in range(0, width, block):
+        power, total = jumps[..., first : first + block]
+        high, low = _product_sum([(initstate, power), (inc, total)])
+        # XSL-RR: the xor of the high and low words, rotated right by the
+        # top 6 bits.
+        xored, rotation = high ^ low, high >> 58
+        output = (xored >> rotation) | (xored << ((64 - rotation) & 63))
+        draws[:, first : first + block] = (output >> 11) * 2.0**-53
+    return draws
+
+
+def _jump_words(width: int) -> np.ndarray:
+    """For draws j < `width`, M^(j+2) and M^(j+2) + ... + M + 1 modulo
+    2^128, M being the LCG's multiplier, as (high, low) 64-bit words
+    (2 x 2 x width uint64)."""
+    power = _LCG_MULT * _LCG_MULT & _STATE_MASK
+    total = 1 + _LCG_MULT + power & _STATE_MASK
+    constants = []
+    for _ in range(width):
+        constants += power.to_bytes(16, "big"), total.to_bytes(16, "big")
+        power = power * _LCG_MULT & _STATE_MASK
+        total = total + power & _STATE_MASK
+    words = np.frombuffer(b"".join(constants), dtype=">u8").reshape(width, 2, 2)
+    return words.transpose(1, 2, 0).astype(np.uint64)
+
+
+def _product_sum(pairs):
+    """The sum of the products x y modulo 2^128 over the (x, y) `pairs`,
+    each number and the sum held as (high, low) uint64 arrays."""
+    high = low = 0
+    for (x_high, x_low), (y_high, y_low) in pairs:
+        product = x_low * y_low
+        low = low + product
+        high = high + _high_product(x_low, y_low) + x_high * y_low + x_low * y_high
+        # The carry out of the low word, added last: a bool array added to
+        # the int 0 would make the sum a signed integer.
+        high += low < product
+    return high, low
+
+
+def _high_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products x y of uint64 arrays, from
+    the four products of their 32-bit halves."""
+    x_high, x_low, y_high, y_low = x >> 32, x & _WORD, y >> 32, y & _WORD
+    cross, cross_t = x_low * y_high, x_high * y_low
+    middle = (x_low * y_low >> 32) + (cross & _WORD) + (cross_t & _WORD)
+    return x_high * y_high + (cross >> 32) + (cross_t >> 32) + (middle >> 32)
 
 
 def _hash_steps(init: int, mult: int):
@@ -272,11 +327,12 @@ def monte_carlo_containment(
     inside their half-width boxes, re-runs the estimation, and counts the
     components whose deviation from the nominal estimate lies within the
     halfwidth. Sample k's offsets are `uniform(-1, 1) * delta_y` on the
-    stream of `np.random.default_rng((seed, k))`, drawn for all samples at
-    once (`seeded_uniforms`), so results are reproducible and
-    order-independent. A sample counts as fully non-contained when it draws
-    a negative demand, which no network can carry, or when its estimation
-    fails (no convergence, or a rank-deficient linear system).
+    stream of `np.random.default_rng((seed, k))`, computed for all samples
+    at once by `seeded_uniforms`, which builds no generator, so results are
+    reproducible and order-independent. A sample counts as fully
+    non-contained when it draws a negative demand, which no network can
+    carry, or when its estimation fails (no convergence, or a
+    rank-deficient linear system).
 
     Failed estimations therefore lower the fraction as much as samples
     outside the bound. On the 150-node estimator repro (15 flow and 15

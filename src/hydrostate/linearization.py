@@ -42,14 +42,18 @@ LAPACK call fails, only that call is repeated member by member, to name
 the members that failed; they are reported, and the others go on.
 
 The Cholesky factor is `GramFactor`, a left-looking blocked Cholesky
-written in numpy. Nearly all of its work is matrix products (GEMM), and it
-keeps the inverse of each diagonal block, so the two triangular sweeps,
-which numpy lacks, are matrix products too. With 2 OpenBLAS threads on a
-2-vCPU host, factoring a loop matrix and solving one right-hand side takes
-0.9-1.2 ms at order 211 (the 800-node benchmark cases), where
-`np.linalg.cholesky` alone takes 0.8-0.9 ms and an LU solve
-(`np.linalg.solve`) 0.6 ms; at order 1,640 (a 5000-node network) it takes
-48-59 ms, against 91-93 ms and 68-72 ms.
+written in numpy. Nearly all of its work is matrix products (GEMM). numpy
+has no triangular solve, so it keeps the inverse of each diagonal block,
+taken by the LU-based `np.linalg.inv`, and both triangular sweeps are
+matrix products too. On the loop matrix of the first 800-node benchmark
+case (order 211, at the solved state; medians of 9 timings in each of 3
+processes, 2 vCPUs), `GramFactor` takes 0.66-0.67 ms with 1 OpenBLAS
+thread and 0.71-0.80 ms with 2, against 0.48-0.64 ms and 0.61-0.76 ms for
+`np.linalg.cholesky`, whose factor numpy could not sweep. Each of its four
+64-wide diagonal blocks costs 0.02 ms to factor and 0.10-0.11 ms to invert
+on either thread count. At order 1,640 (a 5000-node network) it took 48-59
+ms, against 91-93 ms for `np.linalg.cholesky` (random positive definite
+matrices, 2 threads).
 """
 
 import numpy as np
@@ -58,14 +62,15 @@ from .errors import HydrostateError, NonConvergence, RankDeficient, SingularSyst
 from .network import Network
 
 # Block order of the Cholesky factor. Each block column costs one small
-# `np.linalg.cholesky`, one inverse of its diagonal block and a few
-# Python-level steps; the rest is matrix products. The factor holds the
-# loop matrix, of order 211 on the 800-node benchmark cases. There, for the
-# estimator's mix (one factor and two rounds of 80 and 1 right-hand sides
-# per step, the 80 selectors laid out and swept once per system, then the
-# bound's 80 + 80 and about 800 right-hand sides in blocks), blocks of 32
-# to 128 measured within the run-to-run spread of each other, and 256 (a
-# single block) about 20 % slower.
+# `np.linalg.cholesky`, one LU-based inverse of its diagonal block (0.02 and
+# 0.10 ms at order 64) and a few Python-level steps; the rest is matrix
+# products. The factor holds the loop matrix, of order 211 on the 800-node
+# benchmark cases. There, for the estimator's mix (one factor and two
+# rounds of 80 and 1 right-hand sides per step, the 80 selectors laid out
+# and swept once per system, then the bound's 80 + 80 and about 800
+# right-hand sides in blocks), an estimate and its bound on the first case
+# took 114-118 ms with blocks of 32 or 64, 126-129 ms with 128 and
+# 148-154 ms with 256 (a single block), on 1 or 2 OpenBLAS threads.
 _BLOCK = 64
 
 

@@ -214,7 +214,8 @@ def _true_demands(net: Network, spec: ScenarioSpec) -> np.ndarray:
     scenario k perturbs the demands by a relative noise and, for a leak
     class, adds the leak magnitude at the leak node. Its draws are those of
     `np.random.default_rng((spec.seed, k))`: `uniform(-1, 1, N_p)` for the
-    noise, then `uniform(*spec.leak_magnitude)`."""
+    noise, then `uniform(*spec.leak_magnitude)`, computed for all scenarios
+    at once by `errorlimits.seeded_uniforms`, which builds no generator."""
     # Each scenario's leak column, -1 for none, looked up once per class.
     class_columns = [
         net.demand_index(label[len(LEAK_PREFIX):]) if label.startswith(LEAK_PREFIX) else -1

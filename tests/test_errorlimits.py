@@ -291,6 +291,26 @@ def test_seeded_uniforms_many_rows():
     assert np.array_equal(-1.0 + 2.0 * draws, _per_stream_uniforms(1234, 5000, 3, -1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "count, width",
+    [
+        (40, 340),  # the containment workload's samples
+        (1, 1501),  # one scenario of `gen` on a 1,500-node network
+        # Four blocks of columns, the last one partial.
+        (100, 3 * (hydrostate.errorlimits._DRAW_ELEMENTS // 100) + 7),
+        (0, 3),
+        (3, 0),
+    ],
+)
+def test_seeded_uniforms_match_default_rng_beyond_the_drawn_shapes(count, width):
+    """Shapes the property test does not draw: wide rows, several blocks
+    of columns, and no rows or no columns."""
+    draws = seeded_uniforms(2**40 + 17, count, width)
+    reference = [np.random.default_rng((2**40 + 17, k)).random(width) for k in range(count)]
+    assert draws.shape == (count, width)
+    assert np.array_equal(draws, np.array(reference).reshape(count, width))
+
+
 def test_seeded_uniforms_reject_negative_seed():
     with pytest.raises(ValueError):
         np.random.default_rng((-1, 0))

@@ -427,11 +427,12 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_only_stdlib_numpy_and_hydrostate_are_loaded(demo_dir):
-    """The same run loads nothing beyond the standard library and numpy,
-    and not `numpy.random`, which only the scenario and Monte Carlo draws
-    need: any other import would add to every process's set-up time.
-    Modules the interpreter's site hooks load before the program starts are
-    left out."""
+    """The same run, then the scenario draws of `generate` on the demo spec
+    and the Monte Carlo draws of `monte_carlo_containment` on the demo
+    triangle, load nothing beyond the standard library and numpy, and not
+    `numpy.random` either: the draws compute their streams without it, and
+    any other import would add to every process's set-up time. Modules the
+    interpreter's site hooks load before the program starts are left out."""
     code = f"""
 import sys
 before = set(sys.modules)
@@ -443,7 +444,11 @@ meas_text = (demo / "triangle_meas.json").read_text()
 meas = hs.report_io.decode_measurement_set(meas_text, net)
 hs.solve_steady_state(net)
 x = hs.estimate_state(net, meas).state
-hs.sensitivity_bound(net, meas, x, hs.uncertainty_vector(net, meas))
+delta_y = hs.uncertainty_vector(net, meas)
+hs.sensitivity_bound(net, meas, x, delta_y)
+spec = hs.report_io.decode_scenario_spec((demo / "scenario.json").read_text())
+hs.generate(net, spec)
+hs.monte_carlo_containment(net, meas, delta_y, 5, 1234)
 loaded = {{m.split(".")[0] for m in set(sys.modules) - before}}
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
 print("numpy.random" in sys.modules)
