@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -215,18 +215,17 @@ def _cmd_train(args, cfg: RunConfig) -> None:
     entries, manifest = report_io.decode_patterns(_read(args.patterns))
     if not entries:
         raise HydrostateError("pattern file holds no patterns")
-    labeled = [(p, label) for p, label in entries if label is not None]
-    if len(labeled) != len(entries):
+    if any(label is None for _, label in entries):
         raise HydrostateError("training requires a label on every pattern")
 
-    model = ClassifierModel.create(labeled[0][0].n_dims, theta=cfg.theta, gamma=cfg.gamma)
+    model = ClassifierModel.create(entries[0][0].n_dims, theta=cfg.theta, gamma=cfg.gamma)
     if manifest and "normalization" in manifest:
         ranges = report_io.decode_ranges(manifest["normalization"], "/manifest/normalization")
         try:
             model = replace(model, normalization=ranges)
         except ValidationError as exc:
             raise exc.within("/manifest") from exc
-    model = train_model(model, labeled)
+    model = train_model(model, entries)
 
     out = args.out or "model.json"
     _emit(report_io.encode_model(model), out)
@@ -243,16 +242,7 @@ def _cmd_train(args, cfg: RunConfig) -> None:
 def _cmd_classify(args, cfg: RunConfig) -> None:
     model = report_io.decode_model(_read(args.model))
     entries, _ = report_io.decode_patterns(_read(args.patterns), model.n_dims)
-    results = []
-    for pattern, _label in entries:
-        outcome = classify_pattern(model, pattern)
-        results.append(
-            {
-                "memberships": {k: float(v) for k, v in outcome.memberships.items()},
-                "winner": outcome.winner,
-                "winning_membership": float(outcome.winning_membership),
-            }
-        )
+    results = [asdict(classify_pattern(model, pattern)) for pattern, _ in entries]
     if cfg.format == "csv":
         text = report_io.classify_csv(results)
     else:

@@ -5,9 +5,13 @@ reports as a JSON error with exit status 1. Each invariant of a value a file
 can carry is checked by one piece of code, its type or the one function that
 owns it (`estimator.meter_column` for a meter's target, `fuzzy.check_ranges`
 for normalization ranges, `network.check_node` and `network.check_pipe` for
-the entry a network's array pass flags, `ClassifierModel.check_cell` for a
-cell in a model, `network.Forest` for connectivity), and a violation is a
-ValidationError located by a JSON pointer, a wrong shape included.
+the entry a network's array pass flags, `Network._build` for repeated ids
+and a node of each kind, `network.Forest` for connectivity,
+`ClassifierModel.check_cell` for a cell in a model, `Pattern.check` for a
+pattern's box), and a violation is a ValidationError located by a JSON
+pointer, a wrong shape included. Both network constructors report faults
+in one order (see `Network`), and the pattern reader, not `Pattern.stack`,
+locates a bad box.
 Misused library arguments that no file carries raise a plain ValueError
 instead: a wrong shape of `delta_y`, `IntervalState.halfwidth` or the
 demands of `Network.with_demands`, `samples < 1`, an `omega` outside

@@ -66,24 +66,16 @@ class Pattern:
     @classmethod
     def stack(cls, inf, sup) -> list["Pattern"]:
         """One pattern per row of the (N, d) arrays inf and sup, which are
-        checked once, as a whole. A stack that fails raises the error of its
-        first bad row k, the one `Pattern(inf[k], sup[k])` raises, located
-        at /k. Each pattern holds views of the rows."""
+        checked once, as a whole, by `check`; its error is not located at a
+        row (the pattern reader locates a bad row itself). Each pattern
+        holds views of the rows."""
         inf = np.asarray(inf, dtype=float)
         sup = np.asarray(sup, dtype=float)
         if inf.shape != sup.shape or inf.ndim != 2:
             raise ValueError("inf and sup must be (N, d) stacks of equal shape")
         if not len(inf):
             return []
-        try:
-            cls.check(inf, sup)
-        except ValidationError:
-            for k, (row_inf, row_sup) in enumerate(zip(inf, sup)):
-                try:
-                    cls.check(row_inf, row_sup)
-                except ValidationError as exc:
-                    raise exc.within(f"/{k}") from None
-            raise
+        cls.check(inf, sup)
         patterns = []
         for row_inf, row_sup in zip(inf, sup):
             pattern = object.__new__(cls)

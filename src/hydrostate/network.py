@@ -58,8 +58,13 @@ class Network:
     canonical ordering of the unknowns (q in pipe order, H in demand-node
     order), which `unknowns` names. The entries are kept as columns, and
     the `nodes`, `pipes` and `demand_nodes` tuples are built when first
-    read. One array pass checks every entry; the duplicate-id test,
-    `check_node` or `check_pipe` runs on the first one it flags only.
+    read. One array pass per array checks each entry's own invariants, and
+    `check_node` or `check_pipe` runs on the first entry it flags only;
+    then repeated ids, a node of each kind and connectivity are checked
+    (`_build`). So faults are reported in one order, the one
+    `report_io.decode_network` keeps too: each node's own faults in order,
+    then each pipe's, then repeated node ids, then repeated pipe ids, then
+    node kinds and connectivity.
     `a12` and `a10` hold the signed incidence on the demand and on the
     fixed-head nodes in sparse form, `fixed_head_term` is A10 @ fixed_heads,
     and `forest` is the breadth-first spanning tree cut at the fixed-head
@@ -72,19 +77,17 @@ class Network:
         ids, kinds, heads, demands = _fields(Node, self.nodes)
         i = self._node_pass(ids, kinds, _numbers(heads), _numbers(demands))
         if i < len(self.nodes):
-            self._check_unique("nodes", i)
             check_node(self.nodes[i], f"/nodes/{i}")
         ids, frm, to, resistances, exponents = _fields(Pipe, self.pipes)
         i = self._pipe_pass(ids, frm, to, _numbers(resistances), _numbers(exponents))
         if i < len(self.pipes):
-            self._check_unique("pipes", i)
             check_pipe(self.pipes[i], self._position, f"/pipes/{i}")
         self._build()
 
     def _node_pass(self, ids, kinds, heads, demands) -> int:
         """Sets the node columns from the nodes' fields (None where absent);
-        returns the first node that `check_node` rejects or whose id repeats
-        an earlier one, or the node count where there is none."""
+        returns the first node that `check_node` rejects, or the node count
+        where there is none. Repeated ids are left to `_build`."""
         self._node_ids, self._position = tuple(ids), dict(zip(ids, range(len(ids))))
         self._is_demand = is_demand = np.array([kind == KIND_DEMAND for kind in kinds], dtype=bool)
         is_fixed = np.array([kind == KIND_FIXED for kind in kinds], dtype=bool)
@@ -97,12 +100,12 @@ class Network:
             is_demand, ~has_head & (demand >= 0) & (demand < np.inf),
             is_fixed & ~has_demand & np.isfinite(head),
         )
-        return _first_fault(ok, ids, self._position)
+        return int(np.argmin(np.append(ok, False)))
 
     def _pipe_pass(self, ids, frm, to, resistances, exponents) -> int:
         """Sets the pipe columns from the pipes' fields; returns the first
-        pipe that `check_pipe` rejects against the node columns or whose id
-        repeats an earlier one, or the pipe count where there is none."""
+        pipe that `check_pipe` rejects against the node columns, or the pipe
+        count where there is none. Repeated ids are left to `_build`."""
         self._pipe_ids, self._pipe_index = tuple(ids), dict(zip(ids, range(len(ids))))
         self._ends = ends = np.empty((len(ids), 2), dtype=np.intp)
         for end, keys in enumerate((frm, to)):
@@ -111,18 +114,20 @@ class Network:
         self.exponent = n = np.array(exponents, dtype=float)
         ok = (ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])
         ok &= (r > 0) & (r < np.inf) & (n > 1) & (n < np.inf)
-        return _first_fault(ok, ids, self._pipe_index)
-
-    def _check_unique(self, array: str, i: int) -> None:
-        """Raises the duplicate-id error of entry i of `array` if it has one."""
-        ids = self._node_ids if array == "nodes" else self._pipe_ids
-        if i < len(ids) and ids.index(ids[i]) < i:
-            raise ValidationError(
-                f"/{array}/{i}/id", f"unique {array[:-1]} id", f"duplicate id {ids[i]!r}"
-            )
+        return int(np.argmin(np.append(ok, False)))
 
     def _build(self) -> None:
-        """Sets up the rest from the columns the passes found no fault in."""
+        """Sets up the rest from the columns the passes found no fault in.
+        It raises the first repeated node id, then the first repeated pipe
+        id, then a missing kind of node; `Forest` checks connectivity."""
+        for array, ids, index in (("nodes", self._node_ids, self._position),
+                                  ("pipes", self._pipe_ids, self._pipe_index)):
+            if len(index) < len(ids):
+                seen: dict = {}
+                i = next(i for i, key in enumerate(ids) if seen.setdefault(key, i) != i)
+                raise ValidationError(
+                    f"/{array}/{i}/id", f"unique {array[:-1]} id", f"duplicate id {ids[i]!r}"
+                )
         is_demand, ends = self._is_demand, self._ends
         if is_demand.all():
             raise ValidationError("/nodes", "at least one fixed-head node", "none")
@@ -575,11 +580,3 @@ def _numbers(values: list) -> list:
     pass flags its entry and the entry's own check raises on the text."""
     return [math.nan if isinstance(value, (str, bytes)) else value for value in values]
 
-
-def _first_fault(ok: np.ndarray, ids, index: dict) -> int:
-    """The first position where `ok` is False or whose id repeats an earlier
-    one (`index` maps the ids to positions), len(ids) where there is none."""
-    if len(index) < len(ids):
-        seen: dict = {}
-        ok = ok & np.array([seen.setdefault(key, i) == i for i, key in enumerate(ids)])
-    return int(np.argmin(np.append(ok, False)))

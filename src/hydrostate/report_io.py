@@ -225,14 +225,15 @@ def decode_network(text: str) -> Network:
     array pass, the nodes' before the pipes are read, and builds no `Node`
     or `Pipe`. An array that either pass rejects is read again through the
     located loop (`_entries`), which raises its first bad entry's error;
-    repeated ids, a node of each kind and connectivity are checked last."""
+    then `Network._build` checks repeated ids, a node of each kind and
+    connectivity, so faults come in the order `Network(nodes, pipes)`
+    reports them."""
     doc = _as_object(_loads(text), "")
     _check_version(doc)
     net = Network.__new__(Network)
     items = _get(doc, "nodes", "")
     fields = _bulk_entries(items, ("id", "kind"), (), {"head": None, "demand": None})
-    node_fault = net._node_pass(*(fields or _fields(Node, _entries(items, "/nodes", _node))))
-    if node_fault < len(net._node_ids):
+    if net._node_pass(*(fields or _fields(Node, _entries(items, "/nodes", _node)))) < len(items):
         _entries(items, "/nodes", _node)
 
     def pipe(obj: dict, path: str) -> Pipe:
@@ -245,11 +246,8 @@ def decode_network(text: str) -> Network:
     items = _get(doc, "pipes", "")
     keys = ("id", "from", "to"), ("resistance",), {"exponent": DEFAULT_EXPONENT}
     fields = _bulk_entries(items, *keys)
-    pipe_fault = net._pipe_pass(*(fields or _fields(Pipe, _entries(items, "/pipes", pipe))))
-    if pipe_fault < len(net._pipe_ids):
+    if net._pipe_pass(*(fields or _fields(Pipe, _entries(items, "/pipes", pipe)))) < len(items):
         _entries(items, "/pipes", pipe)
-    net._check_unique("nodes", node_fault)
-    net._check_unique("pipes", pipe_fault)
     net._build()
     return net
 
@@ -434,10 +432,10 @@ def decode_patterns(text: str, n_dims: int | None = None):
     pattern has `n_dims` entries when given (a model's dimension), else as
     many as the first.
 
-    A file as the encoder writes it is read in one pass over all its rows
-    (`_canonical_rows`); any other file is read pattern by pattern, which
-    locates its first rejection. Both give the same patterns, or the same
-    error."""
+    A file as the encoder writes it, every box good, is read in one pass
+    over all its rows (`_canonical_rows`); any other file is read pattern
+    by pattern, which locates its first rejection. Both give the same
+    patterns, or the same error."""
     doc = _loads(text)
     manifest = None
     if isinstance(doc, dict):
@@ -450,14 +448,15 @@ def decode_patterns(text: str, n_dims: int | None = None):
         items = _as_array(doc, "")
         base = ""
     inf, sup, labels = _canonical_rows(items, n_dims) or _located_rows(items, n_dims, base)
-    return list(zip(_pattern_stack(inf, sup, base), labels)), manifest
+    return list(zip(Pattern.stack(inf, sup), labels)), manifest
 
 
 def _canonical_rows(items: list, n_dims: int | None):
     """The stacked (inf, sup) and the labels of the pattern items when every
     item is an object whose inf and sup are lists of floats, all of one
-    length (`n_dims` when given) and all finite, and whose label is a string
-    or absent; else None."""
+    length (`n_dims` when given) and all finite, with inf <= sup and at
+    least one entry, and whose label is a string or absent; else None, and
+    the located reader raises the first bad item's error."""
     if not items or not all(
         type(item) is dict and "inf" in item and "sup" in item for item in items
     ):
@@ -469,14 +468,15 @@ def _canonical_rows(items: list, n_dims: int | None):
     if type(rows[0]) is not list:
         return None
     width = len(rows[0]) if n_dims is None else n_dims
-    if not all(type(row) is list and len(row) == width for row in rows):
+    if not width or not all(type(row) is list and len(row) == width for row in rows):
         return None
     if not _FLOAT.issuperset(map(type, chain.from_iterable(rows))):
         return None
     stack = np.array(rows).reshape(len(rows), width)
-    if not np.isfinite(stack).all():
+    inf, sup = stack[: len(items)], stack[len(items):]
+    if not np.isfinite(stack).all() or (inf > sup).any():
         return None
-    return stack[: len(items)], stack[len(items):], labels
+    return inf, sup, labels
 
 
 def _located_rows(items: list, n_dims: int | None, base: str):
@@ -508,15 +508,6 @@ def _located_rows(items: list, n_dims: int | None, base: str):
 def _row_stack(rows: list) -> np.ndarray:
     """Rows of one length as an (N, d) array."""
     return np.array(rows).reshape(len(rows), len(rows[0]) if rows else 0)
-
-
-def _pattern_stack(inf: np.ndarray, sup: np.ndarray, base: str) -> list[Pattern]:
-    """The rows as patterns, checked as one stack; a bad box is located at
-    its pattern under `base`."""
-    try:
-        return Pattern.stack(inf, sup)
-    except ValidationError as exc:
-        raise exc.within(base) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,16 @@ def single_pipe() -> Network:
 
 
 @pytest.fixture
+def stiff_pipe() -> Network:
+    """The single pipe with resistance 1e308: finite, so the network is
+    valid, but no Newton step on it is finite."""
+    return Network(
+        [Node("r1", "fixed-head", head=100.0), Node("n1", "demand", demand=2.0)],
+        [Pipe("p1", "r1", "n1", 1e308)],
+    )
+
+
+@pytest.fixture
 def triangle() -> Network:
     return Network(
         [

@@ -405,6 +405,34 @@ def test_input_errors_are_located_json_errors(capsys, tmp_path, argv, pointer):
     assert not (tmp_path / "model.json").exists()
 
 
+def _stiff_pipe(tmp_path, command):
+    """`command` on the one-pipe network with resistance 1e308, finite and
+    so valid, with one flow meter for `estimate` and `bounds`."""
+    net = _demo("single_pipe.json", lambda doc: doc["pipes"][0].update(resistance=1e308))
+    argv = [command, _write(tmp_path, "net.json", net)]
+    if command != "solve":
+        meter = {"kind": "pipe-flow", "target": "p1", "value": 2.0, "sigma": 0.02}
+        meas = {"version": 1, "demand_sigma": 0.1, "measurements": [meter]}
+        argv.append(_write(tmp_path, "meas.json", meas))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, error, detail",
+    [
+        ("solve", "SingularSystem", "linear solve produced non-finite entries"),
+        ("estimate", "RankDeficient", "weighted step produced non-finite entries"),
+        ("bounds", "RankDeficient", "weighted step produced non-finite entries"),
+    ],
+)
+def test_non_finite_step_is_json_error(capsys, tmp_path, command, error, detail):
+    code = main(_stiff_pipe(tmp_path, command))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": error, "detail": detail}
+    assert captured.err == ""
+
+
 def _estimate_demand_sigma(tmp_path, sigma):
     meas = _demo("triangle_meas.json", lambda doc: doc.update(demand_sigma=sigma))
     return ["estimate", TRIANGLE, _write(tmp_path, "meas.json", meas)]

@@ -249,6 +249,15 @@ def test_rank_deficient_normal_equations():
     assert isinstance(failures[0], RankDeficient)
 
 
+def test_non_finite_step_raises_from_estimate(stiff_pipe):
+    """A weighted step that is not finite, here of a one-flow-meter
+    estimate, ends the estimate with RankDeficient."""
+    meas = MeasurementSet((Measurement("pipe-flow", "p1", 2.0, 0.02),), demand_sigma=0.1)
+    with np.errstate(all="ignore"), pytest.raises(RankDeficient) as excinfo:
+        estimate_state(stiff_pipe, meas)
+    assert str(excinfo.value) == "weighted step produced non-finite entries"
+
+
 def test_stacked_weighted_step_isolates_bad_member():
     """One member's linearization is singular to working precision: that
     member alone fails, with the error of its own single-member step, and

@@ -169,6 +169,13 @@ def test_singular_step_raises_from_solve(triangle, monkeypatch):
         solve_steady_state(triangle)
 
 
+def test_non_finite_step_raises_from_solve(stiff_pipe):
+    """A Newton step that is not finite ends the solve with SingularSystem."""
+    with np.errstate(all="ignore"), pytest.raises(SingularSystem) as excinfo:
+        solve_steady_state(stiff_pipe)
+    assert str(excinfo.value) == "linear solve produced non-finite entries"
+
+
 def test_lockstep_solve_with_every_member_failing_a_later_step(triangle, monkeypatch):
     """When every remaining member fails one step, each is recorded with
     its own error, and the members that converged before keep their

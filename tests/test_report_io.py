@@ -901,83 +901,127 @@ def _island(kind: str, **fields):
     return lambda doc: doc["nodes"].append({"id": "n3", "kind": kind, **fields})
 
 
-# Two faults in the demo triangle, and the errors of the file and of the
-# network built from its entries: the decoder reports each entry's own
-# fault in file order, nodes before pipes, then repeated ids, then the
-# checks on the whole network; the constructor reports a repeated id in
-# turn with the entries' own faults.
+# Two faults in the demo triangle, and the error of the file and of the
+# network built from its entries: each entry's own fault in file order,
+# nodes before pipes, then repeated node ids, then repeated pipe ids, then
+# the checks on the whole network.
 NETWORK_FAULT_PAIRS = {
     "duplicate node, then zero resistance": (
         _edits(_duplicate_node, _set("pipes", 2, resistance=0.0)),
         "/pipes/2/resistance: expected resistance > 0, found 0.0 on pipe 'p3'",
-        "/nodes/3/id: expected unique node id, found duplicate id 'n1'",
     ),
     "duplicate node id, then a bad kind": (
         _edits(_set("nodes", 2, id="n1"), _island("volts")),
         "/nodes/3/kind: expected 'demand' or 'fixed-head', found 'volts'",
-        "/nodes/2/id: expected unique node id, found duplicate id 'n1'",
     ),
     "duplicate pipe id before a bad exponent": (
         _edits(_set("pipes", 1, id="p1"), _set("pipes", 2, exponent=0.5)),
         "/pipes/2/exponent: expected exponent > 1, found 0.5 on pipe 'p3'",
-        "/pipes/1/id: expected unique pipe id, found duplicate id 'p1'",
     ),
     "duplicate pipe id after a bad exponent": (
         _edits(_set("pipes", 0, exponent=0.5), _set("pipes", 2, id="p1")),
-        "/pipes/0/exponent: expected exponent > 1, found 0.5 on pipe 'p1'",
         "/pipes/0/exponent: expected exponent > 1, found 0.5 on pipe 'p1'",
     ),
     "unknown endpoint, then a self-loop": (
         _edits(_set("pipes", 0, to="n9"), _set("pipes", 2, to="n1")),
         "/pipes/0/to: expected existing node id, found unknown node 'n9' on pipe 'p1'",
-        "/pipes/0/to: expected existing node id, found unknown node 'n9' on pipe 'p1'",
     ),
     "no fixed-head node, and an unreachable node": (
         _edits(_no_node_of_kind("fixed-head"), _island("demand", demand=1.0)),
-        "/nodes: expected at least one fixed-head node, found none",
         "/nodes: expected at least one fixed-head node, found none",
     ),
     "no demand node, and an unreachable node": (
         _edits(_no_node_of_kind("demand"), _island("fixed-head", head=80.0)),
         "/nodes: expected at least one demand node, found none",
-        "/nodes: expected at least one demand node, found none",
+    ),
+    "duplicate pipe id, and a duplicate node id": (
+        _edits(_set("pipes", 0, id="p2"), _duplicate_node),
+        "/nodes/3/id: expected unique node id, found duplicate id 'n1'",
     ),
     "unreachable node, and a duplicate pipe id": (
         _edits(_island("demand", demand=1.0), _set("pipes", 2, id="p2")),
-        "/pipes/2/id: expected unique pipe id, found duplicate id 'p2'",
         "/pipes/2/id: expected unique pipe id, found duplicate id 'p2'",
     ),
     "bad first node and bad last pipe": (
         _edits(_set("nodes", 0, kind="volts"), _set("pipes", 2, resistance=-1.0)),
         "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'",
-        "/nodes/0/kind: expected 'demand' or 'fixed-head', found 'volts'",
     ),
     "bad last node and bad last pipe": (
         _edits(_set("nodes", 2, demand=-1.0), _set("pipes", 2, exponent=1.0)),
-        "/nodes/2/demand: expected demand >= 0, found -1.0 on node 'n2'",
         "/nodes/2/demand: expected demand >= 0, found -1.0 on node 'n2'",
     ),
 }
 
 
-@pytest.mark.parametrize("pair", NETWORK_FAULT_PAIRS)
-def test_network_fault_pairs_keep_their_precedence(demo_dir, pair):
-    """Each entry point reports the fault its precedence puts first, and the
-    located loop alone agrees with the decoder."""
-    edit, decoded, built = NETWORK_FAULT_PAIRS[pair]
-    doc = json.loads((demo_dir / "triangle.json").read_text())
-    edit(doc)
-    text = json.dumps(doc)
-    with pytest.raises(ValidationError) as excinfo:
-        report_io.decode_network(text)
-    assert str(excinfo.value) == decoded
-    assert _network_outcome(text) == _located_outcome(text)
+def _built_outcome(doc: dict) -> str:
+    """The text of the error `Network(nodes, pipes)` raises on the entries
+    of the network document."""
     nodes = [Node(n["id"], n["kind"], n.get("head"), n.get("demand")) for n in doc["nodes"]]
     pipes = [Pipe(p["id"], p["from"], p["to"], p["resistance"], p["exponent"])
              for p in doc["pipes"]]
     with pytest.raises(ValidationError) as excinfo:
         Network(nodes, pipes)
-    assert str(excinfo.value) == built
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("pair", NETWORK_FAULT_PAIRS)
+def test_network_fault_pairs_keep_their_precedence(demo_dir, pair):
+    """Both entry points report the fault the precedence puts first, and
+    the located loop alone agrees with the decoder."""
+    edit, expected = NETWORK_FAULT_PAIRS[pair]
+    doc = json.loads((demo_dir / "triangle.json").read_text())
+    edit(doc)
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as excinfo:
+        report_io.decode_network(text)
+    assert str(excinfo.value) == expected
+    assert _network_outcome(text) == _located_outcome(text)
+    assert _built_outcome(doc) == expected
+
+
+def _inject_semantic(doc: dict, array: str, i: int, kept: list, data) -> None:
+    """One fault of entry i of doc[array] that the types allow: a duplicate
+    id (one of `kept`, the ids of the array's entries that get no fault), an
+    unknown kind, a negative demand, a self-loop, an unknown endpoint, a
+    resistance <= 0 or an exponent <= 1."""
+    entry = doc[array][i]
+    defects = ["duplicate id"]
+    if array == "nodes":
+        defects += ["unknown kind", "negative demand"]
+    else:
+        defects += ["self-loop", "unknown endpoint", "resistance <= 0", "exponent <= 1"]
+    defect = data.draw(st.sampled_from(defects))
+    if defect == "duplicate id":
+        entry["id"] = data.draw(st.sampled_from(kept))
+    elif defect == "unknown kind":
+        entry["kind"] = "volts"
+    elif defect == "negative demand":
+        entry["demand"] = -data.draw(st.sampled_from([1.0, 5e-324]))
+    elif defect == "self-loop":
+        entry["to"] = entry["from"]
+    elif defect == "unknown endpoint":
+        entry[data.draw(st.sampled_from(["from", "to"]))] = "nowhere"
+    elif defect == "resistance <= 0":
+        entry["resistance"] = data.draw(st.sampled_from([0.0, -0.0, -3.5]))
+    else:
+        entry["exponent"] = data.draw(st.sampled_from([1.0, 0.5, -2.0]))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.data())
+def test_both_entry_points_report_the_same_fault(data):
+    """With two faults the types allow, in two entries or in one, the
+    decoder and `Network(nodes, pipes)` raise the same text."""
+    doc = json.loads(data.draw(st.sampled_from(_network_documents())))
+    ids = {array: [entry["id"] for entry in doc[array]] for array in ("nodes", "pipes")}
+    targets = [(array, i) for array in ids for i in range(len(ids[array]))]
+    chosen = data.draw(st.lists(st.sampled_from(targets), min_size=2, max_size=2))
+    for array, i in chosen:
+        kept = [key for k, key in enumerate(ids[array]) if (array, k) not in chosen]
+        _inject_semantic(doc, array, i, kept, data)
+    with pytest.raises(ValidationError) as excinfo:
+        report_io.decode_network(json.dumps(doc))
+    assert _built_outcome(doc) == str(excinfo.value)
 
 
 def test_bulk_network_reader_accepts_integers(demo_dir):
