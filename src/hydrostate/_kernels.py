@@ -3,8 +3,8 @@
 The per-pipe monomial loss coefficients (evaluated once per solver
 iteration, over every member of a stacked solve) and the per-cell hyperbox
 scans of the fuzzy classifier (the expansion scan once per window of
-training examples tested together, one example wide after each change
-to a cell; the violation scan once per classification).
+training examples tested together, half as wide after each change to a
+cell; the violation scan once per classification).
 
 They live in a module of their own only so that the benchmark's tracer
 (`perfbench/tracing.py`) can wrap these three names, which `network`,

@@ -258,8 +258,11 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
     # The examples are tested `window` at a time against every cell at once,
     # and the run of skips at the front of a window is passed over. The
     # first example that does not skip grows the target found for it, or
-    # seeds a cell, and the window is back to 1; it doubles while whole
-    # windows skip, within _WINDOW_ENTRIES.
+    # seeds a cell, and the next window is half as wide (at least 1): skips
+    # come in long runs, and a window of one would grow back to their
+    # length one doubling at a time. Windows double while whole windows
+    # skip, within _WINDOW_ENTRIES; halving keeps a window within that cap
+    # when a cell is seeded.
     k, window = 0, 1
     while k < len(examples):
         end = min(k + window, len(examples))
@@ -286,7 +289,7 @@ def train(model: ClassifierModel, examples) -> ClassifierModel:
             hi[target] = np.maximum(hi[target], p_sup)
         _resolve_overlaps(lo[:n], hi[:n], ids[:n], target)
         repaired[target] = True
-        window = 1
+        window = max(1, window // 2)
 
     cells = [Cell(m, M, labels[k]) for m, M, k in zip(lo[:n], hi[:n], ids[:n].tolist())]
     return ClassifierModel(theta, model.gamma.copy(), model.normalization.copy(), cells, labels)

@@ -45,8 +45,8 @@ def dumps(doc) -> str:
     a final newline: the text of `json.dumps(doc, sort_keys=True, indent=2)
     + "\\n"` for a document of dicts with string keys, lists, tuples,
     strings, numbers, bools and None. A list of floats is written as one
-    join of their reprs, and a map of finite floats as one join of its
-    pairs."""
+    join of their reprs, a map of finite floats as one join of its pairs,
+    and a list of like records from one template (`_records`)."""
     return _write(doc, "\n") + "\n"
 
 
@@ -74,11 +74,11 @@ def _write(value, newline: str) -> str:
             # Only the reprs of NaN and the infinities hold an "n".
             if "n" not in text:
                 return "[" + inner + text + newline + "]"
-        items = [_write(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        text = _records(value, inner)
+        if text is None:
+            text = ("," + inner).join([_write(item, inner) for item in value])
+        return "[" + inner + text + newline + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         keys = sorted(value)
         values = value.values()
         if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
@@ -89,8 +89,64 @@ def _write(value, newline: str) -> str:
             items = [
                 encode_basestring_ascii(key) + ": " + _write(value[key], inner) for key in keys
             ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _braced(items, newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _records(items, newline: str) -> str | None:
+    """The items of a list as `_write` writes them, joined, when they are
+    two or more dicts with the keys of the first, each key's values all
+    strings, all finite floats, or all non-empty maps of finite floats with
+    the keys of the first's map; else None. Each item is one format of a
+    template made from the first item, its slots filled column by column."""
+    first = items[0]
+    if len(items) < 2 or type(first) is not dict or not first:
+        return None
+    if not all(type(item) is dict and item.keys() == first.keys() for item in items):
+        return None
+    field = newline + "  "
+    fields, columns = [], []
+    for key in sorted(first):
+        values = [item[key] for item in items]
+        sample = first[key]
+        if type(sample) is dict and sample:
+            if not all(type(value) is dict and value.keys() == sample.keys() for value in values):
+                return None
+            names = sorted(sample)
+            columns += [_scalar_texts([value[name] for value in values]) for name in names]
+            slots = [_template_key(name) + "%s" for name in names]
+            fields.append(_template_key(key) + _braced(slots, field))
+        else:
+            columns.append(_scalar_texts(values))
+            fields.append(_template_key(key) + "%s")
+    if None in columns:
+        return None
+    template = _braced(fields, newline)
+    return ("," + newline).join(map(template.__mod__, zip(*columns)))
+
+
+def _scalar_texts(values: list) -> list[str] | None:
+    """The JSON texts of a column of strings or of finite floats; None for
+    any other column."""
+    types = set(map(type, values))
+    if types == _STRING:
+        return list(map(encode_basestring_ascii, values))
+    if types == _FLOAT and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return None
+
+
+def _template_key(key: str) -> str:
+    """The text of a map key and its separator in a %-format template."""
+    return encode_basestring_ascii(key).replace("%", "%%") + ": "
+
+
+def _braced(entries: list[str], newline: str) -> str:
+    """The texts of a map's entries as `_write` writes the map at `newline`."""
+    if not entries:
+        return "{}"
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join(entries) + newline + "}"
 
 
 def _float_literal(value: float) -> str:
@@ -344,15 +400,28 @@ def _vector_doc(net: Network, vec: np.ndarray) -> dict:
 
 
 def encode_interval_state(net: Network, interval: IntervalState) -> str:
-    return dumps(
-        {
-            "version": VERSION,
-            "center": state_doc(net, interval.center),
-            "halfwidth": _vector_doc(net, interval.halfwidth),
-            "lower": _vector_doc(net, interval.lower),
-            "upper": _vector_doc(net, interval.upper),
-        }
-    )
+    """The text `dumps` gives for {"center", "halfwidth", "lower", "upper"},
+    each the `_vector_doc` of its vector, and "version". The unknowns are
+    sorted, and their keys encoded, once per call into one template of a
+    state map, which each of the four vectors fills in that order."""
+    unknowns = net.unknowns
+    order = sorted(range(len(unknowns)), key=unknowns.__getitem__)
+    slots = [_template_key(unknowns[k][1]) + "%s" for k in order]
+    kinds = [
+        _template_key("H") + _braced(slots[: net.n_demand], "\n    "),
+        _template_key("q") + _braced(slots[net.n_demand :], "\n    "),
+    ]
+    template = _braced(kinds, "\n  ")
+    maps = []
+    for key, vec in (
+        ("center", interval.center.vector),
+        ("halfwidth", interval.halfwidth),
+        ("lower", interval.lower),
+        ("upper", interval.upper),
+    ):
+        literal = float.__repr__ if np.isfinite(vec).all() else _float_literal
+        maps.append(_template_key(key) + template % tuple(map(literal, vec[order].tolist())))
+    return _braced([*maps, f'"version": {VERSION}'], "\n") + "\n"
 
 
 def _decode_state_doc(obj, net: Network, path: str) -> np.ndarray:

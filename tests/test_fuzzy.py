@@ -854,6 +854,41 @@ def test_runs_ending_at_every_window_edge(breaker, tail):
         assert repairs == 2
 
 
+@pytest.mark.parametrize("breaker", ["seed", "growth"])
+def test_window_halves_after_a_change_and_keeps_within_its_cap(breaker):
+    """400 skips, an example that grows the model (a new cell, or a growth
+    of the one cell), then 400 more skips, in 64 dimensions: the window
+    after the change is half the one the change was found in, not one
+    example, and no window holds more entries than the cells allow."""
+    dims = 64
+    rng = np.random.default_rng(8)
+    first = (Pattern(np.full(dims, 0.25), np.full(dims, 0.5)), "a")
+    change = {
+        "seed": (Pattern.crisp(np.full(dims, 0.9)), "b"),
+        "growth": (Pattern.crisp(np.r_[0.52, np.full(dims - 1, 0.3)]), "a"),
+    }[breaker]
+    inside = [(Pattern.crisp(p), "a") for p in rng.uniform(0.25, 0.5, (800, dims))]
+    examples = [first] + inside[:400] + [change] + inside[400:]
+    repairs, windows = _train_like_reference(ClassifierModel.create(dims), examples)
+    assert repairs == 2
+    # Replay the windows: each passes over its skips and stops at the first
+    # of the two examples that change the model, which are not skipped.
+    changes, k, cells, found = [0, 401], 0, 0, []
+    for i, window in enumerate(windows):
+        if cells:
+            assert window <= max(1, fuzzy._WINDOW_ENTRIES // (cells * dims))
+        if changes and changes[0] < k + window:
+            k = changes.pop(0) + 1
+            found.append(i)
+            cells = 1 if breaker == "growth" else len(found)
+        else:
+            k += window
+    assert k == len(examples) and len(found) == 2
+    grown_in = found[1]
+    assert windows[grown_in] >= 16
+    assert windows[grown_in + 1] == windows[grown_in] // 2
+
+
 @pytest.mark.parametrize(
     "theta, cells, stream",
     [

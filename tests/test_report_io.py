@@ -6,12 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrostate import (
     Cell,
     ClassifierModel,
+    IntervalState,
     Measurement,
     MeasurementSet,
     MeterSpec,
@@ -22,6 +23,7 @@ from hydrostate import (
     ParseError,
     ScenarioSpec,
     SchemaError,
+    StateVector,
     ValidationError,
     estimate_state,
     sensitivity_bound,
@@ -30,7 +32,14 @@ from hydrostate import (
 )
 from hydrostate import report_io
 
-from helpers import DEMO_DIR, exact_measurements, random_network, with_reservoirs
+from helpers import (
+    DEEP_NETWORKS,
+    DEMO_DIR,
+    TOPOLOGIES,
+    exact_measurements,
+    random_network,
+    with_reservoirs,
+)
 
 
 @pytest.fixture
@@ -89,6 +98,34 @@ def test_interval_round_trip(triangle, meas_set):
     again = report_io.decode_interval_state(text, triangle)
     assert np.array_equal(again.center.vector, interval.center.vector)
     assert np.array_equal(again.halfwidth, interval.halfwidth)
+
+
+@pytest.mark.parametrize("name", [*TOPOLOGIES, *DEEP_NETWORKS])
+def test_interval_report_is_dumps_of_its_four_maps(name):
+    """The report written from one sorted layout of the unknowns is `dumps`
+    of the four state maps, also once entries that are not finite are
+    written into the checked interval."""
+    net = {**TOPOLOGIES, **DEEP_NETWORKS}[name]()
+    rng = np.random.default_rng(9)
+    n = len(net.unknowns)
+    center = rng.normal(0.0, 1e3, n)
+    center[0] = -0.0
+    interval = IntervalState(StateVector.from_vector(net, center), rng.uniform(0.0, 5.0, n))
+
+    def four_maps():
+        vectors = {
+            "center": interval.center.vector,
+            "halfwidth": interval.halfwidth,
+            "lower": interval.lower,
+            "upper": interval.upper,
+        }
+        doc = {key: report_io._vector_doc(net, vec) for key, vec in vectors.items()}
+        return report_io.dumps(doc | {"version": 1})
+
+    assert report_io.encode_interval_state(net, interval) == four_maps()
+    interval.center.q[0] = math.nan
+    interval.halfwidth[-1] = math.inf
+    assert report_io.encode_interval_state(net, interval) == four_maps()
 
 
 def test_interval_inconsistent_bounds_rejected(triangle, meas_set):
@@ -306,6 +343,85 @@ _DOCS = st.recursive(
 @given(_DOCS)
 def test_dumps_writes_the_stdlib_text(doc):
     assert report_io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Keys that also hold the % of a format template.
+_KEYS = st.text(st.one_of(st.characters(), st.sampled_from('%%s"\\\x00\u2028')), max_size=4)
+
+
+@st.composite
+def _record_lists(draw):
+    """One to five dicts, most of them alike: each key's values are drawn
+    from one kind (strings, finite floats, or maps over one key set, which
+    may be empty, of finite or of any floats), and an item may get an odd
+    value at one of its keys or at a new key, or lose a key."""
+    kinds, pool = {}, ["x"]
+    for key in draw(st.lists(_KEYS, min_size=1, max_size=3, unique=True)):
+        names = draw(st.lists(_KEYS, max_size=3, unique=True))
+        pool += names
+        kinds[key] = draw(st.sampled_from([
+            _TEXT,
+            _FINITE,
+            st.fixed_dictionaries({name: _FINITE for name in names}),
+            st.fixed_dictionaries({name: _FLOATS for name in names}),
+        ]))
+    # Odd maps draw their keys from the maps' own, so that they often hold
+    # a few more or a few less.
+    odd = st.one_of(
+        _LEAVES,
+        st.dictionaries(_KEYS, _FLOATS, max_size=3),
+        st.dictionaries(st.sampled_from(pool), _FINITE, max_size=4),
+    )
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        item = {key: draw(kind) for key, kind in kinds.items()}
+        change = draw(st.integers(0, 7))
+        if change == 0:
+            item[draw(st.one_of(st.sampled_from(list(kinds)), _KEYS))] = draw(odd)
+        elif change == 1:
+            del item[draw(st.sampled_from(list(kinds)))]
+        items.append(item)
+    return items
+
+
+def _alike(items: list) -> bool:
+    """Whether a list of dicts is written from one record template: two or
+    more items, whose values at each key of the first are all strings, all
+    finite floats, or all non-empty maps of finite floats over one key set."""
+
+    def kind(value):
+        if type(value) in (str, float) and (type(value) is str or math.isfinite(value)):
+            return type(value)
+        values = value.values() if type(value) is dict else ()
+        if values and all(type(v) is float and math.isfinite(v) for v in values):
+            return tuple(sorted(value))
+        return None
+
+    kinds = [{key: kind(value) for key, value in item.items()} for item in items]
+    return (
+        len(items) > 1 and bool(kinds[0])
+        and None not in kinds[0].values() and all(k == kinds[0] for k in kinds)
+    )
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_record_lists())
+@example([{"k": {"a": 1.0, "b": 2.0}}, {"k": {"a": 0.5, "c": 0.5}}])
+@example([{"k": {"a": 1.0}}, {"k": {"a": 0.5, "b": 0.5}}])
+@example([{"k": {"a": 1.0, "b": 2.0}}, {"k": {"a": 0.5}}])
+@example([{"k": {}, "w": 1.0}, {"k": {}, "w": 2.0}])
+@example([{"a%s": "%d", "w": -0.0}, {"a%s": "%%", "w": 1e22}])
+@example([{"k": "x", "w": 1.0}])
+def test_record_lists_are_the_stdlib_text(items):
+    """A list of like records goes through one template, any other list
+    item by item, and both give the stdlib text."""
+    doc = {"results": items}
+    with mock.patch.object(report_io, "_write", wraps=report_io._write) as write:
+        text = report_io.dumps(doc)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # One call for the document and one for the list, whose items were
+    # written from the template, or more, one per item at least.
+    assert (write.call_count == 2) == _alike(items)
 
 
 @pytest.mark.parametrize(
